@@ -13,13 +13,12 @@ from .errors import (ConfigurationError, InfeasibleScenarioError, RastubeError,
                      SynthesisError, TubeViolationError)
 from .geometry import Box, Interval, box_contains, box_disjoint, intersects
 from .metrics import EffortReport, baseline_tube, control_effort
-from .plant import (DisturbanceModel, FrameProvider, IntegratorPlant, LinearPlant,
-                    OmniRobot, SimOptions, SimTrace, simulate)
+from .plant import (DisturbanceModel, FrameProvider, IntegratorPlant, OmniRobot,
+                    SimOptions, SimTrace, simulate)
 from .reach import ReachMargin
 from .scenario import (RasTask, TubeParams, ValidationReport, build_initial_box,
                        build_target_box, validate_assumptions)
-from .tube import (MarginFrames, Tube, evolve_tube, smoothness_check,
-                   tube_derivative, verify_tube)
+from .tube import Tube, evolve_tube, smoothness_check, verify_tube
 
 __version__ = "0.1.0"
 

@@ -170,17 +170,6 @@ def _workspace_fits(task: RasTask, dim: int, level: float) -> bool:
     return ws.lo <= level and level + width <= ws.hi
 
 
-def _approach_target(level, anchor, prep, enter, t):
-    if t >= enter:
-        return level
-    return anchor + (level - anchor) * math.tanh((t - prep) / (enter - t))
-
-def _return_target(level, anchor, exit_, release, t):
-    if t >= release:
-        return anchor
-    return level + (anchor - level) * math.tanh((t - exit_) / (release - t))
-
-
 def _blend_path_clear(task: RasTask, plan: ObstaclePlan, samples: int = 400) -> bool:
     """Cheap pre-filter: collision check along the ideal blend path.
 
@@ -201,11 +190,13 @@ def _blend_path_clear(task: RasTask, plan: ObstaclePlan, samples: int = 400) -> 
     for t in ts:
         lo = lower.value_vec(t)
         if t < plan.enter_time:
-            lo[k] = _approach_target(plan.level, anchor_in, plan.prep_time, plan.enter_time, t)
+            lo[k] = tube_core.approach_target(t, plan.prep_time, plan.enter_time,
+                                              plan.level, anchor_in)
         elif t <= plan.exit_time:
             lo[k] = plan.level
         else:
-            lo[k] = _return_target(plan.level, anchor_out, plan.exit_time, plan.release_time, t)
+            lo[k] = tube_core.return_target(t, plan.exit_time, plan.release_time,
+                                            plan.level, anchor_out)
         hi = lo + width
         if not (ws.dims[k].lo <= lo[k] and hi[k] <= ws.dims[k].hi):
             return False
@@ -218,20 +209,10 @@ def _blend_path_clear(task: RasTask, plan: ObstaclePlan, samples: int = 400) -> 
 
 def _integrated_dim_path(task: RasTask, plan: ObstaclePlan, params: TubeParams):
     """Integrate the candidate's detour dimension alone over [0, deadline]."""
-    margin = task.lower_margin()
-    k = plan.dim
     t_c = task.deadline
     n_steps = max(8, int(round(t_c / params.step)))
-    packed = np.array([[plan.prep_time, plan.enter_time, plan.exit_time,
-                        plan.release_time, 0.0, plan.level,
-                        margin.value(k, plan.prep_time),
-                        margin.value(k, plan.release_time)]])
-    switches = np.array([plan.release_time]) \
-        if 0.0 < plan.release_time < t_c else np.zeros(0)
-    grid, bad = tube_core.integrate_lower(
-        np.array([margin.start[k]]), n_steps, t_c, t_c,
-        np.array([margin._span[k]]), packed, switches,
-        params.edge_buffer, params.blend_scale, params.time_floor)
+    grid, bad = tube_core.integrate_lower(task.lower_margin(), n_steps, [plan], params,
+                                         dims=[plan.dim])
     if bad >= 0:
         return None, None
     ts = np.linspace(0.0, t_c, n_steps + 1)

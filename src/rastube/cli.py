@@ -368,13 +368,21 @@ def _run_simulation(scn: Scenario, tube, plans, seed: Optional[int] = None,
         disturbance = DisturbanceModel(kind=disturbance.kind, bound=disturbance.bound,
                                        seed=seed, frequency=disturbance.frequency,
                                        phases=disturbance.phases)
-    task_dims, extra_bounds, extra_init = scn.frame_layout()
+    task_dims, extra_bounds, _ = scn.frame_layout()
     dyn = scn.dynamics()
     frames = FrameProvider(tube, dyn.n_states, task_dims, extra_bounds)
-    options = SimOptions(step=sim_step if sim_step is not None else scn.run.sim_step,
-                         stay_horizon=stay if stay is not None else scn.run.stay_horizon,
-                         extra_state=extra_init, extra_bounds=extra_bounds)
+    options = _sim_options(scn, sim_step, stay)
     return simulate(scn.task, frames, scn.controller, dyn, disturbance, options, plans)
+
+
+def _sim_options(scn: Scenario, sim_step: Optional[float] = None,
+                 stay: Optional[float] = None) -> SimOptions:
+    """The scenario's simulation options with any overrides applied; raises
+    ConfigurationError for an invalid step or stay horizon."""
+    _, extra_bounds, extra_init = scn.frame_layout()
+    return SimOptions(step=sim_step if sim_step is not None else scn.run.sim_step,
+                      stay_horizon=stay if stay is not None else scn.run.stay_horizon,
+                      extra_state=extra_init, extra_bounds=extra_bounds)
 
 
 def cmd_simulate(scn: Scenario, out: Path, seed: Optional[int],
@@ -459,23 +467,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "for reach-avoid-stay tasks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tube_arg=True):
+    overrides = {
+        "--seed": dict(type=int, help="override disturbance seed"),
+        "--dt": dict(type=float, help="override corridor step [s]"),
+        "--sim-step": dict(type=float, help="override simulation step [s]"),
+        "--stay-horizon": dict(type=float, help="override stay horizon [s]"),
+    }
+
+    def add(name, summary, *flags):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--scenario", required=False, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override disturbance seed")
-        if tube_arg:
-            p.add_argument("--dt", type=float, default=None, help="override corridor step [s]")
-        p.add_argument("--sim-step", type=float, default=None, help="override simulation step [s]")
-        p.add_argument("--stay-horizon", type=float, default=None, help="override stay horizon [s]")
+        for flag in flags:
+            p.add_argument(flag, default=None, **overrides[flag])
+        return p
 
-    common(sub.add_parser("synthesize", help="plan detours, integrate and verify the corridor"))
-    sim = sub.add_parser("simulate", help="closed-loop run with trace and flags")
-    common(sim)
+    add("synthesize", "plan detours, integrate and verify the corridor", "--dt")
+    sim = add("simulate", "closed-loop run with trace and flags",
+              "--seed", "--dt", "--sim-step", "--stay-horizon")
     sim.add_argument("--batch", default=None, help="directory of scenario files to run")
-    ver = sub.add_parser("verify", help="re-verify a corridor CSV against a scenario")
-    common(ver)
+    ver = add("verify", "re-verify a corridor CSV against a scenario")
     ver.add_argument("--tube", required=True, help="corridor CSV produced by synthesize")
-    common(sub.add_parser("compare", help="smooth vs reconstructed abrupt baseline effort"))
+    add("compare", "smooth vs reconstructed abrupt baseline effort",
+        "--seed", "--dt", "--sim-step")
     return parser
 
 
@@ -495,7 +509,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         if not args.scenario:
             raise ConfigurationError([("--scenario", "required")])
         scn = parse_scenario(args.scenario)
-        if getattr(args, "dt", None):
+        if getattr(args, "dt", None) is not None:
             # raising the floor with the step keeps the shaper feedback
             # inside the integrator's stability region
             scn.tube = TubeParams(window_margin=scn.tube.window_margin,
@@ -503,6 +517,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                                   blend_scale=scn.tube.blend_scale,
                                   time_floor=max(scn.tube.time_floor, args.dt / 2.0),
                                   step=args.dt)
+        if args.command in ("simulate", "compare"):
+            # reject invalid simulation overrides before any synthesis work
+            _sim_options(scn, args.sim_step, getattr(args, "stay_horizon", None))
         out = Path(args.out or scn.run.output_dir)
 
         if args.command == "synthesize":

@@ -1,8 +1,10 @@
 """Plant models, disturbance generation, and the closed-loop simulator.
 
-The simulator holds the disturbance constant over each RK4 macro step,
-re-evaluates the feedback at every stage, and records state, corridor
-bounds, input, and the active detour per step.  Flags summarise the run:
+One Python RK4 loop steps every plant.  It holds the disturbance constant
+over each macro step, re-evaluates the feedback at every stage against the
+corridor frame at the stage time (the two midpoint stages share one
+frame), and records state, corridor bounds, input, and the active detour
+per step.  Flags summarise the run:
 reached (target hit by the deadline), safe (never inside an unsafe set),
 contained (always strictly inside the corridor), stayed (inside the target
 through the stay horizon).
@@ -12,17 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence, Tuple
+from typing import Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from . import sim_core
-from .avoidance import ObstaclePlan, active_plan
+from .avoidance import ObstaclePlan
 from .controller import ControllerConfig, TubeFrame, control_input
 from .errors import ConfigurationError, TubeViolationError
 from .geometry import Box
 from .scenario import RasTask
-from .tube import Tube
 
 
 class Dynamics(Protocol):
@@ -78,25 +78,6 @@ class IntegratorPlant:
         return 1.0
 
 
-class LinearPlant:
-    """xdot = A x + B u + w, for oracle-friendly tests."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.n_states = self.a.shape[0]
-
-    def derivative(self, x, u, w):
-        return self.a @ x + self.b @ u + w
-
-    def input_matrix(self, x):
-        return self.b
-
-    def symmetric_input_floor(self, x):
-        sym = 0.5 * (self.b + self.b.T)
-        return float(np.linalg.eigvalsh(sym).min())
-
-
 PLANT_MODELS = {
     "omni_robot": lambda n_task: OmniRobot(),
     "integrator": lambda n_task: IntegratorPlant(n_task),
@@ -120,20 +101,6 @@ class DisturbanceModel:
         if self.bound < 0:
             raise ConfigurationError([("plant.disturbance.bound", "must be >= 0")])
 
-    def sampler(self, n: int) -> Callable[[float], np.ndarray]:
-        """Deterministic per-step sampler; reseeded on every call."""
-        if self.kind == "none" or self.bound == 0.0:
-            zero = np.zeros(n)
-            return lambda t: zero
-        if self.kind == "uniform":
-            rng = np.random.default_rng(self.seed)
-            bound = self.bound
-            return lambda t: rng.uniform(-bound, bound, size=n)
-        phases = self._phases(n)
-        omega = 2.0 * math.pi * self.frequency
-        bound = self.bound
-        return lambda t: bound * np.sin(omega * t + phases)
-
     def _phases(self, n: int) -> np.ndarray:
         phases = np.asarray(self.phases, dtype=float) if self.phases is not None \
             else np.linspace(0.0, math.pi, n, endpoint=False)
@@ -143,7 +110,8 @@ class DisturbanceModel:
         return phases
 
     def sequence(self, n: int, ts: np.ndarray) -> np.ndarray:
-        """All samples for a run at once; identical stream to sampler()."""
+        """One sample row per time in ``ts``; a uniform stream depends only
+        on the seed and the shape, a sinusoidal one on the times."""
         if self.kind == "none" or self.bound == 0.0:
             return np.zeros((ts.shape[0], n))
         if self.kind == "uniform":
@@ -192,6 +160,15 @@ class SimOptions:
     stay_horizon: float = 0.0
     extra_state: Sequence[float] = ()          # initial values of unconstrained dims
     extra_bounds: Sequence[Tuple[float, float]] = ()
+
+    def __post_init__(self):
+        issues = []
+        if not 0.0 < self.step < math.inf:
+            issues.append(("run.sim_step", "must be a finite positive number"))
+        if not 0.0 <= self.stay_horizon < math.inf:
+            issues.append(("run.stay_horizon", "must be a finite number >= 0"))
+        if issues:
+            raise ConfigurationError(issues)
 
 
 @dataclass
@@ -253,9 +230,13 @@ def _state_in_box(x: np.ndarray, box: Box, dims: Sequence[int]) -> bool:
     return box.contains_point([x[i] for i in dims])
 
 
-def _python_loop(x, n_steps, t_end, frames, cfg, dynamics, dists,
-                 states, lowers, uppers, inputs):
-    """Reference stepping loop; used when the compiled kernel does not apply."""
+def _step_loop(x, n_steps, t_end, frames, cfg, dynamics, dists,
+               states, lowers, uppers, inputs):
+    """RK4 closed loop filling the preallocated row arrays.
+
+    Returns (rows filled, min input floor, failure time, failure reason);
+    the failure entries are None when the run completes.
+    """
     floor_fn = getattr(dynamics, "symmetric_input_floor", None)
     if floor_fn is None:
         def floor_fn(state):
@@ -281,14 +262,14 @@ def _python_loop(x, n_steps, t_end, frames, cfg, dynamics, dists,
             break
         w = dists[step]
         h = t_end * (step + 1) / n_steps - t
+        t_mid = t + 0.5 * h
         try:
+            mid = frames.frame(t_mid)
             k1 = dynamics.derivative(x, u, w)
             x2 = x + 0.5 * h * k1
-            k2 = dynamics.derivative(
-                x2, control_input(x2, frames.frame(t + 0.5 * h), cfg, t=t + 0.5 * h), w)
+            k2 = dynamics.derivative(x2, control_input(x2, mid, cfg, t=t_mid), w)
             x3 = x + 0.5 * h * k2
-            k3 = dynamics.derivative(
-                x3, control_input(x3, frames.frame(t + 0.5 * h), cfg, t=t + 0.5 * h), w)
+            k3 = dynamics.derivative(x3, control_input(x3, mid, cfg, t=t_mid), w)
             x4 = x + h * k3
             k4 = dynamics.derivative(
                 x4, control_input(x4, frames.frame(t + h), cfg, t=t + h), w)
@@ -331,41 +312,13 @@ def simulate(task: RasTask, frames: FrameProvider, cfg: ControllerConfig,
     grid_ts = np.array([t_end * s / n_steps for s in range(n_steps + 1)])
     dists = disturbance.sequence(n, grid_ts)
 
-    model_id = None
-    if sim_core.NUMBA_AVAILABLE and isinstance(frames.source, Tube):
-        if isinstance(dynamics, OmniRobot):
-            model_id = sim_core.MODEL_OMNI
-        elif isinstance(dynamics, IntegratorPlant):
-            model_id = sim_core.MODEL_INTEGRATOR
-
     states = np.empty((n_steps + 1, n))
     lowers = np.empty((n_steps + 1, n))
     uppers = np.empty((n_steps + 1, n))
     inputs = np.empty((n_steps + 1, n))
-
-    failure_time = None
-    failure_reason = None
-
-    if model_id is not None:
-        tube = frames.source
-        limit = cfg.input_limit if cfg.input_limit is not None else float("inf")
-        rows, fail_dim, min_floor = sim_core.run_closed_loop(
-            model_id, x, n_steps, t_end, tube.lower, tube.t_end, tube.width,
-            np.asarray(frames.task_dims, dtype=np.int64),
-            np.asarray(frames.extra_dims, dtype=np.int64),
-            frames.extra_lower, frames.extra_upper,
-            cfg.gain, float(cfg.gain_sign), limit, dists,
-            states, lowers, uppers, inputs)
-        if fail_dim == -2:
-            failure_time = t_end * rows / n_steps
-            failure_reason = "non-finite state"
-        elif fail_dim >= 0:
-            failure_time = t_end * min(rows, n_steps) / n_steps
-            failure_reason = f"state component {fail_dim} left the corridor"
-    else:
-        rows, min_floor, failure_time, failure_reason = _python_loop(
-            x, n_steps, t_end, frames, cfg, dynamics, dists,
-            states, lowers, uppers, inputs)
+    rows, min_floor, failure_time, failure_reason = _step_loop(
+        x, n_steps, t_end, frames, cfg, dynamics, dists,
+        states, lowers, uppers, inputs)
 
     ts = grid_ts[:rows]
     states = states[:rows]

@@ -16,113 +16,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tube_core
-from .avoidance import ObstaclePlan, active_plan
+from .avoidance import ObstaclePlan
 from .errors import InfeasibleScenarioError, SynthesisError
 from .geometry import Box
-from .reach import ReachMargin
 from .scenario import RasTask, TubeParams
-
-
-def smoothstep(t: float, scale: float) -> float:
-    """Odd sigmoid 0.5*tanh(t/scale with range (-0.5, 0.5)."""
-    return 0.5 * math.tanh(t / scale)
-
-
-def activation_weights(plan: ObstaclePlan, params: TubeParams, t: float) -> Tuple[float, float, float]:
-    """Phase weights (track, approach, restore) for one plan at time t.
-
-    Away from the detour the first weight saturates at one and the others
-    vanish; during the approach and restore phases the matching weight
-    takes over.  The edge buffer shifts each transition so it completes
-    inside its own phase.
-    """
-    v = params.blend_scale
-    edge = params.edge_buffer
-    s_origin = smoothstep(t, v)
-    s_prep = smoothstep(t - plan.prep_time + edge, v)
-    s_enter = smoothstep(t - plan.enter_time - edge, v)
-    s_exit = smoothstep(t - plan.exit_time + edge, v)
-    s_release = smoothstep(t - plan.release_time - edge, v)
-    w_track = s_origin - s_prep + s_release + 0.5
-    w_approach = s_prep - s_enter
-    w_restore = s_exit - s_release
-    return (w_track, w_approach, w_restore)
-
-
-def approach_target(plan: ObstaclePlan, margin: ReachMargin, t: float) -> float:
-    """Blend value pulled toward during the approach phase; the plan level
-    once the crossing window has started."""
-    if t >= plan.enter_time:
-        return plan.level
-    anchor = margin.value(plan.dim, plan.prep_time)
-    return anchor + (plan.level - anchor) * math.tanh(
-        (t - plan.prep_time) / (plan.enter_time - t))
-
-
-def return_target(plan: ObstaclePlan, margin: ReachMargin, t: float) -> float:
-    """Blend value pulled toward during the restore phase; the margin value
-    at the release time once the plan has released."""
-    anchor = margin.value(plan.dim, plan.release_time)
-    if t >= plan.release_time:
-        return anchor
-    return plan.level + (anchor - plan.level) * math.tanh(
-        (t - plan.exit_time) / (plan.release_time - t))
-
-
-def approach_shaper(plan: ObstaclePlan, params: TubeParams, t: float,
-                    value_now: float, margin: ReachMargin) -> float:
-    """Feedback rate steering the bound onto the approach target.
-
-    The denominator vanishes at the window entry, which is what forces
-    exact arrival; past that instant it is floored and the numerator is
-    already near zero, leaving a benign proportional pin.
-    """
-    den = max(plan.enter_time - t, params.time_floor)
-    return (approach_target(plan, margin, t) - value_now) / den
-
-
-def return_shaper(plan: ObstaclePlan, params: TubeParams, t: float,
-                  value_now: float, margin: ReachMargin) -> float:
-    """Feedback rate steering the bound back toward the nominal margin."""
-    den = max(plan.release_time - t, params.time_floor)
-    return (return_target(plan, margin, t) - value_now) / den
-
-
-def tube_derivative(task: RasTask, plans: Sequence[ObstaclePlan], params: TubeParams,
-                    values: np.ndarray, t: float,
-                    margin: Optional[ReachMargin] = None) -> np.ndarray:
-    """Corridor lower-bound derivative at time t.
-
-    Every dimension follows the margin rate; the active plan's dimension
-    blends that rate with the approach and restore shapers.  Raises when
-    two plans claim the same instant, which the scheduler's separation
-    check is supposed to preclude.
-    """
-    if margin is None:
-        margin = task.lower_margin()
-    out = margin.rate_vec(t)
-    live = [p for p in plans if p.prep_time <= t <= p.release_time]
-    if len(live) > 1:
-        raise InfeasibleScenarioError(
-            f"plans for obstacles {[p.index for p in live]} are simultaneously active at t={t:.6g}")
-    plan = active_plan(plans, t)
-    if plan is not None:
-        k = plan.dim
-        w_track, w_approach, w_restore = activation_weights(plan, params, t)
-        out[k] = (w_track * out[k]
-                  + w_approach * approach_shaper(plan, params, t, values[k], margin)
-                  + w_restore * return_shaper(plan, params, t, values[k], margin))
-    return out
-
-
-def _pack_plans(plans: Sequence[ObstaclePlan], margin: ReachMargin) -> np.ndarray:
-    arr = np.zeros((len(plans), 8))
-    for row, p in enumerate(sorted(plans, key=lambda q: q.enter_time)):
-        arr[row] = (p.prep_time, p.enter_time, p.exit_time, p.release_time,
-                    float(p.dim), p.level,
-                    margin.value(p.dim, p.prep_time),
-                    margin.value(p.dim, p.release_time))
-    return arr
 
 
 @dataclass
@@ -214,22 +111,10 @@ class Tube:
         return self.upper
 
 
-class MarginFrames:
-    """Closed-form corridor for tasks without detours; exact, no grid."""
-
-    def __init__(self, margin: ReachMargin, width: np.ndarray):
-        self.margin = margin
-        self.width = np.asarray(width, dtype=float)
-
-    def bounds(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        lo = self.margin.value_vec(min(t, self.margin.deadline))
-        return lo, lo + self.width
-
-
 def evolve_tube(task: RasTask, plans: Sequence[ObstaclePlan], params: TubeParams) -> Tube:
     """Integrate the corridor lower bound over [0, deadline].
 
-    Uses the compiled kernel when numba is importable.  Raises
+    Raises InfeasibleScenarioError when two plans overlap in time and
     SynthesisError when the integration produces non-finite values.
     """
     spans = [(p.prep_time, p.release_time, p.index) for p in plans]
@@ -242,12 +127,7 @@ def evolve_tube(task: RasTask, plans: Sequence[ObstaclePlan], params: TubeParams
     margin = task.lower_margin()
     t_c = task.deadline
     n_steps = max(8, int(round(t_c / params.step)))
-    packed = _pack_plans(plans, margin)
-    switches = np.array(sorted(p.release_time for p in plans
-                               if 0.0 < p.release_time < t_c), dtype=float)
-    grid, bad = tube_core.integrate_lower(
-        margin.start.copy(), n_steps, t_c, t_c, margin._span.copy(),
-        packed, switches, params.edge_buffer, params.blend_scale, params.time_floor)
+    grid, bad = tube_core.integrate_lower(margin, n_steps, plans, params)
     if bad >= 0:
         t_bad = t_c * bad / n_steps
         raise SynthesisError(f"corridor integration diverged at t={t_bad:.6g}", time=t_bad)

@@ -1,158 +1,158 @@
-"""Fixed-step integration kernel for corridor synthesis.
+"""Fixed-step RK4 integration of the corridor lower bound.
 
-Compiled with numba when available; the same code runs uncompiled
-otherwise (much slower, identical results).  Plans are packed into a
-float array so the kernel stays object-free:
+This module is the single home of the detour laws: the phase weights, the
+approach and return targets, the shaper feedback, and the blended
+derivative built from them.  The integrator runs on Python floats and
+writes each step into a preallocated grid.  ``pack_plans`` turns plans into
+float tuples, sorted by entry time:
 
-    column 0  prep time        column 4  dimension index
-    column 1  enter time       column 5  detour level
-    column 2  exit time        column 6  margin value at prep
-    column 3  release time     column 7  margin value at release
+    (prep, enter, exit, release, column, level, anchor_in, anchor_out)
 
-Steps that straddle a plan's release time are split there, so the
-derivative switch never lands inside a Runge-Kutta step.
+where ``column`` indexes the integrated state and the anchors are the
+margin values at prep and release.  Steps that straddle a plan's release
+time are split there, so the derivative switch never lands inside a
+Runge-Kutta step.
 """
 
 from __future__ import annotations
 
 import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+from .reach import _DEADLINE_GUARD, ReachMargin, _sech_sq
+from .scenario import TubeParams
 
 
-@njit(cache=True)
-def _sech_sq(z):
-    z = abs(z)
-    if z > 300.0:
-        return 0.0
-    c = math.cosh(z)
-    return 1.0 / (c * c)
+def smoothstep(t: float, scale: float) -> float:
+    """Odd sigmoid 0.5*tanh(t/scale) with range (-0.5, 0.5)."""
+    return 0.5 * math.tanh(t / scale)
 
 
-@njit(cache=True)
-def _derivative(t, y, out, t_c, span, plans, edge, blend, floor):
-    n = y.shape[0]
-    if t >= t_c * (1.0 - 1e-9):
-        for i in range(n):
-            out[i] = 0.0
+def phase_weights(t: float, prep: float, enter: float, exit_: float, release: float,
+                  edge: float, blend: float) -> Tuple[float, float, float]:
+    """Phase weights (track, approach, restore) for one plan at time t.
+
+    Away from the detour the first weight saturates at one and the others
+    vanish; during the approach and restore phases the matching weight
+    takes over.  The edge buffer shifts each transition so it completes
+    inside its own phase.
+    """
+    s_origin = smoothstep(t, blend)
+    s_prep = smoothstep(t - prep + edge, blend)
+    s_enter = smoothstep(t - enter - edge, blend)
+    s_exit = smoothstep(t - exit_ + edge, blend)
+    s_release = smoothstep(t - release - edge, blend)
+    return (s_origin - s_prep + s_release + 0.5, s_prep - s_enter, s_exit - s_release)
+
+
+def approach_target(t: float, prep: float, enter: float, level: float, anchor: float) -> float:
+    """Value pulled toward during the approach phase, from the margin value
+    ``anchor`` at prep time to the plan level, held once the crossing
+    window has started."""
+    if t >= enter:
+        return level
+    return anchor + (level - anchor) * math.tanh((t - prep) / (enter - t))
+
+
+def return_target(t: float, exit_: float, release: float, level: float, anchor: float) -> float:
+    """Value pulled toward during the restore phase, from the plan level
+    back to the margin value ``anchor`` at release time, held once the plan
+    has released."""
+    if t >= release:
+        return anchor
+    return level + (anchor - level) * math.tanh((t - exit_) / (release - t))
+
+
+def shaper(target: float, value: float, remaining: float, floor: float) -> float:
+    """Feedback rate steering ``value`` onto ``target`` in ``remaining`` time.
+
+    The denominator vanishes at the phase end, which is what forces exact
+    arrival; past that instant it is floored and the numerator is already
+    near zero, leaving a benign proportional pin.
+    """
+    return (target - value) / (floor if remaining < floor else remaining)
+
+
+def pack_plans(plans, margin: ReachMargin, dims: Optional[Sequence[int]] = None) -> List[tuple]:
+    """Plans as float tuples for the integrator, sorted by entry time.
+
+    ``dims`` lists the margin dimensions the integrated state holds, in
+    column order (default: all of them).
+    """
+    dims = list(range(margin.n)) if dims is None else list(dims)
+    return [(p.prep_time, p.enter_time, p.exit_time, p.release_time,
+             dims.index(p.dim), p.level,
+             margin.value(p.dim, p.prep_time), margin.value(p.dim, p.release_time))
+            for p in sorted(plans, key=lambda q: q.enter_time)]
+
+
+def _derivative(t, y, t_c, span, plans, edge, blend, floor):
+    """Corridor lower-bound derivative at time t.
+
+    Every column follows the margin rate; the active plan's column blends
+    that rate with the approach and restore shapers.
+    """
+    if t >= t_c * (1.0 - _DEADLINE_GUARD):
+        out = [0.0] * len(y)
     else:
         tt = t if t > 0.0 else 0.0
         w = t_c - tt
         coef = t_c / (w * w) * _sech_sq(tt / w)
-        for i in range(n):
-            out[i] = span[i] * coef
-
-    for p in range(plans.shape[0]):
-        if plans[p, 3] > t:
-            prep = plans[p, 0]
-            enter = plans[p, 1]
-            exit_ = plans[p, 2]
-            release = plans[p, 3]
-            k = int(plans[p, 4])
-            level = plans[p, 5]
-            anchor_in = plans[p, 6]
-            anchor_out = plans[p, 7]
-
-            s_origin = 0.5 * math.tanh(t / blend)
-            s_prep = 0.5 * math.tanh((t - prep + edge) / blend)
-            s_enter = 0.5 * math.tanh((t - enter - edge) / blend)
-            s_exit = 0.5 * math.tanh((t - exit_ + edge) / blend)
-            s_release = 0.5 * math.tanh((t - release - edge) / blend)
-
-            w_track = s_origin - s_prep + s_release + 0.5
-            w_approach = s_prep - s_enter
-            w_restore = s_exit - s_release
-
-            if t >= enter:
-                target_in = level
-            else:
-                target_in = anchor_in + (level - anchor_in) * math.tanh((t - prep) / (enter - t))
-            den_in = enter - t
-            if den_in < floor:
-                den_in = floor
-            pull_in = (target_in - y[k]) / den_in
-
-            if t >= release:
-                target_out = anchor_out
-            else:
-                target_out = level + (anchor_out - level) * math.tanh((t - exit_) / (release - t))
-            den_out = release - t
-            if den_out < floor:
-                den_out = floor
-            pull_out = (target_out - y[k]) / den_out
-
+        out = [s * coef for s in span]
+    for prep, enter, exit_, release, k, level, anchor_in, anchor_out in plans:
+        if release > t:
+            w_track, w_approach, w_restore = phase_weights(
+                t, prep, enter, exit_, release, edge, blend)
+            pull_in = shaper(approach_target(t, prep, enter, level, anchor_in),
+                             y[k], enter - t, floor)
+            pull_out = shaper(return_target(t, exit_, release, level, anchor_out),
+                              y[k], release - t, floor)
             out[k] = w_track * out[k] + w_approach * pull_in + w_restore * pull_out
             break
+    return out
 
 
-@njit(cache=True)
-def _rk4_span(ta, tb, y, k1, k2, k3, k4, tmp, t_c, span, plans, edge, blend, floor):
+def _rk4(ta, tb, y, law):
     h = tb - ta
-    n = y.shape[0]
-    _derivative(ta, y, k1, t_c, span, plans, edge, blend, floor)
-    for i in range(n):
-        tmp[i] = y[i] + 0.5 * h * k1[i]
-    _derivative(ta + 0.5 * h, tmp, k2, t_c, span, plans, edge, blend, floor)
-    for i in range(n):
-        tmp[i] = y[i] + 0.5 * h * k2[i]
-    _derivative(ta + 0.5 * h, tmp, k3, t_c, span, plans, edge, blend, floor)
-    for i in range(n):
-        tmp[i] = y[i] + h * k3[i]
-    _derivative(tb, tmp, k4, t_c, span, plans, edge, blend, floor)
-    for i in range(n):
-        y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+    half = 0.5 * h
+    k1 = _derivative(ta, y, *law)
+    k2 = _derivative(ta + half, [v + half * d for v, d in zip(y, k1)], *law)
+    k3 = _derivative(ta + half, [v + half * d for v, d in zip(y, k2)], *law)
+    k4 = _derivative(tb, [v + h * d for v, d in zip(y, k3)], *law)
+    sixth = h / 6.0
+    return [v + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
-@njit(cache=True)
-def integrate_lower(y0, n_steps, t_end, t_c, span, plans, switches, edge, blend, floor):
-    """RK4 grid of the corridor lower bound on [0, t_end].
+def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams,
+                    dims: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, int]:
+    """RK4 grid of the corridor lower bound on [0, deadline].
 
-    Returns the (n_steps + 1, n) grid and the first row index holding a
-    non-finite value (-1 when the whole grid is finite).
+    ``dims`` selects the margin dimensions to integrate (default: all);
+    every plan must bend one of them.  Returns the (n_steps + 1, len(dims))
+    grid and the first row index holding a non-finite value (-1 when the
+    whole grid is finite).
     """
-    n = y0.shape[0]
-    grid = np.empty((n_steps + 1, n))
-    y = y0.copy()
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    tmp = np.empty(n)
-    for i in range(n):
-        grid[0, i] = y[i]
-    bad = -1
+    dims = list(range(margin.n)) if dims is None else list(dims)
+    t_c = margin.deadline
+    packed = pack_plans(plans, margin, dims)
+    switches = sorted(p[3] for p in packed if 0.0 < p[3] < t_c)
+    law = (t_c, [float(margin._span[d]) for d in dims], packed,
+           params.edge_buffer, params.blend_scale, params.time_floor)
+    y = [float(margin.start[d]) for d in dims]
+    grid = np.empty((n_steps + 1, len(dims)))
+    grid[0] = y
     for step in range(n_steps):
-        t0 = t_end * step / n_steps
-        t1 = t_end * (step + 1) / n_steps
-        ta = t0
-        for s in range(switches.shape[0]):
-            sw = switches[s]
+        ta = t_c * step / n_steps
+        t1 = t_c * (step + 1) / n_steps
+        for sw in switches:
             if ta < sw < t1:
-                _rk4_span(ta, sw, y, k1, k2, k3, k4, tmp, t_c, span, plans, edge, blend, floor)
+                y = _rk4(ta, sw, y, law)
                 ta = sw
-        _rk4_span(ta, t1, y, k1, k2, k3, k4, tmp, t_c, span, plans, edge, blend, floor)
-        finite = True
-        for i in range(n):
-            grid[step + 1, i] = y[i]
-            if not math.isfinite(y[i]):
-                finite = False
-        if not finite and bad < 0:
-            bad = step + 1
-            break
-    return grid, bad
+        y = _rk4(ta, t1, y, law)
+        grid[step + 1] = y
+        if not all(map(math.isfinite, y)):
+            return grid, step + 1
+    return grid, -1

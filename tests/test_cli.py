@@ -194,3 +194,31 @@ class TestDeterminism:
         assert run_cli(["simulate", "--scenario", str(scenario),
                         "--out", str(out2), "--seed", "6"]) == 0
         assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--sim-step", "0", "run.sim_step"),
+        ("--sim-step", "-0.01", "run.sim_step"),
+        ("--stay-horizon", "-1", "run.stay_horizon")])
+    def test_invalid_simulation_override_exits_two(self, tmp_path, capsys, flag, value, key):
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--scenario", str(fast_scenario(tmp_path)),
+                        "--out", str(out), flag, value])
+        assert code == 2
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any synthesis work
+
+    def test_zero_dt_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "syn"
+        code = run_cli(["synthesize", "--scenario", str(fast_scenario(tmp_path)),
+                        "--out", str(out), "--dt", "0"])
+        assert code == 2
+        assert "error: tube.step:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_unused_by_subcommand_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--scenario", str(fast_scenario(tmp_path)),
+                     "--tube", "tube.csv", "--seed", "1"])
+        assert exc.value.code == 2

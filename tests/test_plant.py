@@ -6,10 +6,41 @@ import pytest
 from rastube.controller import ControllerConfig
 from rastube.errors import ConfigurationError
 from rastube.plant import (DisturbanceModel, FrameProvider, IntegratorPlant,
-                           LinearPlant, OmniRobot, SimOptions, simulate)
-from rastube.tube import MarginFrames, evolve_tube
+                           OmniRobot, SimOptions, simulate)
+from rastube.tube import evolve_tube
 
 from conftest import make_task
+
+
+class LinearPlant:
+    """xdot = A x + B u + w, a plant the package does not ship."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.n_states = self.a.shape[0]
+
+    def derivative(self, x, u, w):
+        return self.a @ x + self.b @ u + w
+
+    def input_matrix(self, x):
+        return self.b
+
+    def symmetric_input_floor(self, x):
+        sym = 0.5 * (self.b + self.b.T)
+        return float(np.linalg.eigvalsh(sym).min())
+
+
+class MarginFrames:
+    """Closed-form corridor for tasks without detours; exact, no grid."""
+
+    def __init__(self, margin, width):
+        self.margin = margin
+        self.width = np.asarray(width, dtype=float)
+
+    def bounds(self, t):
+        lo = self.margin.value_vec(min(t, self.margin.deadline))
+        return lo, lo + self.width
 
 
 class TestOmniRobot:
@@ -42,29 +73,27 @@ class TestOmniRobot:
 
 class TestDisturbance:
     def test_none_is_zero(self):
-        model = DisturbanceModel(kind="none")
-        assert np.all(model.sampler(3)(1.0) == 0.0)
+        model = DisturbanceModel(kind="none", bound=0.05)
+        seq = model.sequence(3, np.linspace(0.0, 1.0, 20))
+        assert seq.shape == (20, 3)
+        assert np.all(seq == 0.0)
 
     def test_uniform_respects_bound(self):
         model = DisturbanceModel(kind="uniform", bound=0.05, seed=3)
-        sample = model.sampler(3)
-        draws = np.array([sample(t) for t in range(200)])
+        draws = model.sequence(3, np.arange(200.0))
         assert np.abs(draws).max() <= 0.05
 
     def test_seeded_runs_are_identical(self):
         a = DisturbanceModel(kind="uniform", bound=0.05, seed=11)
         b = DisturbanceModel(kind="uniform", bound=0.05, seed=11)
-        sa, sb = a.sampler(2), b.sampler(2)
-        for t in range(50):
-            np.testing.assert_array_equal(sa(t), sb(t))
+        ts = np.arange(50.0)
+        np.testing.assert_array_equal(a.sequence(2, ts), b.sequence(2, ts))
 
-    def test_sequence_matches_sampler_stream(self):
+    def test_uniform_stream_is_default_rng(self):
         model = DisturbanceModel(kind="uniform", bound=0.05, seed=4)
         ts = np.linspace(0.0, 1.0, 64)
-        seq = model.sequence(3, ts)
-        sampler = DisturbanceModel(kind="uniform", bound=0.05, seed=4).sampler(3)
-        rows = np.array([sampler(t) for t in ts])
-        np.testing.assert_array_equal(seq, rows)
+        expected = np.random.default_rng(4).uniform(-0.05, 0.05, (64, 3))
+        np.testing.assert_array_equal(model.sequence(3, ts), expected)
 
     def test_sinusoidal_bound_and_shape(self):
         model = DisturbanceModel(kind="sinusoidal", bound=0.03, frequency=0.25)
@@ -160,7 +189,7 @@ class TestSimulate:
         assert trace.min_input_floor > 0.0
 
     def test_linear_plant_python_path(self):
-        # a linear plant exercises the uncompiled stepping loop
+        # a plant the package does not ship steps through the same loop
         task, frames, options, dist = integrator_setup(step=0.004)
         plant = LinearPlant(np.zeros((2, 2)), np.eye(2))
         trace = simulate(task, frames, ControllerConfig(gain=2.0), plant,
@@ -174,17 +203,44 @@ class TestSimulate:
         assert trace.flags.reached and trace.flags.safe
         assert trace.flags.contained and trace.flags.stayed
 
-    def test_kernel_and_python_paths_agree(self):
-        # same scenario through the compiled and reference loops
-        task, frames, options, dist = integrator_setup(
-            disturbance=DisturbanceModel(kind="uniform", bound=0.03, seed=21))
-        kernel = simulate(task, frames, ControllerConfig(gain=2.0),
-                          IntegratorPlant(2), dist, options)
+    def test_first_steps_match_written_out_loop(self):
+        # RK4 with the disturbance held over each step and the barrier law
+        # re-evaluated at every stage, written out here from the formulas
+        bound, seed = 0.03, 21
+        dist = DisturbanceModel(kind="uniform", bound=bound, seed=seed)
+        task, frames, options, _ = integrator_setup(disturbance=dist)
+        cfg = ControllerConfig(gain=2.0)
+        trace = simulate(task, frames, cfg, IntegratorPlant(2), dist, options)
 
-        class PyIntegrator(IntegratorPlant):
-            pass  # unknown to the kernel dispatch, forces the python loop
+        tube = frames.source
+        t_end = task.deadline + options.stay_horizon
+        n_steps = int(round(t_end / options.step))
+        ws = np.random.default_rng(seed).uniform(-bound, bound, (n_steps + 1, 2))
 
-        python = simulate(task, frames, ControllerConfig(gain=2.0),
-                          PyIntegrator(2), dist, options)
-        np.testing.assert_allclose(kernel.states, python.states, atol=1e-10)
-        np.testing.assert_allclose(kernel.inputs, python.inputs, atol=1e-8)
+        def law(x, t):
+            lo, hi = tube.bounds(t)
+            e = (2.0 * x - (hi + lo)) / (hi - lo)
+            assert np.all(np.abs(e) < 1.0)
+            return -cfg.gain * 4.0 / ((hi - lo) * (1.0 - e * e)) * np.log((1.0 + e) / (1.0 - e))
+
+        x = np.array(task.start, dtype=float)
+        for step in range(50):
+            t = t_end * step / n_steps
+            u = law(x, t)
+            np.testing.assert_allclose(trace.states[step], x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trace.inputs[step], u, rtol=1e-9, atol=1e-12)
+            h = t_end * (step + 1) / n_steps - t
+            w = ws[step]
+            k1 = u + w
+            k2 = law(x + 0.5 * h * k1, t + 0.5 * h) + w
+            k3 = law(x + 0.5 * h * k2, t + 0.5 * h) + w
+            k4 = law(x + h * k3, t + h) + w
+            x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    @pytest.mark.parametrize("step, stay, key", [
+        (0.0, 0.0, "run.sim_step"), (-0.01, 0.0, "run.sim_step"),
+        (math.inf, 0.0, "run.sim_step"), (0.01, -1.0, "run.stay_horizon")])
+    def test_invalid_options_rejected(self, step, stay, key):
+        with pytest.raises(ConfigurationError) as err:
+            SimOptions(step=step, stay_horizon=stay)
+        assert [path for path, _ in err.value.issues] == [key]

@@ -3,29 +3,78 @@ import math
 import numpy as np
 import pytest
 
-from rastube.avoidance import PASS_ABOVE, ObstaclePlan
+from rastube import tube_core
+from rastube.avoidance import PASS_ABOVE, ObstaclePlan, active_plan
+from rastube.errors import InfeasibleScenarioError
 from rastube.geometry import Box
 from rastube.scenario import RasTask, TubeParams
-from rastube.tube import (Tube, activation_weights, approach_shaper,
-                          approach_target, return_shaper, return_target,
-                          smoothness_check, smoothstep, tube_derivative,
-                          verify_tube)
+from rastube.tube import Tube, evolve_tube, smoothness_check, verify_tube
 
+
+def tube_derivative(task, plans, params, values, t):
+    """Scalar oracle of the corridor lower-bound derivative, written out
+    independently of tube_core.
+
+    Every dimension follows the margin rate; the active plan's dimension
+    blends that rate with the approach and restore shapers.
+    """
+    margin = task.lower_margin()
+    out = margin.rate_vec(t)
+    plan = active_plan(sorted(plans, key=lambda p: p.enter_time), t)
+    if plan is None:
+        return out
+    k = plan.dim
+
+    def step(x):
+        return 0.5 * math.tanh(x / params.blend_scale)
+
+    edge = params.edge_buffer
+    s_prep = step(t - plan.prep_time + edge)
+    s_release = step(t - plan.release_time - edge)
+    w_track = step(t) - s_prep + s_release + 0.5
+    w_approach = s_prep - step(t - plan.enter_time - edge)
+    w_restore = step(t - plan.exit_time + edge) - s_release
+
+    anchor_in = margin.value(k, plan.prep_time)
+    anchor_out = margin.value(k, plan.release_time)
+    if t >= plan.enter_time:
+        target_in = plan.level
+    else:
+        target_in = anchor_in + (plan.level - anchor_in) * math.tanh(
+            (t - plan.prep_time) / (plan.enter_time - t))
+    if t >= plan.release_time:
+        target_out = anchor_out
+    else:
+        target_out = plan.level + (anchor_out - plan.level) * math.tanh(
+            (t - plan.exit_time) / (plan.release_time - t))
+    pull_in = (target_in - values[k]) / max(plan.enter_time - t, params.time_floor)
+    pull_out = (target_out - values[k]) / max(plan.release_time - t, params.time_floor)
+    out[k] = w_track * out[k] + w_approach * pull_in + w_restore * pull_out
+    return out
+
+
+def integrator_derivative(task, plans, params, values, t):
+    """The derivative the corridor integrator evaluates."""
+    m = task.lower_margin()
+    return np.array(tube_core._derivative(
+        t, [float(v) for v in values], task.deadline, [float(s) for s in m._span],
+        tube_core.pack_plans(plans, m), params.edge_buffer, params.blend_scale,
+        params.time_floor))
 
 
 class TestSmoothstep:
     def test_zero_at_origin(self):
-        assert smoothstep(0.0, 0.5) == 0.0
+        assert tube_core.smoothstep(0.0, 0.5) == 0.0
 
     def test_saturation(self):
-        assert smoothstep(10.0, 0.5) == pytest.approx(0.5, abs=1e-9)
-        assert smoothstep(-10.0, 0.5) == pytest.approx(-0.5, abs=1e-9)
+        assert tube_core.smoothstep(10.0, 0.5) == pytest.approx(0.5, abs=1e-9)
+        assert tube_core.smoothstep(-10.0, 0.5) == pytest.approx(-0.5, abs=1e-9)
 
     def test_unit_argument(self):
-        assert smoothstep(0.5, 0.5) == pytest.approx(0.5 * math.tanh(1.0), abs=1e-15)
+        assert tube_core.smoothstep(0.5, 0.5) == pytest.approx(0.5 * math.tanh(1.0), abs=1e-15)
 
     def test_odd(self):
-        assert smoothstep(0.3, 0.2) == -smoothstep(-0.3, 0.2)
+        assert tube_core.smoothstep(0.3, 0.2) == -tube_core.smoothstep(-0.3, 0.2)
 
 
 def demo_plan(enter=20.0, exit_=30.0, margin=2.0, level=5.0, dim=0, side=PASS_ABOVE):
@@ -38,6 +87,11 @@ def demo_params(margin=2.0):
     return TubeParams(window_margin=margin, edge_buffer=margin / 32,
                       blend_scale=margin / 128, time_floor=5e-4 * margin,
                       step=1e-3 * margin)
+
+
+def activation_weights(plan, params, t):
+    return tube_core.phase_weights(t, plan.prep_time, plan.enter_time, plan.exit_time,
+                                   plan.release_time, params.edge_buffer, params.blend_scale)
 
 
 class TestActivationWeights:
@@ -71,6 +125,26 @@ class TestActivationWeights:
 def demo_margin(task=None):
     from rastube.reach import ReachMargin
     return ReachMargin(np.array([0.0]), np.array([10.0]), 50.0)
+
+
+def approach_target(plan, margin, t):
+    return tube_core.approach_target(t, plan.prep_time, plan.enter_time, plan.level,
+                                     margin.value(plan.dim, plan.prep_time))
+
+
+def return_target(plan, margin, t):
+    return tube_core.return_target(t, plan.exit_time, plan.release_time, plan.level,
+                                   margin.value(plan.dim, plan.release_time))
+
+
+def approach_shaper(plan, params, t, value_now, margin):
+    return tube_core.shaper(approach_target(plan, margin, t), value_now,
+                            plan.enter_time - t, params.time_floor)
+
+
+def return_shaper(plan, params, t, value_now, margin):
+    return tube_core.shaper(return_target(plan, margin, t), value_now,
+                            plan.release_time - t, params.time_floor)
 
 
 class TestShapers:
@@ -126,13 +200,13 @@ class TestTubeDerivative:
         task = case_scenario.task
         m = task.lower_margin()
         for t in (0.0, 11.0, 40.0, 79.0):
-            got = tube_derivative(task, [], case_scenario.tube, m.value_vec(t), t)
+            got = integrator_derivative(task, [], case_scenario.tube, m.value_vec(t), t)
             np.testing.assert_allclose(got, m.rate_vec(t), rtol=0, atol=1e-15)
 
     def test_initial_rate(self, case_scenario):
         task = case_scenario.task
         m = task.lower_margin()
-        got = tube_derivative(task, [], case_scenario.tube, m.value_vec(0.0), 0.0)
+        got = integrator_derivative(task, [], case_scenario.tube, m.value_vec(0.0), 0.0)
         span = m.end - m.start
         np.testing.assert_allclose(got, span / task.deadline, rtol=1e-12)
 
@@ -143,18 +217,32 @@ class TestTubeDerivative:
         t = 0.5 * (p.enter_time + p.exit_time)
         values = m.value_vec(t)
         values[p.dim] = p.level
-        got = tube_derivative(task, case_plans, case_scenario.tube, values, t)
+        got = integrator_derivative(task, case_plans, case_scenario.tube, values, t)
         assert abs(got[p.dim]) < 1e-3 * (abs(p.level) + 1.0)
 
+    def test_integrator_matches_scalar_oracle(self, case_scenario, case_plans):
+        # random times plus every phase boundary and midpoint of each plan,
+        # with the state pushed off the margin so the shapers pull
+        task, params = case_scenario.task, case_scenario.tube
+        m = task.lower_margin()
+        rng = np.random.default_rng(3)
+        times = list(rng.uniform(0.0, task.deadline, 200))
+        for p in case_plans:
+            marks = [p.prep_time, p.enter_time, p.exit_time, p.release_time]
+            times += marks + [0.5 * (a + b) for a, b in zip(marks, marks[1:])]
+        for t in times + [task.deadline]:
+            values = m.value_vec(t) + rng.uniform(-0.1, 0.1, task.n)
+            got = integrator_derivative(task, case_plans, params, values, t)
+            ref = tube_derivative(task, case_plans, params, values, t)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
     def test_two_simultaneous_plans_error(self, case_scenario, case_plans):
-        from rastube.errors import InfeasibleScenarioError
         p = case_plans[0]
         clone = ObstaclePlan(index=9, enter_time=p.enter_time, exit_time=p.exit_time,
                              prep_time=p.prep_time, release_time=p.release_time,
                              dim=0, side=p.side, level=p.level)
-        with pytest.raises(InfeasibleScenarioError):
-            tube_derivative(case_scenario.task, [p, clone], case_scenario.tube,
-                            np.zeros(2), 0.5 * (p.enter_time + p.exit_time))
+        with pytest.raises(InfeasibleScenarioError, match="overlap"):
+            evolve_tube(case_scenario.task, [p, clone], case_scenario.tube)
 
 
 class TestEvolve:
