@@ -187,16 +187,18 @@ def _blend_path_clear(task: RasTask, plan: ObstaclePlan, samples: int = 400) -> 
     anchor_out = lower.value(k, plan.release_time)
     ws = task.workspace
     ts = np.linspace(plan.prep_time, plan.release_time, samples)
-    for t in ts:
+    approach = tube_core.approach_target(ts, plan.prep_time, plan.enter_time,
+                                         plan.level, anchor_in)
+    restore = tube_core.return_target(ts, plan.exit_time, plan.release_time,
+                                      plan.level, anchor_out)
+    for t, to_level, from_level in zip(ts, approach, restore):
         lo = lower.value_vec(t)
         if t < plan.enter_time:
-            lo[k] = tube_core.approach_target(t, plan.prep_time, plan.enter_time,
-                                              plan.level, anchor_in)
+            lo[k] = to_level
         elif t <= plan.exit_time:
             lo[k] = plan.level
         else:
-            lo[k] = tube_core.return_target(t, plan.exit_time, plan.release_time,
-                                            plan.level, anchor_out)
+            lo[k] = from_level
         hi = lo + width
         if not (ws.dims[k].lo <= lo[k] and hi[k] <= ws.dims[k].hi):
             return False

@@ -57,20 +57,52 @@ class TubeFrame:
         return self.upper - self.lower
 
 
+# The law works on lists of floats, which a closed-loop stepper updates
+# far faster than small numpy arrays.  The logarithms go through
+# np.log1p, so every value has the same bits as the array form below.
+
+def _normalized(x, sums, widths) -> list:
+    return [(2.0 * xi - si) / wi for xi, si, wi in zip(x, sums, widths)]
+
+
+def _barrier(e) -> list:
+    logs = np.log1p(list(e) + [-v for v in e]).tolist()
+    n = len(logs) // 2
+    return [a - b for a, b in zip(logs[:n], logs[n:])]
+
+
+def _gain(e, widths) -> list:
+    return [4.0 / (wi * (1.0 - v * v)) for v, wi in zip(e, widths)]
+
+
+def _check_inside(e, lower, upper, sums, widths, t: Optional[float]):
+    for d, v in enumerate(e):
+        if abs(v) >= 1.0:
+            raise TubeViolationError(dim=d, value=float(0.5 * (v * widths[d] + sums[d])),
+                                     lower=float(lower[d]), upper=float(upper[d]), time=t)
+
+
+def feedback(x, lower, upper, sums, widths, cfg: ControllerConfig,
+             t: Optional[float] = None) -> list:
+    """The barrier law on lists of floats: state, corridor bounds, and their
+    sums (upper + lower) and widths (upper - lower).
+
+    Raises TubeViolationError when the state is not strictly inside.
+    """
+    e = _normalized(x, sums, widths)
+    _check_inside(e, lower, upper, sums, widths, t)
+    scale = -cfg.gain_sign * cfg.gain
+    u = [scale * g * b for g, b in zip(_gain(e, widths), _barrier(e))]
+    if cfg.input_limit is not None:
+        lim = cfg.input_limit
+        u = [min(max(v, -lim), lim) for v in u]
+    return u
+
+
 def normalized_error(x: np.ndarray, frame: TubeFrame) -> np.ndarray:
     """Map the state to corridor coordinates; inside the corridor iff in (-1, 1)."""
-    x = np.asarray(x, dtype=float)
-    return (2.0 * x - frame.sum_bounds) / frame.widths
-
-
-def _check_inside(e: np.ndarray, frame: TubeFrame, t: Optional[float]):
-    bad = np.nonzero(np.abs(e) >= 1.0)[0]
-    if bad.size:
-        d = int(bad[0])
-        x_val = 0.5 * (e[d] * frame.widths[d] + frame.sum_bounds[d])
-        raise TubeViolationError(dim=d, value=float(x_val),
-                                 lower=float(frame.lower[d]),
-                                 upper=float(frame.upper[d]), time=t)
+    return np.array(_normalized(np.asarray(x, dtype=float).tolist(),
+                                frame.sum_bounds.tolist(), frame.widths.tolist()))
 
 
 def transformed_error(e: np.ndarray, frame: Optional[TubeFrame] = None,
@@ -80,31 +112,25 @@ def transformed_error(e: np.ndarray, frame: Optional[TubeFrame] = None,
     Raises TubeViolationError when any |e| >= 1; pass ``frame``/``t`` to
     enrich the error with state-space values.
     """
-    e = np.asarray(e, dtype=float)
-    bad = np.nonzero(np.abs(e) >= 1.0)[0]
-    if bad.size:
-        if frame is not None:
-            _check_inside(e, frame, t)
-        d = int(bad[0])
-        raise TubeViolationError(dim=d, value=float(e[d]), lower=-1.0, upper=1.0, time=t)
-    return np.log1p(e) - np.log1p(-e)
+    e = np.asarray(e, dtype=float).tolist()
+    if frame is not None:
+        _check_inside(e, frame.lower, frame.upper, frame.sum_bounds, frame.widths, t)
+    for d, v in enumerate(e):
+        if abs(v) >= 1.0:
+            raise TubeViolationError(dim=d, value=v, lower=-1.0, upper=1.0, time=t)
+    return np.array(_barrier(e))
 
 
 def gain_diagonal(e: np.ndarray, frame: TubeFrame, t: Optional[float] = None) -> np.ndarray:
     """Diagonal of the barrier gain matrix, 4 / (width * (1 - e^2))."""
-    e = np.asarray(e, dtype=float)
-    _check_inside(e, frame, t)
-    return 4.0 / (frame.widths * (1.0 - e * e))
+    e = np.asarray(e, dtype=float).tolist()
+    _check_inside(e, frame.lower, frame.upper, frame.sum_bounds, frame.widths, t)
+    return np.array(_gain(e, frame.widths.tolist()))
 
 
 def control_input(x: np.ndarray, frame: TubeFrame, cfg: ControllerConfig,
                   t: Optional[float] = None) -> np.ndarray:
     """Feedback input for one instant; pushes each component toward the
     corridor center with a gain diverging at the boundary."""
-    e = normalized_error(x, frame)
-    eps = transformed_error(e, frame, t)
-    xi = gain_diagonal(e, frame, t)
-    u = -cfg.gain_sign * cfg.gain * xi * eps
-    if cfg.input_limit is not None:
-        u = np.clip(u, -cfg.input_limit, cfg.input_limit)
-    return u
+    return np.array(feedback(np.asarray(x, dtype=float).tolist(), frame.lower, frame.upper,
+                             frame.sum_bounds.tolist(), frame.widths.tolist(), cfg, t))

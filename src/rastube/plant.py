@@ -4,7 +4,9 @@ One Python RK4 loop steps every plant.  It holds the disturbance constant
 over each macro step, re-evaluates the feedback at every stage against the
 corridor frame at the stage time (the two midpoint stages share one
 frame), and records state, corridor bounds, input, and the active detour
-per step.  Flags summarise the run:
+per step.  The frames of a chunk of steps are interpolated in one numpy
+call; the state and input are stepped as lists of floats, which Python
+updates faster than three-element arrays.  Flags summarise the run:
 reached (target hit by the deadline), safe (never inside an unsafe set),
 contained (always strictly inside the corridor), stayed (inside the target
 through the stay horizon).
@@ -19,16 +21,24 @@ from typing import Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .avoidance import ObstaclePlan
-from .controller import ControllerConfig, TubeFrame, control_input
+from .controller import ControllerConfig, TubeFrame, feedback
 from .errors import ConfigurationError, TubeViolationError
 from .geometry import Box
 from .scenario import RasTask
+from .tube import _pairs, _write_rows
 
 
 class Dynamics(Protocol):
+    """A plant the closed loop can step.
+
+    ``derivative`` receives the state, input and disturbance as lists of
+    floats and returns a sequence of floats (a list or a 1-d array).
+    """
+
     n_states: int
 
-    def derivative(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray: ...
+    def derivative(self, x: Sequence[float], u: Sequence[float],
+                   w: Sequence[float]) -> Sequence[float]: ...
 
     def input_matrix(self, x: np.ndarray) -> np.ndarray: ...
 
@@ -46,11 +56,9 @@ class OmniRobot:
     def derivative(self, x, u, w):
         c = math.cos(x[2])
         s = math.sin(x[2])
-        return np.array([
-            u[0] * c - u[1] * s + w[0],
-            u[0] * s + u[1] * c + w[1],
-            u[2] + w[2],
-        ])
+        return [u[0] * c - u[1] * s + w[0],
+                u[0] * s + u[1] * c + w[1],
+                u[2] + w[2]]
 
     def input_matrix(self, x):
         c = math.cos(x[2])
@@ -69,7 +77,7 @@ class IntegratorPlant:
         self.n_states = n_states
 
     def derivative(self, x, u, w):
-        return u + w
+        return [a + b for a, b in zip(u, w)]
 
     def input_matrix(self, x):
         return np.eye(self.n_states)
@@ -142,16 +150,27 @@ class FrameProvider:
         self.extra_lower = np.array([b[0] for b in extra_bounds])
         self.extra_upper = np.array([b[1] for b in extra_bounds])
 
-    def frame(self, t: float) -> TubeFrame:
-        lo_task, hi_task = self.source.bounds(t)
-        lo = np.empty(self.state_dim)
-        hi = np.empty(self.state_dim)
-        lo[self.task_dims] = lo_task
-        hi[self.task_dims] = hi_task
+    def grid(self, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Full-state (lower, upper) bounds at every time of the 1-d array ts."""
+        bounds_grid = getattr(self.source, "bounds_grid", None)
+        if bounds_grid is not None:
+            lo_task, hi_task = bounds_grid(ts)
+        else:
+            pairs = [self.source.bounds(t) for t in ts.tolist()]
+            lo_task = np.array([lo for lo, _ in pairs]).reshape(len(pairs), len(self.task_dims))
+            hi_task = np.array([hi for _, hi in pairs]).reshape(len(pairs), len(self.task_dims))
+        lo = np.empty((ts.shape[0], self.state_dim))
+        hi = np.empty((ts.shape[0], self.state_dim))
+        lo[:, self.task_dims] = lo_task
+        hi[:, self.task_dims] = hi_task
         if self.extra_dims:
-            lo[self.extra_dims] = self.extra_lower
-            hi[self.extra_dims] = self.extra_upper
-        return TubeFrame(lower=lo, upper=hi)
+            lo[:, self.extra_dims] = self.extra_lower
+            hi[:, self.extra_dims] = self.extra_upper
+        return lo, hi
+
+    def frame(self, t: float) -> TubeFrame:
+        lo, hi = self.grid(np.array([t], dtype=float))
+        return TubeFrame(lower=lo[0], upper=hi[0])
 
 
 @dataclass
@@ -213,71 +232,85 @@ class SimTrace:
         for i in range(n):
             header += [f"g{i + 1}L", f"g{i + 1}U"]
         header += [f"u{i + 1}" for i in range(n)] + ["active_obstacle"]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for r in range(self.ts.shape[0]):
-                cells = [f"{self.ts[r]:.17g}"]
-                cells += [f"{v:.17g}" for v in self.states[r]]
-                for i in range(n):
-                    cells.append(f"{self.lower[r, i]:.17g}")
-                    cells.append(f"{self.upper[r, i]:.17g}")
-                cells += [f"{v:.17g}" for v in self.inputs[r]]
-                cells.append(str(int(self.active[r])))
-                fh.write(",".join(cells) + "\n")
+        _write_rows(path, header, self.ts.shape[0], lambda a, b: np.column_stack(
+            (self.ts[a:b], self.states[a:b], _pairs(self.lower[a:b], self.upper[a:b]),
+             self.inputs[a:b])), ints=self.active)
 
 
-def _state_in_box(x: np.ndarray, box: Box, dims: Sequence[int]) -> bool:
-    return box.contains_point([x[i] for i in dims])
+def _rows_in_box(states: np.ndarray, box: Box, dims: Sequence[int]) -> np.ndarray:
+    """Per row of ``states``: whether its ``dims`` lie in the closed box."""
+    x = states[:, dims]
+    return np.all((x >= box.lower) & (x <= box.upper), axis=1)
 
 
-def _step_loop(x, n_steps, t_end, frames, cfg, dynamics, dists,
-               states, lowers, uppers, inputs):
-    """RK4 closed loop filling the preallocated row arrays.
+# closed-loop steps whose corridor frames are interpolated together
+_CHUNK = 128
 
-    Returns (rows filled, min input floor, failure time, failure reason);
-    the failure entries are None when the run completes.
+
+def _step_loop(x, grid_ts, frames, cfg, dynamics, dists, states, lowers, uppers, inputs):
+    """RK4 closed loop over the time grid, filling the preallocated rows.
+
+    The state and input are lists of floats.  The corridor bounds at every
+    stage time of a chunk of steps are interpolated in one call; the
+    feedback is re-evaluated at each stage.  Returns (rows filled, min
+    input floor, failure time, failure reason); the failure entries are
+    None when the run completes.
     """
     floor_fn = getattr(dynamics, "symmetric_input_floor", None)
     if floor_fn is None:
         def floor_fn(state):
-            g = dynamics.input_matrix(state)
+            g = np.asarray(dynamics.input_matrix(np.asarray(state)))
             return float(np.linalg.eigvalsh(0.5 * (g + g.T)).min())
 
+    rate = dynamics.derivative
+    n_steps = grid_ts.shape[0] - 1
     min_floor = float("inf")
     rows = 0
-    for step in range(n_steps + 1):
-        t = t_end * step / n_steps
-        frame = frames.frame(t)
-        try:
-            u = control_input(x, frame, cfg, t=t)
-        except TubeViolationError as err:
-            return rows, min_floor, t, str(err)
-        states[step] = x
-        lowers[step] = frame.lower
-        uppers[step] = frame.upper
-        inputs[step] = u
-        min_floor = min(min_floor, floor_fn(x))
-        rows = step + 1
-        if step == n_steps:
-            break
-        w = dists[step]
-        h = t_end * (step + 1) / n_steps - t
-        t_mid = t + 0.5 * h
-        try:
-            mid = frames.frame(t_mid)
-            k1 = dynamics.derivative(x, u, w)
-            x2 = x + 0.5 * h * k1
-            k2 = dynamics.derivative(x2, control_input(x2, mid, cfg, t=t_mid), w)
-            x3 = x + 0.5 * h * k2
-            k3 = dynamics.derivative(x3, control_input(x3, mid, cfg, t=t_mid), w)
-            x4 = x + h * k3
-            k4 = dynamics.derivative(
-                x4, control_input(x4, frames.frame(t + h), cfg, t=t + h), w)
-        except TubeViolationError as err:
-            return rows, min_floor, t, str(err)
-        x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            return rows, min_floor, t + h, "non-finite state"
+    for s0 in range(0, n_steps + 1, _CHUNK):
+        ts = grid_ts[s0:s0 + _CHUNK]
+        h = grid_ts[s0 + 1:s0 + _CHUNK + 1] - ts[:n_steps - s0]
+        t_mid = ts[:h.shape[0]] + 0.5 * h
+        stages = []
+        for when in (ts, t_mid, ts[:h.shape[0]] + h):
+            lo, hi = frames.grid(when)
+            widths = hi - lo
+            bad = np.flatnonzero((widths <= 0.0).any(axis=1))
+            if bad.size:
+                TubeFrame(lower=lo[bad[0]], upper=hi[bad[0]])   # raises the frame error
+            stages.append([a.tolist() for a in (lo, hi, hi + lo, widths)])
+            if when is ts:
+                lowers[s0:s0 + lo.shape[0]] = lo
+                uppers[s0:s0 + hi.shape[0]] = hi
+        (lo_a, hi_a, sum_a, wid_a), (lo_m, hi_m, sum_m, wid_m), (lo_b, hi_b, sum_b, wid_b) = stages
+        w_rows = dists[s0:s0 + h.shape[0]].tolist()
+        for j, (t, dt, tm) in enumerate(zip(ts.tolist(), h.tolist() + [None], t_mid.tolist() + [None])):
+            step = s0 + j
+            try:
+                u = feedback(x, lo_a[j], hi_a[j], sum_a[j], wid_a[j], cfg, t)
+            except TubeViolationError as err:
+                return rows, min_floor, t, str(err)
+            states[step] = x
+            inputs[step] = u
+            min_floor = min(min_floor, floor_fn(x))
+            rows = step + 1
+            if step == n_steps:
+                break
+            w = w_rows[j]
+            try:
+                k1 = rate(x, u, w)
+                x2 = [v + 0.5 * dt * k for v, k in zip(x, k1)]
+                k2 = rate(x2, feedback(x2, lo_m[j], hi_m[j], sum_m[j], wid_m[j], cfg, tm), w)
+                x3 = [v + 0.5 * dt * k for v, k in zip(x, k2)]
+                k3 = rate(x3, feedback(x3, lo_m[j], hi_m[j], sum_m[j], wid_m[j], cfg, tm), w)
+                x4 = [v + dt * k for v, k in zip(x, k3)]
+                k4 = rate(x4, feedback(x4, lo_b[j], hi_b[j], sum_b[j], wid_b[j], cfg, t + dt), w)
+            except TubeViolationError as err:
+                return rows, min_floor, t, str(err)
+            sixth = dt / 6.0
+            x = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, x)):
+                return rows, min_floor, t + dt, "non-finite state"
     return rows, min_floor, None, None
 
 
@@ -309,7 +342,7 @@ def simulate(task: RasTask, frames: FrameProvider, cfg: ControllerConfig,
     t_end = task.deadline + options.stay_horizon
     n_steps = max(1, int(round(t_end / options.step)))
     sorted_plans = sorted(plans, key=lambda p: p.enter_time)
-    grid_ts = np.array([t_end * s / n_steps for s in range(n_steps + 1)])
+    grid_ts = t_end * np.arange(n_steps + 1) / n_steps
     dists = disturbance.sequence(n, grid_ts)
 
     states = np.empty((n_steps + 1, n))
@@ -317,8 +350,7 @@ def simulate(task: RasTask, frames: FrameProvider, cfg: ControllerConfig,
     uppers = np.empty((n_steps + 1, n))
     inputs = np.empty((n_steps + 1, n))
     rows, min_floor, failure_time, failure_reason = _step_loop(
-        x, n_steps, t_end, frames, cfg, dynamics, dists,
-        states, lowers, uppers, inputs)
+        x.tolist(), grid_ts, frames, cfg, dynamics, dists, states, lowers, uppers, inputs)
 
     ts = grid_ts[:rows]
     states = states[:rows]
@@ -335,26 +367,14 @@ def simulate(task: RasTask, frames: FrameProvider, cfg: ControllerConfig,
         active = np.full(rows, -1, dtype=int)
 
     task_dims = frames.task_dims
-    reach_time = None
-    reached = False
-    for r in range(rows):
-        if ts[r] <= task.deadline + 1e-12 and _state_in_box(states[r], task.target_set, task_dims):
-            reached = True
-            reach_time = float(ts[r])
-            break
-    safe = True
-    for u_box in task.unsafe_sets:
-        for r in range(rows):
-            if _state_in_box(states[r], u_box, task_dims):
-                safe = False
-                break
-        if not safe:
-            break
+    in_target = _rows_in_box(states, task.target_set, task_dims)
+    hits = np.flatnonzero(in_target & (ts <= task.deadline + 1e-12))
+    reached = hits.size > 0
+    reach_time = float(ts[hits[0]]) if reached else None
+    safe = not any(_rows_in_box(states, u_box, task_dims).any() for u_box in task.unsafe_sets)
     contained = failure_time is None and rows > 0 and \
         bool(np.all((states > lowers) & (states < uppers)))
-    stay_rows = np.nonzero(ts >= task.deadline - 1e-12)[0]
-    stayed = failure_time is None and all(
-        _state_in_box(states[r], task.target_set, task_dims) for r in stay_rows)
+    stayed = failure_time is None and bool(in_target[ts >= task.deadline - 1e-12].all())
 
     return SimTrace(ts=ts, states=states, lower=lowers, upper=uppers,
                     inputs=inputs, disturbances=dists, active=active,

@@ -18,7 +18,17 @@ import numpy as np
 _DEADLINE_GUARD = 1e-9
 
 
-def _sech_sq(z: float) -> float:
+def _sech_sq(z):
+    """1 / cosh(z)^2 of a float, or elementwise of an array; zero for |z| > 300.
+
+    Arrays go through ``math.cosh`` too (numpy's cosh rounds differently),
+    so both forms give the same bits.
+    """
+    if isinstance(z, np.ndarray):
+        z = np.abs(z)
+        c = np.fromiter(map(math.cosh, np.minimum(z, 300.0).ravel().tolist()),
+                        float, z.size).reshape(z.shape)
+        return np.where(z > 300.0, 0.0, 1.0 / (c * c))
     z = abs(z)
     if z > 300.0:
         return 0.0

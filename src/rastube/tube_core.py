@@ -2,9 +2,8 @@
 
 This module is the single home of the detour laws: the phase weights, the
 approach and return targets, the shaper feedback, and the blended
-derivative built from them.  The integrator runs on Python floats and
-writes each step into a preallocated grid.  ``pack_plans`` turns plans into
-float tuples, sorted by entry time:
+derivative built from them.  ``pack_plans`` turns plans into float tuples,
+sorted by entry time:
 
     (prep, enter, exit, release, column, level, anchor_in, anchor_out)
 
@@ -12,6 +11,16 @@ where ``column`` indexes the integrated state and the anchors are the
 margin values at prep and release.  Steps that straddle a plan's release
 time are split there, so the derivative switch never lands inside a
 Runge-Kutta step.
+
+The columns of the state evolve independently, and most of the time a
+column's derivative depends on time alone: the margin rate, possibly
+scaled by a phase weight.  The integrator evaluates every time-only term
+for a block of steps at once and sums those increments in order with
+``np.add.accumulate``.  Only the steps where a phase weight pulls the
+active plan's column toward a target are stepped one at a time.  The laws
+accept floats or arrays and use ``math.tanh`` / ``math.cosh`` for both,
+so the grid is bit-identical to evaluating the derivative one instant at
+a time.
 """
 
 from __future__ import annotations
@@ -24,14 +33,29 @@ import numpy as np
 from .reach import _DEADLINE_GUARD, ReachMargin, _sech_sq
 from .scenario import TubeParams
 
+# Runge-Kutta steps evaluated together; bounds the scratch arrays.
+_BLOCK = 256
 
-def smoothstep(t: float, scale: float) -> float:
+
+def _tanh(x):
+    """math.tanh of a float, or elementwise of an array (numpy's tanh
+    rounds differently).  From |x| >= 20 on math.tanh returns exactly +-1,
+    so array entries there skip the call."""
+    if isinstance(x, np.ndarray):
+        out = np.sign(x)
+        live = ~(np.abs(x) >= 20.0)
+        out[live] = np.fromiter(map(math.tanh, x[live].tolist()), float)
+        return out
+    return math.tanh(x)
+
+
+def smoothstep(t, scale: float):
     """Odd sigmoid 0.5*tanh(t/scale) with range (-0.5, 0.5)."""
-    return 0.5 * math.tanh(t / scale)
+    return 0.5 * _tanh(t / scale)
 
 
-def phase_weights(t: float, prep: float, enter: float, exit_: float, release: float,
-                  edge: float, blend: float) -> Tuple[float, float, float]:
+def phase_weights(t, prep: float, enter: float, exit_: float, release: float,
+                  edge: float, blend: float) -> Tuple:
     """Phase weights (track, approach, restore) for one plan at time t.
 
     Away from the detour the first weight saturates at one and the others
@@ -47,22 +71,28 @@ def phase_weights(t: float, prep: float, enter: float, exit_: float, release: fl
     return (s_origin - s_prep + s_release + 0.5, s_prep - s_enter, s_exit - s_release)
 
 
-def approach_target(t: float, prep: float, enter: float, level: float, anchor: float) -> float:
+def _ramp(t, start: float, end: float, origin: float, goal: float):
+    """origin + (goal - origin) * tanh((t - start) / (end - t)) before
+    ``end``, ``goal`` from ``end`` on."""
+    ta = np.asarray(t, dtype=float)
+    before = ta < end
+    x = np.where(before, ta, start)
+    out = np.where(before, origin + (goal - origin) * _tanh((x - start) / (end - x)), goal)
+    return out if out.ndim else float(out)
+
+
+def approach_target(t, prep: float, enter: float, level: float, anchor: float):
     """Value pulled toward during the approach phase, from the margin value
     ``anchor`` at prep time to the plan level, held once the crossing
     window has started."""
-    if t >= enter:
-        return level
-    return anchor + (level - anchor) * math.tanh((t - prep) / (enter - t))
+    return _ramp(t, prep, enter, anchor, level)
 
 
-def return_target(t: float, exit_: float, release: float, level: float, anchor: float) -> float:
+def return_target(t, exit_: float, release: float, level: float, anchor: float):
     """Value pulled toward during the restore phase, from the plan level
     back to the margin value ``anchor`` at release time, held once the plan
     has released."""
-    if t >= release:
-        return anchor
-    return level + (anchor - level) * math.tanh((t - exit_) / (release - t))
+    return _ramp(t, exit_, release, level, anchor)
 
 
 def shaper(target: float, value: float, remaining: float, floor: float) -> float:
@@ -88,42 +118,91 @@ def pack_plans(plans, margin: ReachMargin, dims: Optional[Sequence[int]] = None)
             for p in sorted(plans, key=lambda q: q.enter_time)]
 
 
+def _margin_coef(t, t_c: float):
+    """Margin rate per unit span at time(s) t, and whether t lies before
+    the deadline guard (past it the corridor rate is exactly zero)."""
+    ta = np.asarray(t, dtype=float)
+    live = ta < t_c * (1.0 - _DEADLINE_GUARD)
+    tt = np.where(live & (ta > 0.0), ta, 0.0)
+    w = t_c - tt
+    return t_c / (w * w) * _sech_sq(tt / w), live
+
+
+def _plan_terms(t, plan: tuple, edge: float, blend: float) -> tuple:
+    """Time-only terms of one plan's blend at time(s) t: the three phase
+    weights, then each target with the time left in its phase."""
+    prep, enter, exit_, release, _, level, anchor_in, anchor_out = plan
+    w_track, w_approach, w_restore = phase_weights(t, prep, enter, exit_, release, edge, blend)
+    return (w_track, w_approach, w_restore,
+            approach_target(t, prep, enter, level, anchor_in), enter - t,
+            return_target(t, exit_, release, level, anchor_out), release - t)
+
+
+def _blend(rate: float, value: float, w_track: float, w_approach: float, w_restore: float,
+           target_in: float, remaining_in: float, target_out: float, remaining_out: float,
+           floor: float) -> float:
+    """The active plan column's derivative: the margin rate blended with
+    the approach and restore shapers."""
+    return (w_track * rate + w_approach * shaper(target_in, value, remaining_in, floor)
+            + w_restore * shaper(target_out, value, remaining_out, floor))
+
+
 def _derivative(t, y, t_c, span, plans, edge, blend, floor):
-    """Corridor lower-bound derivative at time t.
+    """Corridor lower-bound derivative at one instant.
 
     Every column follows the margin rate; the active plan's column blends
-    that rate with the approach and restore shapers.
+    that rate with the approach and restore shapers.  ``integrate_lower``
+    evaluates the same terms for a block of times.
     """
-    if t >= t_c * (1.0 - _DEADLINE_GUARD):
-        out = [0.0] * len(y)
-    else:
-        tt = t if t > 0.0 else 0.0
-        w = t_c - tt
-        coef = t_c / (w * w) * _sech_sq(tt / w)
-        out = [s * coef for s in span]
-    for prep, enter, exit_, release, k, level, anchor_in, anchor_out in plans:
-        if release > t:
-            w_track, w_approach, w_restore = phase_weights(
-                t, prep, enter, exit_, release, edge, blend)
-            pull_in = shaper(approach_target(t, prep, enter, level, anchor_in),
-                             y[k], enter - t, floor)
-            pull_out = shaper(return_target(t, exit_, release, level, anchor_out),
-                              y[k], release - t, floor)
-            out[k] = w_track * out[k] + w_approach * pull_in + w_restore * pull_out
+    coef, live = _margin_coef(t, t_c)
+    out = [float(s * coef) if live else 0.0 for s in span]
+    for plan in plans:
+        if plan[3] > t:
+            k = plan[4]
+            out[k] = _blend(out[k], y[k], *_plan_terms(t, plan, edge, blend), floor)
             break
     return out
 
 
-def _rk4(ta, tb, y, law):
-    h = tb - ta
-    half = 0.5 * h
-    k1 = _derivative(ta, y, *law)
-    k2 = _derivative(ta + half, [v + half * d for v, d in zip(y, k1)], *law)
-    k3 = _derivative(ta + half, [v + half * d for v, d in zip(y, k2)], *law)
-    k4 = _derivative(tb, [v + h * d for v, d in zip(y, k3)], *law)
-    sixth = h / 6.0
-    return [v + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+def _column_block(y0, rate, pulls, sixth, half, h, floor):
+    """RK4 values of one column over a block of m steps.
+
+    ``rate`` holds the time-only derivative at the m + 1 step nodes and
+    then at the m midpoints; ``pulls`` maps each evaluation index where the
+    column follows the shapers to its time-only blend terms.  Returns the
+    m + 1 node values, starting with ``y0``.
+    """
+    m = sixth.shape[0]
+    nb = m + 1
+    mid = rate[nb:]
+    inc = sixth * (((rate[:m] + 2.0 * mid) + 2.0 * mid) + rate[1:nb])
+    pulled = np.zeros(2 * m + 1, dtype=bool)
+    pulled[list(pulls)] = True
+    coupled = pulled[:m] | pulled[nb:] | pulled[1:nb]
+    values = np.empty(nb)
+    values[0] = y0
+    edges = (np.flatnonzero(np.diff(coupled)) + 1).tolist()
+    rates, sixths = rate.tolist(), sixth.tolist()
+
+    def slope(e, value):
+        terms = pulls.get(e)
+        return rates[e] if terms is None else _blend(rates[e], value, *terms, floor)
+
+    for lo, hi in zip([0] + edges, edges + [m]):
+        if not coupled[lo]:
+            # time-only increments: summed in order, exactly as a loop would
+            run = np.add.accumulate(np.concatenate((values[lo:lo + 1], inc[lo:hi])))
+            values[lo + 1:hi + 1] = run[1:]
+            continue
+        y = float(values[lo])
+        for j in range(lo, hi):
+            k1 = slope(j, y)
+            k2 = slope(nb + j, y + half[j] * k1)
+            k3 = slope(nb + j, y + half[j] * k2)
+            k4 = slope(j + 1, y + h[j] * k3)
+            y = y + sixths[j] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            values[j + 1] = y
+    return values
 
 
 def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams,
@@ -138,21 +217,51 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
     dims = list(range(margin.n)) if dims is None else list(dims)
     t_c = margin.deadline
     packed = pack_plans(plans, margin, dims)
-    switches = sorted(p[3] for p in packed if 0.0 < p[3] < t_c)
-    law = (t_c, [float(margin._span[d]) for d in dims], packed,
-           params.edge_buffer, params.blend_scale, params.time_floor)
+    span = [float(margin._span[d]) for d in dims]
+    edge, blend, floor = params.edge_buffer, params.blend_scale, params.time_floor
+    switches = np.array(sorted({p[3] for p in packed if 0.0 < p[3] < t_c}))
     y = [float(margin.start[d]) for d in dims]
     grid = np.empty((n_steps + 1, len(dims)))
     grid[0] = y
-    for step in range(n_steps):
-        ta = t_c * step / n_steps
-        t1 = t_c * (step + 1) / n_steps
-        for sw in switches:
-            if ta < sw < t1:
-                y = _rk4(ta, sw, y, law)
-                ta = sw
-        y = _rk4(ta, t1, y, law)
-        grid[step + 1] = y
-        if not all(map(math.isfinite, y)):
-            return grid, step + 1
+    for g0 in range(0, n_steps, _BLOCK):
+        g1 = min(g0 + _BLOCK, n_steps)
+        rows_t = t_c * np.arange(g0, g1 + 1) / n_steps
+        # release times strictly between two grid rows split that step
+        inner = switches[(switches > rows_t[0]) & (switches < rows_t[-1])]
+        inner = inner[rows_t[np.searchsorted(rows_t, inner)] != inner]
+        tn = np.sort(np.concatenate((rows_t, inner)))
+        rows = np.searchsorted(tn, rows_t[1:])     # node index of each grid row
+        h = tn[1:] - tn[:-1]
+        half = 0.5 * h
+        ts = np.concatenate((tn, tn[:-1] + half))    # nodes, then midpoints
+        coef, live = _margin_coef(ts, t_c)
+        rates = [np.where(live, s * coef, 0.0) for s in span]
+        pulls = [{} for _ in dims]
+        active = np.full(ts.shape, -1)
+        for p in range(len(packed) - 1, -1, -1):
+            active[ts < packed[p][3]] = p
+        for p, plan in enumerate(packed):
+            idx = np.flatnonzero(active == p)
+            if idx.size == 0:
+                continue
+            k = plan[4]
+            terms = _plan_terms(ts[idx], plan, edge, blend)
+            # where both shaper weights vanish exactly the blend is the
+            # scaled margin rate alone; a zero product keeps the shapers,
+            # whose signed zeros could still reach the sum
+            scaled = terms[0] * rates[k][idx]
+            free = (terms[1] == 0.0) & (terms[2] == 0.0) & (scaled != 0.0)
+            rates[k][idx[free]] = scaled[free]
+            held = ~free
+            pulls[k].update(zip(idx[held].tolist(),
+                                zip(*(v[held].tolist() for v in terms))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(dims)):
+                values = _column_block(y[i], rates[i], pulls[i], h / 6.0,
+                                       half.tolist(), h.tolist(), floor)
+                y[i] = float(values[-1])
+                grid[g0 + 1:g1 + 1, i] = values[rows]
+        finite = np.isfinite(grid[g0 + 1:g1 + 1]).all(axis=1)
+        if not finite.all():
+            return grid, int(g0 + 1 + np.flatnonzero(~finite)[0])
     return grid, -1

@@ -237,6 +237,51 @@ class TestSimulate:
             k4 = law(x + h * k3, t + h) + w
             x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    def test_case_study_matches_array_loop_bit_for_bit(self, case_scenario, case_plans,
+                                                        case_tube):
+        # the stepper runs the law on float lists; written out here on numpy
+        # arrays (the omni robot's heading is the unconstrained third state),
+        # every recorded value must have the same bits
+        from rastube.cli import _run_simulation
+        scn = case_scenario
+        trace = _run_simulation(scn, case_tube, case_plans, seed=3)
+        h0, hw = scn.plant.heading_init, scn.plant.heading_halfwidth
+        cfg = scn.controller
+        t_end = scn.task.deadline + scn.run.stay_horizon
+        n_steps = int(round(t_end / scn.run.sim_step))
+        ws = np.random.default_rng(3).uniform(-scn.plant.disturbance.bound,
+                                              scn.plant.disturbance.bound, (n_steps + 1, 3))
+
+        def bounds(t):
+            lo, hi = case_tube.bounds(t)
+            return np.append(lo, h0 - hw), np.append(hi, h0 + hw)
+
+        def law(x, t):
+            lo, hi = bounds(t)
+            e = (2.0 * x - (hi + lo)) / (hi - lo)
+            eps = np.log1p(e) - np.log1p(-e)
+            return -cfg.gain_sign * cfg.gain * (4.0 / ((hi - lo) * (1.0 - e * e))) * eps
+
+        def plant(x, u, w):
+            c, s = math.cos(x[2]), math.sin(x[2])
+            return np.array([u[0] * c - u[1] * s + w[0], u[0] * s + u[1] * c + w[1],
+                             u[2] + w[2]])
+
+        x = np.append(scn.task.start, h0)
+        for step in range(300):
+            t = t_end * step / n_steps
+            u = law(x, t)
+            np.testing.assert_array_equal(trace.states[step], x)
+            np.testing.assert_array_equal(trace.inputs[step], u)
+            np.testing.assert_array_equal(trace.lower[step], bounds(t)[0])
+            h = t_end * (step + 1) / n_steps - t
+            w = ws[step]
+            k1 = plant(x, u, w)
+            k2 = plant(x + 0.5 * h * k1, law(x + 0.5 * h * k1, t + 0.5 * h), w)
+            k3 = plant(x + 0.5 * h * k2, law(x + 0.5 * h * k2, t + 0.5 * h), w)
+            k4 = plant(x + h * k3, law(x + h * k3, t + h), w)
+            x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     @pytest.mark.parametrize("step, stay, key", [
         (0.0, 0.0, "run.sim_step"), (-0.01, 0.0, "run.sim_step"),
         (math.inf, 0.0, "run.sim_step"), (0.01, -1.0, "run.stay_horizon")])

@@ -245,6 +245,103 @@ class TestTubeDerivative:
             evolve_tube(case_scenario.task, [p, clone], case_scenario.tube)
 
 
+def stepwise_rk4(margin, n_steps, plans, params, dims=None):
+    """Plain RK4 over tube_core._derivative, one step at a time, with steps
+    split at release times: what integrate_lower computes block by block."""
+    dims = list(range(margin.n)) if dims is None else list(dims)
+    t_c = margin.deadline
+    packed = tube_core.pack_plans(plans, margin, dims)
+    law = (t_c, [float(margin._span[d]) for d in dims], packed,
+           params.edge_buffer, params.blend_scale, params.time_floor)
+    switches = sorted(p[3] for p in packed if 0.0 < p[3] < t_c)
+
+    def rk4(ta, tb, y):
+        h = tb - ta
+        half = 0.5 * h
+        k1 = tube_core._derivative(ta, y, *law)
+        k2 = tube_core._derivative(ta + half, [v + half * d for v, d in zip(y, k1)], *law)
+        k3 = tube_core._derivative(ta + half, [v + half * d for v, d in zip(y, k2)], *law)
+        k4 = tube_core._derivative(tb, [v + h * d for v, d in zip(y, k3)], *law)
+        return [v + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+    y = [float(margin.start[d]) for d in dims]
+    grid = np.empty((n_steps + 1, len(dims)))
+    grid[0] = y
+    for step in range(n_steps):
+        ta = t_c * step / n_steps
+        t1 = t_c * (step + 1) / n_steps
+        for sw in switches:
+            if ta < sw < t1:
+                y = rk4(ta, sw, y)
+                ta = sw
+        y = rk4(ta, t1, y)
+        grid[step + 1] = y
+        if not all(map(math.isfinite, y)):
+            return grid[:step + 2], step + 1
+    return grid, -1
+
+
+def coarse_params(params, step, floor):
+    return TubeParams(window_margin=params.window_margin, edge_buffer=params.edge_buffer,
+                      blend_scale=params.blend_scale, time_floor=floor, step=step)
+
+
+class TestIntegrator:
+    # a coarse grid keeps the step-by-step reference quick; the release
+    # times fall between grid rows, so steps are split there
+    N_STEPS = 3001
+
+    def test_matches_stepwise_rk4_bit_for_bit(self, case_scenario, case_plans):
+        task = case_scenario.task
+        step = task.deadline / self.N_STEPS
+        params = coarse_params(case_scenario.tube, step, 0.5 * step)
+        margin = task.lower_margin()
+        got, bad = tube_core.integrate_lower(margin, self.N_STEPS, case_plans, params)
+        ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, case_plans, params)
+        assert bad == ref_bad == -1
+        np.testing.assert_array_equal(got, ref)
+
+    def test_single_column_matches_stepwise_rk4(self, case_scenario, case_plans):
+        # the candidate check integrates a plan's own dimension alone
+        task = case_scenario.task
+        step = task.deadline / self.N_STEPS
+        params = coarse_params(case_scenario.tube, step, 0.5 * step)
+        margin = task.lower_margin()
+        plan = case_plans[1]
+        got, _ = tube_core.integrate_lower(margin, self.N_STEPS, [plan], params,
+                                           dims=[plan.dim])
+        ref, _ = stepwise_rk4(margin, self.N_STEPS, [plan], params, dims=[plan.dim])
+        np.testing.assert_array_equal(got, ref)
+
+    def test_divergence_reported_at_the_same_row(self, case_scenario, case_plans):
+        # a shaper floor far below the step leaves RK4's stability region,
+        # and the detour column overflows within the first approach
+        task = case_scenario.task
+        step = task.deadline / self.N_STEPS
+        params = coarse_params(case_scenario.tube, step, step * 1e-30)
+        margin = task.lower_margin()
+        got, bad = tube_core.integrate_lower(margin, self.N_STEPS, case_plans, params)
+        ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, case_plans, params)
+        assert ref_bad > 0
+        assert bad == ref_bad
+        np.testing.assert_array_equal(got[:bad], ref[:bad])
+
+
+class TestBounds:
+    def test_grid_matches_linear_interpolation_and_clamps(self, case_tube):
+        rng = np.random.default_rng(8)
+        ts = np.concatenate(([-1.0, 0.0, case_tube.t_end, case_tube.t_end + 5.0],
+                             rng.uniform(0.0, case_tube.t_end, 300)))
+        lo, hi = case_tube.bounds_grid(ts)
+        for i in range(case_tube.n):
+            ref = np.interp(ts, case_tube.ts, case_tube.lower[:, i])
+            np.testing.assert_allclose(lo[:, i], ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(hi, lo + case_tube.width)
+        for t, row in zip(ts, lo):
+            np.testing.assert_array_equal(case_tube.bounds(float(t))[0], row)
+
+
 class TestEvolve:
     def test_starts_at_corridor_corners(self, case_scenario, case_tube):
         task = case_scenario.task
