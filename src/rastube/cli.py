@@ -498,6 +498,14 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate" and args.batch:
+            ignored = [flag for flag, value in (
+                ("--scenario", args.scenario), ("--seed", args.seed), ("--dt", args.dt),
+                ("--sim-step", args.sim_step), ("--stay-horizon", args.stay_horizon))
+                if value is not None]
+            if ignored:
+                # each batch file runs with its own settings
+                raise ConfigurationError(
+                    [("--batch", f"cannot be combined with {', '.join(ignored)}")])
             files = sorted(Path(args.batch).glob("*.json"))
             if not files:
                 raise ConfigurationError([(args.batch, "no scenario files found")])

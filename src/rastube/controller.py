@@ -43,7 +43,7 @@ class TubeFrame:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ConfigurationError([("frame", "bounds must be 1-d arrays of equal length")])
-        if np.any(upper - lower <= 0):
+        if (upper - lower <= 0).any():
             raise ConfigurationError([("frame", "upper bound must exceed lower bound")])
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -57,9 +57,9 @@ class TubeFrame:
         return self.upper - self.lower
 
 
-# The law works on lists of floats, which a closed-loop stepper updates
-# far faster than small numpy arrays.  The logarithms go through
-# np.log1p, so every value has the same bits as the array form below.
+# The law works on lists of floats, which is far faster than numpy on
+# three-element vectors.  The logarithms go through np.log1p, so every
+# value has the same bits as numpy's array arithmetic.
 
 def _normalized(x, sums, widths) -> list:
     return [(2.0 * xi - si) / wi for xi, si, wi in zip(x, sums, widths)]
@@ -80,23 +80,6 @@ def _check_inside(e, lower, upper, sums, widths, t: Optional[float]):
         if abs(v) >= 1.0:
             raise TubeViolationError(dim=d, value=float(0.5 * (v * widths[d] + sums[d])),
                                      lower=float(lower[d]), upper=float(upper[d]), time=t)
-
-
-def feedback(x, lower, upper, sums, widths, cfg: ControllerConfig,
-             t: Optional[float] = None) -> list:
-    """The barrier law on lists of floats: state, corridor bounds, and their
-    sums (upper + lower) and widths (upper - lower).
-
-    Raises TubeViolationError when the state is not strictly inside.
-    """
-    e = _normalized(x, sums, widths)
-    _check_inside(e, lower, upper, sums, widths, t)
-    scale = -cfg.gain_sign * cfg.gain
-    u = [scale * g * b for g, b in zip(_gain(e, widths), _barrier(e))]
-    if cfg.input_limit is not None:
-        lim = cfg.input_limit
-        u = [min(max(v, -lim), lim) for v in u]
-    return u
 
 
 def normalized_error(x: np.ndarray, frame: TubeFrame) -> np.ndarray:
@@ -131,6 +114,17 @@ def gain_diagonal(e: np.ndarray, frame: TubeFrame, t: Optional[float] = None) ->
 def control_input(x: np.ndarray, frame: TubeFrame, cfg: ControllerConfig,
                   t: Optional[float] = None) -> np.ndarray:
     """Feedback input for one instant; pushes each component toward the
-    corridor center with a gain diverging at the boundary."""
-    return np.array(feedback(np.asarray(x, dtype=float).tolist(), frame.lower, frame.upper,
-                             frame.sum_bounds.tolist(), frame.widths.tolist(), cfg, t))
+    corridor center with a gain diverging at the boundary.
+
+    Raises TubeViolationError when the state is not strictly inside.
+    """
+    sums = frame.sum_bounds.tolist()
+    widths = frame.widths.tolist()
+    e = _normalized(np.asarray(x, dtype=float).tolist(), sums, widths)
+    _check_inside(e, frame.lower, frame.upper, sums, widths, t)
+    scale = -cfg.gain_sign * cfg.gain
+    u = [scale * g * b for g, b in zip(_gain(e, widths), _barrier(e))]
+    if cfg.input_limit is not None:
+        lim = cfg.input_limit
+        u = [min(max(v, -lim), lim) for v in u]
+    return np.array(u)

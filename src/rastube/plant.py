@@ -4,9 +4,8 @@ One Python RK4 loop steps every plant.  It holds the disturbance constant
 over each macro step, re-evaluates the feedback at every stage against the
 corridor frame at the stage time (the two midpoint stages share one
 frame), and records state, corridor bounds, input, and the active detour
-per step.  The frames of a chunk of steps are interpolated in one numpy
-call; the state and input are stepped as lists of floats, which Python
-updates faster than three-element arrays.  Flags summarise the run:
+per step.  The state and input are stepped as lists of floats, which
+Python updates faster than three-element arrays.  Flags summarise the run:
 reached (target hit by the deadline), safe (never inside an unsafe set),
 contained (always strictly inside the corridor), stayed (inside the target
 through the stay horizon).
@@ -21,7 +20,7 @@ from typing import Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .avoidance import ObstaclePlan
-from .controller import ControllerConfig, TubeFrame, feedback
+from .controller import ControllerConfig, TubeFrame, control_input
 from .errors import ConfigurationError, TubeViolationError
 from .geometry import Box
 from .scenario import RasTask
@@ -32,7 +31,8 @@ class Dynamics(Protocol):
     """A plant the closed loop can step.
 
     ``derivative`` receives the state, input and disturbance as lists of
-    floats and returns a sequence of floats (a list or a 1-d array).
+    floats and returns ``n_states`` floats (a list or a 1-d array); the
+    closed loop raises ValueError on any other length.
     """
 
     n_states: int
@@ -150,27 +150,16 @@ class FrameProvider:
         self.extra_lower = np.array([b[0] for b in extra_bounds])
         self.extra_upper = np.array([b[1] for b in extra_bounds])
 
-    def grid(self, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Full-state (lower, upper) bounds at every time of the 1-d array ts."""
-        bounds_grid = getattr(self.source, "bounds_grid", None)
-        if bounds_grid is not None:
-            lo_task, hi_task = bounds_grid(ts)
-        else:
-            pairs = [self.source.bounds(t) for t in ts.tolist()]
-            lo_task = np.array([lo for lo, _ in pairs]).reshape(len(pairs), len(self.task_dims))
-            hi_task = np.array([hi for _, hi in pairs]).reshape(len(pairs), len(self.task_dims))
-        lo = np.empty((ts.shape[0], self.state_dim))
-        hi = np.empty((ts.shape[0], self.state_dim))
-        lo[:, self.task_dims] = lo_task
-        hi[:, self.task_dims] = hi_task
-        if self.extra_dims:
-            lo[:, self.extra_dims] = self.extra_lower
-            hi[:, self.extra_dims] = self.extra_upper
-        return lo, hi
-
     def frame(self, t: float) -> TubeFrame:
-        lo, hi = self.grid(np.array([t], dtype=float))
-        return TubeFrame(lower=lo[0], upper=hi[0])
+        lo_task, hi_task = self.source.bounds(t)
+        lo = np.empty(self.state_dim)
+        hi = np.empty(self.state_dim)
+        lo[self.task_dims] = lo_task
+        hi[self.task_dims] = hi_task
+        if self.extra_dims:
+            lo[self.extra_dims] = self.extra_lower
+            hi[self.extra_dims] = self.extra_upper
+        return TubeFrame(lower=lo, upper=hi)
 
 
 @dataclass
@@ -243,18 +232,12 @@ def _rows_in_box(states: np.ndarray, box: Box, dims: Sequence[int]) -> np.ndarra
     return np.all((x >= box.lower) & (x <= box.upper), axis=1)
 
 
-# closed-loop steps whose corridor frames are interpolated together
-_CHUNK = 128
-
-
 def _step_loop(x, grid_ts, frames, cfg, dynamics, dists, states, lowers, uppers, inputs):
     """RK4 closed loop over the time grid, filling the preallocated rows.
 
-    The state and input are lists of floats.  The corridor bounds at every
-    stage time of a chunk of steps are interpolated in one call; the
-    feedback is re-evaluated at each stage.  Returns (rows filled, min
-    input floor, failure time, failure reason); the failure entries are
-    None when the run completes.
+    The state, input and disturbance are stepped as lists of floats.
+    Returns (rows filled, min input floor, failure time, failure reason);
+    the failure entries are None when the run completes.
     """
     floor_fn = getattr(dynamics, "symmetric_input_floor", None)
     if floor_fn is None:
@@ -263,54 +246,44 @@ def _step_loop(x, grid_ts, frames, cfg, dynamics, dists, states, lowers, uppers,
             return float(np.linalg.eigvalsh(0.5 * (g + g.T)).min())
 
     rate = dynamics.derivative
-    n_steps = grid_ts.shape[0] - 1
+    ts = grid_ts.tolist()
+    n_steps = len(ts) - 1
     min_floor = float("inf")
     rows = 0
-    for s0 in range(0, n_steps + 1, _CHUNK):
-        ts = grid_ts[s0:s0 + _CHUNK]
-        h = grid_ts[s0 + 1:s0 + _CHUNK + 1] - ts[:n_steps - s0]
-        t_mid = ts[:h.shape[0]] + 0.5 * h
-        stages = []
-        for when in (ts, t_mid, ts[:h.shape[0]] + h):
-            lo, hi = frames.grid(when)
-            widths = hi - lo
-            bad = np.flatnonzero((widths <= 0.0).any(axis=1))
-            if bad.size:
-                TubeFrame(lower=lo[bad[0]], upper=hi[bad[0]])   # raises the frame error
-            stages.append([a.tolist() for a in (lo, hi, hi + lo, widths)])
-            if when is ts:
-                lowers[s0:s0 + lo.shape[0]] = lo
-                uppers[s0:s0 + hi.shape[0]] = hi
-        (lo_a, hi_a, sum_a, wid_a), (lo_m, hi_m, sum_m, wid_m), (lo_b, hi_b, sum_b, wid_b) = stages
-        w_rows = dists[s0:s0 + h.shape[0]].tolist()
-        for j, (t, dt, tm) in enumerate(zip(ts.tolist(), h.tolist() + [None], t_mid.tolist() + [None])):
-            step = s0 + j
-            try:
-                u = feedback(x, lo_a[j], hi_a[j], sum_a[j], wid_a[j], cfg, t)
-            except TubeViolationError as err:
-                return rows, min_floor, t, str(err)
-            states[step] = x
-            inputs[step] = u
-            min_floor = min(min_floor, floor_fn(x))
-            rows = step + 1
-            if step == n_steps:
-                break
-            w = w_rows[j]
-            try:
-                k1 = rate(x, u, w)
-                x2 = [v + 0.5 * dt * k for v, k in zip(x, k1)]
-                k2 = rate(x2, feedback(x2, lo_m[j], hi_m[j], sum_m[j], wid_m[j], cfg, tm), w)
-                x3 = [v + 0.5 * dt * k for v, k in zip(x, k2)]
-                k3 = rate(x3, feedback(x3, lo_m[j], hi_m[j], sum_m[j], wid_m[j], cfg, tm), w)
-                x4 = [v + dt * k for v, k in zip(x, k3)]
-                k4 = rate(x4, feedback(x4, lo_b[j], hi_b[j], sum_b[j], wid_b[j], cfg, t + dt), w)
-            except TubeViolationError as err:
-                return rows, min_floor, t, str(err)
-            sixth = dt / 6.0
-            x = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
-                 for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
-            if not all(map(math.isfinite, x)):
-                return rows, min_floor, t + dt, "non-finite state"
+    for step, t in enumerate(ts):
+        frame = frames.frame(t)
+        try:
+            u = control_input(x, frame, cfg, t=t).tolist()
+        except TubeViolationError as err:
+            return rows, min_floor, t, str(err)
+        states[step] = x
+        lowers[step] = frame.lower
+        uppers[step] = frame.upper
+        inputs[step] = u
+        min_floor = min(min_floor, floor_fn(x))
+        rows = step + 1
+        if step == n_steps:
+            break
+        w = dists[step].tolist()
+        h = ts[step + 1] - t
+        t_mid = t + 0.5 * h
+        try:
+            mid = frames.frame(t_mid)
+            # strict: a derivative of the wrong length must not be cut short
+            k1 = rate(x, u, w)
+            x2 = [v + 0.5 * h * k for v, k in zip(x, k1, strict=True)]
+            k2 = rate(x2, control_input(x2, mid, cfg, t=t_mid).tolist(), w)
+            x3 = [v + 0.5 * h * k for v, k in zip(x, k2, strict=True)]
+            k3 = rate(x3, control_input(x3, mid, cfg, t=t_mid).tolist(), w)
+            x4 = [v + h * k for v, k in zip(x, k3, strict=True)]
+            k4 = rate(x4, control_input(x4, frames.frame(t + h), cfg, t=t + h).tolist(), w)
+        except TubeViolationError as err:
+            return rows, min_floor, t, str(err)
+        sixth = h / 6.0
+        x = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
+             for v, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True)]
+        if not all(map(math.isfinite, x)):
+            return rows, min_floor, t + h, "non-finite state"
     return rows, min_floor, None, None
 
 

@@ -55,24 +55,23 @@ class Tube:
         Clamped to the first/last grid row outside the synthesis horizon;
         the corridor is constant past the deadline.
         """
-        lo, hi = self.bounds_grid(np.array([t], dtype=float))
-        return lo[0], hi[0]
-
-    def bounds_grid(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """bounds() at every time of the 1-d array t, as (len(t), n) arrays."""
         ts = self.ts
-        rows = ts.shape[0]
-        lo = np.empty((t.shape[0], self.n))
-        inside = ~((t <= ts[0]) | (t >= ts[-1]))    # NaN goes here and fails to index
-        lo[t <= ts[0]] = self.lower[0]
-        lo[t >= ts[-1]] = self.lower[-1]
-        if inside.any():
-            step = (ts[-1] - ts[0]) / (rows - 1)
-            pos = (t[inside] - ts[0]) / step
-            i = np.minimum(pos.astype(int), rows - 2)
-            frac = (pos - i)[:, None]
-            lo[inside] = (1.0 - frac) * self.lower[i] + frac * self.lower[i + 1]
+        if t <= ts[0]:
+            lo = self.lower[0]
+        elif t >= ts[-1]:
+            lo = self.lower[-1]
+        else:
+            step = (ts[-1] - ts[0]) / (ts.shape[0] - 1)
+            pos = (t - ts[0]) / step
+            i = min(int(pos), ts.shape[0] - 2)
+            frac = pos - i
+            lo = (1.0 - frac) * self.lower[i] + frac * self.lower[i + 1]
         return lo, lo + self.width
+
+    def rates(self) -> np.ndarray:
+        """Finite-difference derivative on the grid, shape (N, n)."""
+        dt = np.diff(self.ts)[:, None]
+        return np.diff(self.lower, axis=0) / dt
 
     def to_csv(self, path) -> None:
         header = ["t"]
@@ -189,12 +188,6 @@ def _containment_slack(lower_row, upper_row, box: Box) -> float:
     return float(np.min(slack))
 
 
-def _by_rows(n_rows: int, per_row, step: int = 8192) -> np.ndarray:
-    """``per_row(a, b)`` (one value per row a..b-1) over all rows, a slice
-    at a time, so that no full-size temporary is built."""
-    return np.concatenate([per_row(a, a + step) for a in range(0, n_rows, step)])
-
-
 def verify_tube(tube: Tube, task: RasTask, boundary_tol: float = 1e-6,
                 max_witnesses: int = 5) -> VerificationReport:
     """Grid check of the four corridor guarantees.
@@ -220,8 +213,8 @@ def verify_tube(tube: Tube, task: RasTask, boundary_tol: float = 1e-6,
     worst = math.inf
     witnesses: List[float] = []
     for u in task.unsafe_sets:
-        clearance = _by_rows(lower.shape[0], lambda a, b: np.maximum(
-            u.lower[None, :] - upper[a:b], lower[a:b] - u.upper[None, :]).max(axis=1))
+        gaps = np.maximum(u.lower[None, :] - upper, lower - u.upper[None, :])
+        clearance = gaps.max(axis=1)
         worst = min(worst, float(clearance.min()))
         bad = np.nonzero(clearance <= 0.0)[0]
         witnesses.extend(tube.ts[bad[:max_witnesses]].tolist())
@@ -233,9 +226,9 @@ def verify_tube(tube: Tube, task: RasTask, boundary_tol: float = 1e-6,
         detail="strictly positive clearance from every unsafe set",
         witness_times=tuple(sorted(witnesses)[:max_witnesses])))
 
-    row_gap = _by_rows(lower.shape[0], lambda a, b: (upper[a:b] - lower[a:b]).min(axis=1))
-    min_gap = float(row_gap.min())
-    bad_rows = np.nonzero(row_gap <= 0.0)[0]
+    gap = upper - lower
+    min_gap = float(gap.min())
+    bad_rows = np.nonzero(gap.min(axis=1) <= 0.0)[0]
     conditions.append(ConditionResult(
         name="ordered_bounds", passed=min_gap > 0.0, margin=min_gap,
         detail="lower bound strictly below upper bound",
@@ -268,16 +261,11 @@ def smoothness_check(tube: Tube, factor: float = 10.0, percentile: float = 99.0)
     finite-difference rate magnitudes; a smooth corridor never reaches it,
     a step-like one does at every ramp.
     """
-    if tube.ts.shape[0] > 1:
-        # the rates overwrite the jumps in place: one full-size array
-        jumps = np.diff(tube.lower, axis=0)
-        max_jump = float(np.abs(jumps).max())
-        mags = np.divide(jumps, np.diff(tube.ts)[:, None], out=jumps)
-        np.abs(mags, out=mags)
-    else:
-        max_jump = 0.0
-        mags = np.empty((0, tube.n))
+    rates = tube.rates()
+    mags = np.abs(rates)
     max_rate = float(mags.max()) if mags.size else 0.0
+    dt = float(np.diff(tube.ts).max()) if tube.ts.shape[0] > 1 else 0.0
+    max_jump = float(np.abs(np.diff(tube.lower, axis=0)).max()) if tube.ts.shape[0] > 1 else 0.0
     threshold = factor * float(np.percentile(mags, percentile)) if mags.size else 0.0
     rows, dims = np.nonzero(mags > threshold)
     flagged = tuple((float(tube.ts[r + 1]), int(d)) for r, d in zip(rows, dims))

@@ -222,3 +222,14 @@ class TestOverrides:
             run_cli(["verify", "--scenario", str(fast_scenario(tmp_path)),
                      "--tube", "tube.csv", "--seed", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--sim-step", "0"), ("--seed", "1")])
+    def test_batch_rejects_overrides(self, tmp_path, capsys, flag, value):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        shutil.copy(fast_scenario(tmp_path), batch / "a.json")
+        out = tmp_path / "batch_out"
+        code = run_cli(["simulate", "--batch", str(batch), "--out", str(out), flag, value])
+        assert code == 2
+        assert f"error: --batch: cannot be combined with {flag}" in capsys.readouterr().err
+        assert not out.exists()

@@ -282,6 +282,18 @@ class TestSimulate:
             k4 = plant(x + h * k3, law(x + h * k3, t + h), w)
             x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    def test_wrong_length_derivative_rejected(self):
+        # a plant written for arrays joins the input and disturbance lists
+        # into 2n entries; the stepper must not cut that back to n
+        class ArrayStylePlant(IntegratorPlant):
+            def derivative(self, x, u, w):
+                return u + w
+
+        task, frames, options, dist = integrator_setup()
+        with pytest.raises(ValueError):
+            simulate(task, frames, ControllerConfig(gain=2.0), ArrayStylePlant(2),
+                     dist, options)
+
     @pytest.mark.parametrize("step, stay, key", [
         (0.0, 0.0, "run.sim_step"), (-0.01, 0.0, "run.sim_step"),
         (math.inf, 0.0, "run.sim_step"), (0.01, -1.0, "run.stay_horizon")])

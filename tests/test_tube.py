@@ -328,20 +328,6 @@ class TestIntegrator:
         np.testing.assert_array_equal(got[:bad], ref[:bad])
 
 
-class TestBounds:
-    def test_grid_matches_linear_interpolation_and_clamps(self, case_tube):
-        rng = np.random.default_rng(8)
-        ts = np.concatenate(([-1.0, 0.0, case_tube.t_end, case_tube.t_end + 5.0],
-                             rng.uniform(0.0, case_tube.t_end, 300)))
-        lo, hi = case_tube.bounds_grid(ts)
-        for i in range(case_tube.n):
-            ref = np.interp(ts, case_tube.ts, case_tube.lower[:, i])
-            np.testing.assert_allclose(lo[:, i], ref, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(hi, lo + case_tube.width)
-        for t, row in zip(ts, lo):
-            np.testing.assert_array_equal(case_tube.bounds(float(t))[0], row)
-
-
 class TestEvolve:
     def test_starts_at_corridor_corners(self, case_scenario, case_tube):
         task = case_scenario.task
