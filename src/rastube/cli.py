@@ -363,16 +363,22 @@ def cmd_synthesize(scn: Scenario, out: Path) -> int:
 
 def _run_simulation(scn: Scenario, tube, plans, seed: Optional[int] = None,
                     sim_step: Optional[float] = None, stay: Optional[float] = None):
-    disturbance = scn.plant.disturbance
-    if seed is not None:
-        disturbance = DisturbanceModel(kind=disturbance.kind, bound=disturbance.bound,
-                                       seed=seed, frequency=disturbance.frequency,
-                                       phases=disturbance.phases)
     task_dims, extra_bounds, _ = scn.frame_layout()
     dyn = scn.dynamics()
     frames = FrameProvider(tube, dyn.n_states, task_dims, extra_bounds)
     options = _sim_options(scn, sim_step, stay)
-    return simulate(scn.task, frames, scn.controller, dyn, disturbance, options, plans)
+    return simulate(scn.task, frames, scn.controller, dyn, _disturbance(scn, seed), options,
+                    plans)
+
+
+def _disturbance(scn: Scenario, seed: Optional[int] = None) -> DisturbanceModel:
+    """The scenario's disturbance with any seed override applied; raises
+    ConfigurationError for an invalid seed."""
+    base = scn.plant.disturbance
+    if seed is None:
+        return base
+    return DisturbanceModel(kind=base.kind, bound=base.bound, seed=seed,
+                            frequency=base.frequency, phases=base.phases)
 
 
 def _sim_options(scn: Scenario, sim_step: Optional[float] = None,
@@ -401,6 +407,7 @@ def cmd_simulate(scn: Scenario, out: Path, seed: Optional[int],
         "reach_time": trace.reach_time,
         "failure_time": trace.failure_time,
         "failure_reason": trace.failure_reason,
+        "failure": trace.failure,
         "effort": effort.as_dict(),
         "min_input_floor": trace.min_input_floor,
         "corridor_verified": verdict.passed,
@@ -528,6 +535,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         if args.command in ("simulate", "compare"):
             # reject invalid simulation overrides before any synthesis work
             _sim_options(scn, args.sim_step, getattr(args, "stay_horizon", None))
+            _disturbance(scn, args.seed)
         out = Path(args.out or scn.run.output_dir)
 
         if args.command == "synthesize":

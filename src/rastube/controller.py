@@ -31,30 +31,54 @@ class ControllerConfig:
             raise ConfigurationError([("controller.input_limit", "must be positive when set")])
 
 
-@dataclass(frozen=True)
 class TubeFrame:
-    """Corridor bounds at one instant."""
+    """Corridor bounds at one instant.
 
-    lower: np.ndarray
-    upper: np.ndarray
+    Built from two equal-length 1-d sequences: float lists are kept as
+    they are, anything else is converted through a float array.  The frame
+    is validated once, here, and keeps the float lists the control law
+    reads (``lo``, ``hi``, ``sums``, ``ws``); ``lower``, ``upper``,
+    ``sum_bounds`` and ``widths`` return them as float arrays.
+    """
 
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ConfigurationError([("frame", "bounds must be 1-d arrays of equal length")])
-        if (upper - lower <= 0).any():
-            raise ConfigurationError([("frame", "upper bound must exceed lower bound")])
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+    __slots__ = ("lo", "hi", "sums", "ws")
+
+    def __init__(self, lower, upper):
+        lo, hi = _float_list(lower), _float_list(upper)
+        if lo is None or hi is None or len(lo) != len(hi):
+            raise ConfigurationError([("frame", "bounds must be 1-d sequences of equal length")])
+        ws = [b - a for a, b in zip(lo, hi)]
+        for w in ws:
+            if w <= 0:
+                raise ConfigurationError([("frame", "upper bound must exceed lower bound")])
+        self.lo = lo
+        self.hi = hi
+        self.sums = [b + a for a, b in zip(lo, hi)]
+        self.ws = ws
+
+    @property
+    def lower(self) -> np.ndarray:
+        return np.array(self.lo, dtype=float)
+
+    @property
+    def upper(self) -> np.ndarray:
+        return np.array(self.hi, dtype=float)
 
     @property
     def sum_bounds(self) -> np.ndarray:
-        return self.upper + self.lower
+        return np.array(self.sums, dtype=float)
 
     @property
     def widths(self) -> np.ndarray:
-        return self.upper - self.lower
+        return np.array(self.ws, dtype=float)
+
+
+def _float_list(values) -> Optional[list]:
+    """``values`` as a list of floats, or None when it is not 1-d."""
+    if isinstance(values, list):
+        return values
+    arr = np.asarray(values, dtype=float)
+    return arr.tolist() if arr.ndim == 1 else None
 
 
 # The law works on lists of floats, which is far faster than numpy on
@@ -65,27 +89,30 @@ def _normalized(x, sums, widths) -> list:
     return [(2.0 * xi - si) / wi for xi, si, wi in zip(x, sums, widths)]
 
 
+def _log_pairs(e) -> list:
+    """log1p(e_i) for every i, then log1p(-e_i) for every i."""
+    return np.log1p(e + [-v for v in e]).tolist()
+
+
 def _barrier(e) -> list:
-    logs = np.log1p(list(e) + [-v for v in e]).tolist()
-    n = len(logs) // 2
-    return [a - b for a, b in zip(logs[:n], logs[n:])]
+    logs = _log_pairs(e)
+    return [a - b for a, b in zip(logs, logs[len(e):])]
 
 
 def _gain(e, widths) -> list:
     return [4.0 / (wi * (1.0 - v * v)) for v, wi in zip(e, widths)]
 
 
-def _check_inside(e, lower, upper, sums, widths, t: Optional[float]):
+def _check_inside(e, frame: TubeFrame, t: Optional[float]):
     for d, v in enumerate(e):
         if abs(v) >= 1.0:
-            raise TubeViolationError(dim=d, value=float(0.5 * (v * widths[d] + sums[d])),
-                                     lower=float(lower[d]), upper=float(upper[d]), time=t)
+            raise TubeViolationError(dim=d, value=0.5 * (v * frame.ws[d] + frame.sums[d]),
+                                     lower=frame.lo[d], upper=frame.hi[d], time=t)
 
 
 def normalized_error(x: np.ndarray, frame: TubeFrame) -> np.ndarray:
     """Map the state to corridor coordinates; inside the corridor iff in (-1, 1)."""
-    return np.array(_normalized(np.asarray(x, dtype=float).tolist(),
-                                frame.sum_bounds.tolist(), frame.widths.tolist()))
+    return np.array(_normalized(np.asarray(x, dtype=float).tolist(), frame.sums, frame.ws))
 
 
 def transformed_error(e: np.ndarray, frame: Optional[TubeFrame] = None,
@@ -97,7 +124,7 @@ def transformed_error(e: np.ndarray, frame: Optional[TubeFrame] = None,
     """
     e = np.asarray(e, dtype=float).tolist()
     if frame is not None:
-        _check_inside(e, frame.lower, frame.upper, frame.sum_bounds, frame.widths, t)
+        _check_inside(e, frame, t)
     for d, v in enumerate(e):
         if abs(v) >= 1.0:
             raise TubeViolationError(dim=d, value=v, lower=-1.0, upper=1.0, time=t)
@@ -107,24 +134,31 @@ def transformed_error(e: np.ndarray, frame: Optional[TubeFrame] = None,
 def gain_diagonal(e: np.ndarray, frame: TubeFrame, t: Optional[float] = None) -> np.ndarray:
     """Diagonal of the barrier gain matrix, 4 / (width * (1 - e^2))."""
     e = np.asarray(e, dtype=float).tolist()
-    _check_inside(e, frame.lower, frame.upper, frame.sum_bounds, frame.widths, t)
-    return np.array(_gain(e, frame.widths.tolist()))
+    _check_inside(e, frame, t)
+    return np.array(_gain(e, frame.ws))
 
 
-def control_input(x: np.ndarray, frame: TubeFrame, cfg: ControllerConfig,
-                  t: Optional[float] = None) -> np.ndarray:
+def control_input(x, frame: TubeFrame, cfg: ControllerConfig,
+                  t: Optional[float] = None):
     """Feedback input for one instant; pushes each component toward the
     corridor center with a gain diverging at the boundary.
 
-    Raises TubeViolationError when the state is not strictly inside.
+    A state given as a list of floats gets a list back, anything else a
+    float array.  Raises TubeViolationError when the state is not strictly
+    inside.
     """
-    sums = frame.sum_bounds.tolist()
-    widths = frame.widths.tolist()
-    e = _normalized(np.asarray(x, dtype=float).tolist(), sums, widths)
-    _check_inside(e, frame.lower, frame.upper, sums, widths, t)
+    as_list = isinstance(x, list)
+    if not as_list:
+        x = np.asarray(x, dtype=float).tolist()
+    ws = frame.ws
+    e = _normalized(x, frame.sums, ws)
+    _check_inside(e, frame, t)
+    logs = _log_pairs(e)
     scale = -cfg.gain_sign * cfg.gain
-    u = [scale * g * b for g, b in zip(_gain(e, widths), _barrier(e))]
+    # gain times barrier, in the operand order of _gain and _barrier
+    u = [scale * (4.0 / (wi * (1.0 - v * v))) * (a - b)
+         for v, wi, a, b in zip(e, ws, logs, logs[len(e):])]
     if cfg.input_limit is not None:
         lim = cfg.input_limit
         u = [min(max(v, -lim), lim) for v in u]
-    return np.array(u)
+    return u if as_list else np.array(u)

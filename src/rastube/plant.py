@@ -3,9 +3,10 @@
 One Python RK4 loop steps every plant.  It holds the disturbance constant
 over each macro step, re-evaluates the feedback at every stage against the
 corridor frame at the stage time (the two midpoint stages share one
-frame), and records state, corridor bounds, input, and the active detour
-per step.  The state and input are stepped as lists of floats, which
-Python updates faster than three-element arrays.  Flags summarise the run:
+frame, and a step's end frame is the next row's), and records state,
+corridor bounds, input, and the active detour per step.  The state and
+input are stepped as lists of floats, which Python updates faster than
+three-element arrays.  Flags summarise the run:
 reached (target hit by the deadline), safe (never inside an unsafe set),
 contained (always strictly inside the corridor), stayed (inside the target
 through the stay horizon).
@@ -108,6 +109,10 @@ class DisturbanceModel:
                                        f"unknown kind {self.kind!r}")])
         if self.bound < 0:
             raise ConfigurationError([("plant.disturbance.bound", "must be >= 0")])
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ConfigurationError([("plant.disturbance.seed",
+                                       "must be a non-negative integer")])
 
     def _phases(self, n: int) -> np.ndarray:
         phases = np.asarray(self.phases, dtype=float) if self.phases is not None \
@@ -132,8 +137,9 @@ class DisturbanceModel:
 class FrameProvider:
     """Assembles full-state corridor frames from the task corridor.
 
-    Task dimensions read the synthesized corridor; remaining state
-    dimensions (for example the robot heading) get fixed wide bounds.
+    Task dimensions read the synthesized corridor (``source.bounds(t)``
+    returns its lower and upper float lists); remaining state dimensions
+    (for example the robot heading) get fixed wide bounds.
     """
 
     def __init__(self, source, state_dim: int, task_dims: Sequence[int],
@@ -147,19 +153,19 @@ class FrameProvider:
                 [("plant", f"{len(extras)} unconstrained dimensions but "
                            f"{len(extra_bounds)} extra bounds")])
         self.extra_dims = extras
-        self.extra_lower = np.array([b[0] for b in extra_bounds])
-        self.extra_upper = np.array([b[1] for b in extra_bounds])
+        self._extra_lo = [float(b[0]) for b in extra_bounds]
+        self._extra_hi = [float(b[1]) for b in extra_bounds]
+        # frame entries are the task bounds followed by the extra bounds;
+        # state dimension d reads entry _order[d]
+        placed = self.task_dims + extras
+        self._order = [placed.index(d) for d in range(state_dim)]
 
     def frame(self, t: float) -> TubeFrame:
         lo_task, hi_task = self.source.bounds(t)
-        lo = np.empty(self.state_dim)
-        hi = np.empty(self.state_dim)
-        lo[self.task_dims] = lo_task
-        hi[self.task_dims] = hi_task
-        if self.extra_dims:
-            lo[self.extra_dims] = self.extra_lower
-            hi[self.extra_dims] = self.extra_upper
-        return TubeFrame(lower=lo, upper=hi)
+        lo = lo_task + self._extra_lo
+        hi = hi_task + self._extra_hi
+        order = self._order
+        return TubeFrame([lo[j] for j in order], [hi[j] for j in order])
 
 
 @dataclass
@@ -208,6 +214,9 @@ class SimTrace:
     deadline: float
     failure_time: Optional[float] = None
     failure_reason: Optional[str] = None
+    # where the run failed: time, dim, value, lower, upper (the last three
+    # None for a non-finite state); None when the run completes
+    failure: Optional[dict] = None
     reach_time: Optional[float] = None
     min_input_floor: float = float("inf")   # min eigenvalue of the symmetric input map
 
@@ -232,12 +241,24 @@ def _rows_in_box(states: np.ndarray, box: Box, dims: Sequence[int]) -> np.ndarra
     return np.all((x >= box.lower) & (x <= box.upper), axis=1)
 
 
-def _step_loop(x, grid_ts, frames, cfg, dynamics, dists, states, lowers, uppers, inputs):
+def _violation(time: float, err: TubeViolationError):
+    """(failure time, reason, record) for a state that left the corridor at
+    stage time ``err.time`` of the step starting at ``time``."""
+    return time, str(err), {"time": err.time, "dim": err.dim, "value": err.value,
+                            "lower": err.lower, "upper": err.upper}
+
+
+def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, uppers,
+               inputs):
     """RK4 closed loop over the time grid, filling the preallocated rows.
 
-    The state, input and disturbance are stepped as lists of floats.
-    Returns (rows filled, min input floor, failure time, failure reason);
-    the failure entries are None when the run completes.
+    ``frame`` is the corridor frame at the first grid time.  The state,
+    input and disturbance are stepped as lists of floats.  The frame built
+    for a step's end stage is the next row's frame: with t = t_end*k/n and
+    t_next = t_end*(k+1)/n, t_next - t is exact (Sterbenz), so the end
+    stage time t + h is t_next itself.
+    Returns (rows filled, min input floor, failure); failure is None when
+    the run completes, else (failure time, reason, failure record).
     """
     floor_fn = getattr(dynamics, "symmetric_input_floor", None)
     if floor_fn is None:
@@ -251,40 +272,44 @@ def _step_loop(x, grid_ts, frames, cfg, dynamics, dists, states, lowers, uppers,
     min_floor = float("inf")
     rows = 0
     for step, t in enumerate(ts):
-        frame = frames.frame(t)
         try:
-            u = control_input(x, frame, cfg, t=t).tolist()
+            u = control_input(x, frame, cfg, t=t)
         except TubeViolationError as err:
-            return rows, min_floor, t, str(err)
+            return rows, min_floor, _violation(t, err)
         states[step] = x
-        lowers[step] = frame.lower
-        uppers[step] = frame.upper
+        lowers[step] = frame.lo
+        uppers[step] = frame.hi
         inputs[step] = u
         min_floor = min(min_floor, floor_fn(x))
         rows = step + 1
         if step == n_steps:
             break
         w = dists[step].tolist()
-        h = ts[step + 1] - t
+        t_next = ts[step + 1]
+        h = t_next - t
         t_mid = t + 0.5 * h
         try:
             mid = frames.frame(t_mid)
             # strict: a derivative of the wrong length must not be cut short
             k1 = rate(x, u, w)
             x2 = [v + 0.5 * h * k for v, k in zip(x, k1, strict=True)]
-            k2 = rate(x2, control_input(x2, mid, cfg, t=t_mid).tolist(), w)
+            k2 = rate(x2, control_input(x2, mid, cfg, t=t_mid), w)
             x3 = [v + 0.5 * h * k for v, k in zip(x, k2, strict=True)]
-            k3 = rate(x3, control_input(x3, mid, cfg, t=t_mid).tolist(), w)
+            k3 = rate(x3, control_input(x3, mid, cfg, t=t_mid), w)
             x4 = [v + h * k for v, k in zip(x, k3, strict=True)]
-            k4 = rate(x4, control_input(x4, frames.frame(t + h), cfg, t=t + h).tolist(), w)
+            frame = frames.frame(t_next)
+            k4 = rate(x4, control_input(x4, frame, cfg, t=t_next), w)
         except TubeViolationError as err:
-            return rows, min_floor, t, str(err)
+            return rows, min_floor, _violation(t, err)
         sixth = h / 6.0
         x = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
              for v, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True)]
         if not all(map(math.isfinite, x)):
-            return rows, min_floor, t + h, "non-finite state"
-    return rows, min_floor, None, None
+            dim = next(d for d, v in enumerate(x) if not math.isfinite(v))
+            return rows, min_floor, (t_next, "non-finite state",
+                                     {"time": t_next, "dim": dim, "value": None,
+                                      "lower": None, "upper": None})
+    return rows, min_floor, None
 
 
 def simulate(task: RasTask, frames: FrameProvider, cfg: ControllerConfig,
@@ -322,8 +347,10 @@ def simulate(task: RasTask, frames: FrameProvider, cfg: ControllerConfig,
     lowers = np.empty((n_steps + 1, n))
     uppers = np.empty((n_steps + 1, n))
     inputs = np.empty((n_steps + 1, n))
-    rows, min_floor, failure_time, failure_reason = _step_loop(
-        x.tolist(), grid_ts, frames, cfg, dynamics, dists, states, lowers, uppers, inputs)
+    rows, min_floor, failure = _step_loop(
+        x.tolist(), frame0, grid_ts, frames, cfg, dynamics, dists, states, lowers, uppers,
+        inputs)
+    failure_time, failure_reason, failure = failure or (None, None, None)
 
     ts = grid_ts[:rows]
     states = states[:rows]
@@ -355,4 +382,4 @@ def simulate(task: RasTask, frames: FrameProvider, cfg: ControllerConfig,
                                    contained=contained, stayed=stayed),
                     deadline=task.deadline,
                     failure_time=failure_time, failure_reason=failure_reason,
-                    reach_time=reach_time, min_input_floor=min_floor)
+                    failure=failure, reach_time=reach_time, min_input_floor=min_floor)

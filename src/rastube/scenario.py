@@ -143,10 +143,6 @@ class RasTask:
         """Reach margin between the lower corners of the corridor boxes."""
         return ReachMargin(self.start_box().lower, self.target_box().lower, self.deadline)
 
-    def upper_margin(self) -> ReachMargin:
-        """Reach margin between the upper corners (used for crossing times)."""
-        return ReachMargin(self.start_box().upper, self.target_box().upper, self.deadline)
-
 
 def build_initial_box(task: RasTask) -> Box:
     return task.start_box()

@@ -49,24 +49,27 @@ class Tube:
     def t_end(self) -> float:
         return float(self.ts[-1])
 
-    def bounds(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Linearly interpolated (lower, upper) at time t.
+    def bounds(self, t: float) -> Tuple[List[float], List[float]]:
+        """Linearly interpolated (lower, upper) at time t, as float lists.
 
         Clamped to the first/last grid row outside the synthesis horizon;
         the corridor is constant past the deadline.
         """
         ts = self.ts
-        if t <= ts[0]:
-            lo = self.lower[0]
-        elif t >= ts[-1]:
-            lo = self.lower[-1]
+        rows = ts.shape[0]
+        t0 = float(ts[0])
+        t1 = float(ts[-1])
+        if t <= t0:
+            lo = self.lower[0].tolist()
+        elif t >= t1:
+            lo = self.lower[-1].tolist()
         else:
-            step = (ts[-1] - ts[0]) / (ts.shape[0] - 1)
-            pos = (t - ts[0]) / step
-            i = min(int(pos), ts.shape[0] - 2)
+            pos = (t - t0) / ((t1 - t0) / (rows - 1))
+            i = min(int(pos), rows - 2)
             frac = pos - i
-            lo = (1.0 - frac) * self.lower[i] + frac * self.lower[i + 1]
-        return lo, lo + self.width
+            a, b = self.lower[i:i + 2].tolist()
+            lo = [(1.0 - frac) * p + frac * q for p, q in zip(a, b)]
+        return lo, [v + w for v, w in zip(lo, self.width.tolist())]
 
     def rates(self) -> np.ndarray:
         """Finite-difference derivative on the grid, shape (N, n)."""

@@ -104,6 +104,7 @@ class TestPipeline:
         run = json.loads((out / "run.json").read_text())
         assert run["flags"] == {"reached": True, "safe": True,
                                 "contained": True, "stayed": True}
+        assert run["failure"] is None
         assert (out / "trace.csv").exists()
 
     def test_verify_detects_corrupted_tube(self, tmp_path):
@@ -200,7 +201,8 @@ class TestOverrides:
     @pytest.mark.parametrize("flag, value, key", [
         ("--sim-step", "0", "run.sim_step"),
         ("--sim-step", "-0.01", "run.sim_step"),
-        ("--stay-horizon", "-1", "run.stay_horizon")])
+        ("--stay-horizon", "-1", "run.stay_horizon"),
+        ("--seed", "-1", "plant.disturbance.seed")])
     def test_invalid_simulation_override_exits_two(self, tmp_path, capsys, flag, value, key):
         out = tmp_path / "sim"
         code = run_cli(["simulate", "--scenario", str(fast_scenario(tmp_path)),

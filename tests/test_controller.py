@@ -7,11 +7,41 @@ from hypothesis import given, strategies as st
 from rastube.controller import (ControllerConfig, TubeFrame, control_input,
                                 gain_diagonal, normalized_error,
                                 transformed_error)
-from rastube.errors import TubeViolationError
+from rastube.errors import ConfigurationError, TubeViolationError
 
 
 def frame(lower, upper):
     return TubeFrame(lower=np.asarray(lower, float), upper=np.asarray(upper, float))
+
+
+class TestTubeFrame:
+    def test_lists_and_arrays_give_same_arrays(self):
+        lo, hi = [0.1, -2.0, 3.0], [0.7, 1.5, 3.25]
+        a = TubeFrame(lo, hi)
+        b = TubeFrame(np.array(lo), np.array(hi))
+        for name in ("lower", "upper", "sum_bounds", "widths"):
+            got, want = getattr(a, name), getattr(b, name)
+            assert got.dtype == want.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(a.sum_bounds, np.array(hi) + np.array(lo))
+        np.testing.assert_array_equal(a.widths, np.array(hi) - np.array(lo))
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.0, 1.0], [1.0, 1.0]),          # zero width
+        ([0.0, 1.0], [1.0, 0.5]),          # negative width
+        ([0.0, 1.0], [1.0, 2.0, 3.0])])    # unequal lengths
+    def test_rejects_bad_bounds(self, as_array, lower, upper):
+        if as_array:
+            lower, upper = np.array(lower), np.array(upper)
+        with pytest.raises(ConfigurationError) as err:
+            TubeFrame(lower, upper)
+        assert [path for path, _ in err.value.issues] == ["frame"]
+
+    def test_rejects_two_dimensional_array(self):
+        with pytest.raises(ConfigurationError) as err:
+            TubeFrame(np.zeros((2, 2)), np.ones((2, 2)))
+        assert [path for path, _ in err.value.issues] == ["frame"]
 
 
 class TestNormalizedError:
@@ -89,6 +119,14 @@ class TestControlInput:
         f = frame([0.0], [2.0])
         u = control_input(np.array([1.99]), f, ControllerConfig(gain=10.0, input_limit=5.0))
         assert abs(u[0]) == 5.0
+
+    def test_list_state_gets_same_list(self):
+        f = frame([0.0, -1.0, 2.0], [2.0, 0.5, 2.5])
+        x = [1.7, -0.2, 2.1]
+        cfg = ControllerConfig(gain=1.3)
+        got = control_input(x, f, cfg)
+        assert type(got) is list
+        assert got == control_input(np.array(x), f, cfg).tolist()
 
     def test_model_free_signature(self):
         import inspect

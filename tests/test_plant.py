@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rastube.controller import ControllerConfig
+from rastube.controller import ControllerConfig, control_input
 from rastube.errors import ConfigurationError
 from rastube.plant import (DisturbanceModel, FrameProvider, IntegratorPlant,
                            OmniRobot, SimOptions, simulate)
@@ -40,7 +40,7 @@ class MarginFrames:
 
     def bounds(self, t):
         lo = self.margin.value_vec(min(t, self.margin.deadline))
-        return lo, lo + self.width
+        return lo.tolist(), (lo + self.width).tolist()
 
 
 class TestOmniRobot:
@@ -95,6 +95,12 @@ class TestDisturbance:
         expected = np.random.default_rng(4).uniform(-0.05, 0.05, (64, 3))
         np.testing.assert_array_equal(model.sequence(3, ts), expected)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_invalid_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError) as err:
+            DisturbanceModel(kind="uniform", bound=0.05, seed=seed)
+        assert [path for path, _ in err.value.issues] == ["plant.disturbance.seed"]
+
     def test_sinusoidal_bound_and_shape(self):
         model = DisturbanceModel(kind="sinusoidal", bound=0.03, frequency=0.25)
         ts = np.linspace(0.0, 10.0, 400)
@@ -115,6 +121,19 @@ def integrator_setup(stay=0.0, disturbance=None, start=(0.25, 0.25), step=0.004)
     options = SimOptions(step=step, stay_horizon=stay)
     dist = disturbance or DisturbanceModel()
     return task, frames, options, dist
+
+
+def leaving_setup():
+    """2-D integrator task with a 0.3-wide corridor: steps of 0.008 s and
+    more are too coarse for the barrier gain, 0.005 s is fine."""
+    task = make_task(initial=[[0, 0.5], [0, 0.5]], target=[[5.0, 5.5], [5.0, 5.5]],
+                     unsafe=[], deadline=10.0, start=[0.25, 0.25],
+                     target_point=[5.25, 5.25], start_margin=[0.15, 0.15],
+                     target_margin=[0.15, 0.15], obstacle_margin=[1.0],
+                     workspace=[[-1, 7], [-1, 7]])
+    from rastube.scenario import TubeParams
+    tube = evolve_tube(task, [], TubeParams.defaults(task.deadline))
+    return task, FrameProvider(tube, 2, [0, 1], [])
 
 
 class TestSimulate:
@@ -218,7 +237,7 @@ class TestSimulate:
         ws = np.random.default_rng(seed).uniform(-bound, bound, (n_steps + 1, 2))
 
         def law(x, t):
-            lo, hi = tube.bounds(t)
+            lo, hi = map(np.array, tube.bounds(t))
             e = (2.0 * x - (hi + lo)) / (hi - lo)
             assert np.all(np.abs(e) < 1.0)
             return -cfg.gain * 4.0 / ((hi - lo) * (1.0 - e * e)) * np.log((1.0 + e) / (1.0 - e))
@@ -239,9 +258,10 @@ class TestSimulate:
 
     def test_case_study_matches_array_loop_bit_for_bit(self, case_scenario, case_plans,
                                                         case_tube):
-        # the stepper runs the law on float lists; written out here on numpy
-        # arrays (the omni robot's heading is the unconstrained third state),
-        # every recorded value must have the same bits
+        # the stepper runs the law on float lists and hands each step's end
+        # frame on to the next row; written out here on numpy arrays (the
+        # omni robot's heading is the unconstrained third state), every
+        # recorded value of the whole run must have the same bits
         from rastube.cli import _run_simulation
         scn = case_scenario
         trace = _run_simulation(scn, case_tube, case_plans, seed=3)
@@ -268,12 +288,14 @@ class TestSimulate:
                              u[2] + w[2]])
 
         x = np.append(scn.task.start, h0)
-        for step in range(300):
+        rows = {"states": [], "inputs": [], "lower": [], "upper": []}
+        for step in range(n_steps + 1):
             t = t_end * step / n_steps
             u = law(x, t)
-            np.testing.assert_array_equal(trace.states[step], x)
-            np.testing.assert_array_equal(trace.inputs[step], u)
-            np.testing.assert_array_equal(trace.lower[step], bounds(t)[0])
+            for key, row in zip(rows, (x, u) + bounds(t)):
+                rows[key].append(row)
+            if step == n_steps:
+                break
             h = t_end * (step + 1) / n_steps - t
             w = ws[step]
             k1 = plant(x, u, w)
@@ -281,6 +303,73 @@ class TestSimulate:
             k3 = plant(x + 0.5 * h * k2, law(x + 0.5 * h * k2, t + 0.5 * h), w)
             k4 = plant(x + h * k3, law(x + h * k3, t + h), w)
             x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert trace.completed
+        for key, expected in rows.items():
+            np.testing.assert_array_equal(getattr(trace, key), np.array(expected))
+
+    def test_frames_built_once_per_stage_time(self, monkeypatch):
+        # one frame per distinct stage time: t = 0, then each step's
+        # midpoint and end, the end frame serving the next row as well
+        import rastube.plant as plant_mod
+
+        calls = {"frame": 0, "control": 0, "dynamics": 0}
+
+        class CountingFrames(FrameProvider):
+            def frame(self, t):
+                calls["frame"] += 1
+                return super().frame(t)
+
+        class CountingPlant(IntegratorPlant):
+            def derivative(self, x, u, w):
+                calls["dynamics"] += 1
+                return super().derivative(x, u, w)
+
+        def counting_control(*args, **kwargs):
+            calls["control"] += 1
+            return control_input(*args, **kwargs)
+
+        monkeypatch.setattr(plant_mod, "control_input", counting_control)
+        task, frames, options, dist = integrator_setup()
+        frames = CountingFrames(frames.source, 2, [0, 1], [])
+        trace = simulate(task, frames, ControllerConfig(gain=2.0), CountingPlant(2),
+                         dist, options)
+        assert trace.completed
+        n = trace.ts.shape[0] - 1
+        assert calls == {"frame": 2 * n + 1, "control": 4 * n + 1, "dynamics": 4 * n}
+
+    @pytest.mark.parametrize("step", [0.01, 0.008])
+    def test_failure_record_names_stage_and_bounds(self, step):
+        task, frames = leaving_setup()
+        trace = simulate(task, frames, ControllerConfig(gain=2.0), IntegratorPlant(2),
+                         DisturbanceModel(), SimOptions(step=step))
+        assert not trace.completed
+        rec = trace.failure
+        assert set(rec) == {"time", "dim", "value", "lower", "upper"}
+        # the record holds the stage time inside the failed step, which
+        # failure_time names by its start
+        assert trace.failure_time <= rec["time"] <= trace.failure_time + step * (1 + 1e-9)
+        assert f"state component {rec['dim']} = " in trace.failure_reason
+        assert not rec["lower"] < rec["value"] < rec["upper"]
+        lo, hi = frames.source.bounds(rec["time"])
+        assert (rec["lower"], rec["upper"]) == (lo[rec["dim"]], hi[rec["dim"]])
+
+    def test_failure_record_none_when_completed(self):
+        task, frames = leaving_setup()
+        trace = simulate(task, frames, ControllerConfig(gain=2.0), IntegratorPlant(2),
+                         DisturbanceModel(), SimOptions(step=0.005))
+        assert trace.completed and trace.failure is None
+
+    def test_non_finite_state_recorded_without_bounds(self):
+        class NanPlant(IntegratorPlant):
+            def derivative(self, x, u, w):
+                return [u[0] + w[0], math.nan]
+
+        task, frames, options, dist = integrator_setup()
+        trace = simulate(task, frames, ControllerConfig(gain=2.0), NanPlant(2),
+                         dist, options)
+        assert trace.failure_reason == "non-finite state"
+        assert trace.failure == {"time": trace.failure_time, "dim": 1, "value": None,
+                                 "lower": None, "upper": None}
 
     def test_wrong_length_derivative_rejected(self):
         # a plant written for arrays joins the input and disturbance lists
