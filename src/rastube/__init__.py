@@ -11,13 +11,12 @@ from .controller import ControllerConfig, TubeFrame, control_input, gain_diagona
     normalized_error, transformed_error
 from .errors import (ConfigurationError, InfeasibleScenarioError, RastubeError,
                      SynthesisError, TubeViolationError)
-from .geometry import Box, Interval, box_contains, box_disjoint, intersects
+from .geometry import Box, Interval
 from .metrics import EffortReport, baseline_tube, control_effort
 from .plant import (DisturbanceModel, FrameProvider, IntegratorPlant, OmniRobot,
                     SimOptions, SimTrace, simulate)
 from .reach import ReachMargin
-from .scenario import (RasTask, TubeParams, ValidationReport, build_initial_box,
-                       build_target_box, validate_assumptions)
+from .scenario import RasTask, TubeParams, ValidationReport, validate_assumptions
 from .tube import Tube, evolve_tube, smoothness_check, verify_tube
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tube_core
 from .errors import InfeasibleScenarioError
-from .geometry import Box, Interval
+from .geometry import Interval
 from .scenario import RasTask, TubeParams, window_separation
 
 PASS_ABOVE = "above"   # corridor lower bound held above the obstacle top
@@ -185,40 +185,42 @@ def _blend_path_clear(task: RasTask, plan: ObstaclePlan, samples: int = 400) -> 
     k = plan.dim
     anchor_in = lower.value(k, plan.prep_time)
     anchor_out = lower.value(k, plan.release_time)
-    ws = task.workspace
     ts = np.linspace(plan.prep_time, plan.release_time, samples)
     approach = tube_core.approach_target(ts, plan.prep_time, plan.enter_time,
                                          plan.level, anchor_in)
     restore = tube_core.return_target(ts, plan.exit_time, plan.release_time,
                                       plan.level, anchor_out)
-    for t, to_level, from_level in zip(ts, approach, restore):
-        lo = lower.value_vec(t)
-        if t < plan.enter_time:
-            lo[k] = to_level
-        elif t <= plan.exit_time:
-            lo[k] = plan.level
-        else:
-            lo[k] = from_level
-        hi = lo + width
-        if not (ws.dims[k].lo <= lo[k] and hi[k] <= ws.dims[k].hi):
+    # the nominal cross-section, with the per-sample math.tanh of value_vec
+    blend = np.array([lower._blend(t) for t in ts.tolist()])
+    lo = lower.start + lower._span * blend[:, None]
+    lo[:, k] = np.where(ts < plan.enter_time, approach,
+                        np.where(ts <= plan.exit_time, plan.level, restore))
+    hi = lo + width
+    ws = task.workspace.dims[k]
+    if not (np.all(ws.lo <= lo[:, k]) and np.all(hi[:, k] <= ws.hi)):
+        return False
+    for u in task.unsafe_sets:
+        # Interval.intersects negated: a positive gap in some dimension
+        apart = (np.maximum(lo, u.lower) > np.minimum(hi, u.upper)).any(axis=1)
+        if not apart.all():
             return False
-        cross = Box.from_pairs(zip(lo, hi))
-        for u in task.unsafe_sets:
-            if not cross.disjoint_from(u):
-                return False
     return True
 
 
-def _integrated_dim_path(task: RasTask, plan: ObstaclePlan, params: TubeParams):
-    """Integrate the candidate's detour dimension alone over [0, deadline]."""
+def _integrated_dim_path(task: RasTask, plan: ObstaclePlan, params: TubeParams,
+                         until: float):
+    """Integrate the candidate's detour dimension alone from 0 to the last
+    corridor grid row at or before ``until``; the rows keep the bits of the
+    full-horizon grid."""
     t_c = task.deadline
     n_steps = max(8, int(round(t_c / params.step)))
-    grid, bad = tube_core.integrate_lower(task.lower_margin(), n_steps, [plan], params,
-                                         dims=[plan.dim])
+    ts = np.linspace(0.0, t_c, n_steps + 1)
+    last = int(np.searchsorted(ts, until, side="right")) - 1
+    grid, bad = tube_core.integrate_lower(task.lower_margin(), last, [plan], params,
+                                         dims=[plan.dim], grid_steps=n_steps)
     if bad >= 0:
         return None, None
-    ts = np.linspace(0.0, t_c, n_steps + 1)
-    return ts, grid[:, 0]
+    return ts[:last + 1], grid[:, 0]
 
 
 # clearance demanded of a candidate's integrated path, absorbing the small
@@ -235,12 +237,12 @@ def _integrated_path_clear(task: RasTask, plan: ObstaclePlan, params: TubeParams
     detours are planned separately) and requiring a small positive
     clearance everywhere else, plus workspace containment.
     """
-    ts, path = _integrated_dim_path(task, plan, params)
+    lead = 2.0 * params.edge_buffer + 8.0 * params.blend_scale
+    ts, path = _integrated_dim_path(task, plan, params, plan.release_time + lead)
     if ts is None:
         return False
     k = plan.dim
-    lead = 2.0 * params.edge_buffer + 8.0 * params.blend_scale
-    sel = (ts >= plan.prep_time - lead) & (ts <= plan.release_time + lead)
+    sel = ts >= plan.prep_time - lead
     ts = ts[sel]
     lower = task.lower_margin().value_grid(ts)
     lower[:, k] = path[sel]

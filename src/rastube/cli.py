@@ -236,7 +236,7 @@ def parse_scenario(path) -> Scenario:
                 disturbance = DisturbanceModel(
                     kind=dist_sec.get("kind", "none"),
                     bound=float(dist_sec.get("bound", 0.0)),
-                    seed=int(dist_sec.get("seed", 0)),
+                    seed=dist_sec.get("seed", 0),
                     frequency=float(dist_sec.get("frequency", 0.1)),
                     phases=dist_sec.get("phase"))
             except ConfigurationError as exc:

@@ -62,10 +62,6 @@ class Interval:
         return max(other.lo - self.hi, self.lo - other.hi)
 
 
-def intersects(a: Interval, b: Interval) -> bool:
-    return a.intersects(b)
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned hyperrectangle as a tuple of per-dimension intervals."""
@@ -129,11 +125,3 @@ class Box:
 
     def as_pairs(self) -> list:
         return [[d.lo, d.hi] for d in self.dims]
-
-
-def box_contains(outer: Box, inner: Box) -> bool:
-    return outer.contains(inner)
-
-
-def box_disjoint(a: Box, b: Box) -> bool:
-    return a.disjoint_from(b)

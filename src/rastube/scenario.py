@@ -144,14 +144,6 @@ class RasTask:
         return ReachMargin(self.start_box().lower, self.target_box().lower, self.deadline)
 
 
-def build_initial_box(task: RasTask) -> Box:
-    return task.start_box()
-
-
-def build_target_box(task: RasTask) -> Box:
-    return task.target_box()
-
-
 @dataclass(frozen=True)
 class TubeParams:
     """Timing and smoothing parameters for corridor synthesis.

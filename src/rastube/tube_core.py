@@ -16,11 +16,26 @@ The columns of the state evolve independently, and most of the time a
 column's derivative depends on time alone: the margin rate, possibly
 scaled by a phase weight.  The integrator evaluates every time-only term
 for a block of steps at once and sums those increments in order with
-``np.add.accumulate``.  Only the steps where a phase weight pulls the
-active plan's column toward a target are stepped one at a time.  The laws
-accept floats or arrays and use ``math.tanh`` / ``math.cosh`` for both,
-so the grid is bit-identical to evaluating the derivative one instant at
-a time.
+``np.add.accumulate``.  In the hold phase of a detour all three phase
+weights are exactly zero, so the slope there is a signed zero: a zero
+weight times a finite shaper.  Such still evaluations count as zero in
+the time-only sums.  The step's increment then differs from the scalar
+one at most in the sign of a zero, which leaves a finite nonzero value
+unchanged.  A step entered at zero or at a non-finite value, and every
+step where a phase weight pulls the active plan's column toward a target,
+runs one at a time; the targets are computed only for the evaluations
+those steps read.  The laws accept floats or arrays and use
+``math.tanh`` / ``math.cosh`` for both, so the grid is bit-identical to
+evaluating the derivative one instant at a time, as long as every shaper
+is finite.  (A shaper overflows only when |target - value| / time_floor
+exceeds the float range; a zero weight then makes the reference slope
+NaN, while the time-only terms drop it.)
+
+``integrate_lower`` takes the number of steps it integrates and,
+separately, the step count of the grid those rows belong to: rows
+0..n_steps of the grid t_k = deadline * k / grid_steps.  A caller that
+reads only a prefix of the corridor integrates only that prefix, with the
+same bits as the matching rows of the full grid.
 """
 
 from __future__ import annotations
@@ -34,7 +49,7 @@ from .reach import _DEADLINE_GUARD, ReachMargin, _sech_sq
 from .scenario import TubeParams
 
 # Runge-Kutta steps evaluated together; bounds the scratch arrays.
-_BLOCK = 256
+_BLOCK = 1024
 
 
 def _tanh(x):
@@ -128,14 +143,17 @@ def _margin_coef(t, t_c: float):
     return t_c / (w * w) * _sech_sq(tt / w), live
 
 
+def _plan_targets(t, plan: tuple) -> tuple:
+    """Each target of one plan at time(s) t, with the time left in its phase."""
+    prep, enter, exit_, release, _, level, anchor_in, anchor_out = plan
+    return (approach_target(t, prep, enter, level, anchor_in), enter - t,
+            return_target(t, exit_, release, level, anchor_out), release - t)
+
+
 def _plan_terms(t, plan: tuple, edge: float, blend: float) -> tuple:
     """Time-only terms of one plan's blend at time(s) t: the three phase
     weights, then each target with the time left in its phase."""
-    prep, enter, exit_, release, _, level, anchor_in, anchor_out = plan
-    w_track, w_approach, w_restore = phase_weights(t, prep, enter, exit_, release, edge, blend)
-    return (w_track, w_approach, w_restore,
-            approach_target(t, prep, enter, level, anchor_in), enter - t,
-            return_target(t, exit_, release, level, anchor_out), release - t)
+    return phase_weights(t, *plan[:4], edge, blend) + _plan_targets(t, plan)
 
 
 def _blend(rate: float, value: float, w_track: float, w_approach: float, w_restore: float,
@@ -164,50 +182,75 @@ def _derivative(t, y, t_c, span, plans, edge, blend, floor):
     return out
 
 
-def _column_block(y0, rate, pulls, sixth, half, h, floor):
+def _column_block(y0, rate, still, pulls, held, sixth, half, h, floor):
     """RK4 values of one column over a block of m steps.
 
-    ``rate`` holds the time-only derivative at the m + 1 step nodes and
-    then at the m midpoints; ``pulls`` maps each evaluation index where the
-    column follows the shapers to its time-only blend terms.  Returns the
-    m + 1 node values, starting with ``y0``.
+    ``rate`` holds the margin-rate term at the m + 1 step nodes and then at
+    the m midpoints; ``pulls`` maps each evaluation index where a shaper
+    pulls the column to its time-only blend terms.  ``still`` marks the
+    evaluations whose slope is a signed zero, and ``held(e)`` gives their
+    blend terms when a scalar step reads them.  A still step joins the
+    time-only sums only when it is entered at a finite nonzero value, which
+    adding a signed zero leaves unchanged.  Returns the m + 1 node values,
+    starting with ``y0``.
     """
     m = sixth.shape[0]
     nb = m + 1
-    mid = rate[nb:]
-    inc = sixth * (((rate[:m] + 2.0 * mid) + 2.0 * mid) + rate[1:nb])
+    flat = np.where(still, 0.0, rate)
+    mid = flat[nb:]
+    inc = sixth * (((flat[:m] + 2.0 * mid) + 2.0 * mid) + flat[1:nb])
     pulled = np.zeros(2 * m + 1, dtype=bool)
     pulled[list(pulls)] = True
     coupled = pulled[:m] | pulled[nb:] | pulled[1:nb]
+    resting = still[:m] | still[nb:] | still[1:nb]
     values = np.empty(nb)
     values[0] = y0
     edges = (np.flatnonzero(np.diff(coupled)) + 1).tolist()
-    rates, sixths = rate.tolist(), sixth.tolist()
+    rates, sixths, stills = rate.tolist(), sixth.tolist(), still.tolist()
 
     def slope(e, value):
         terms = pulls.get(e)
-        return rates[e] if terms is None else _blend(rates[e], value, *terms, floor)
+        if terms is None:
+            if not stills[e]:
+                return rates[e]
+            terms = pulls[e] = held(e)
+        return _blend(rates[e], value, *terms, floor)
+
+    def step(j, y):
+        k1 = slope(j, y)
+        k2 = slope(nb + j, y + half[j] * k1)
+        k3 = slope(nb + j, y + half[j] * k2)
+        k4 = slope(j + 1, y + h[j] * k3)
+        return y + sixths[j] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     for lo, hi in zip([0] + edges, edges + [m]):
-        if not coupled[lo]:
+        if coupled[lo]:
+            y = float(values[lo])
+            for j in range(lo, hi):
+                y = step(j, y)
+                values[j + 1] = y
+            continue
+        while lo < hi:
             # time-only increments: summed in order, exactly as a loop would
             run = np.add.accumulate(np.concatenate((values[lo:lo + 1], inc[lo:hi])))
             values[lo + 1:hi + 1] = run[1:]
-            continue
-        y = float(values[lo])
-        for j in range(lo, hi):
-            k1 = slope(j, y)
-            k2 = slope(nb + j, y + half[j] * k1)
-            k3 = slope(nb + j, y + half[j] * k2)
-            k4 = slope(j + 1, y + h[j] * k3)
-            y = y + sixths[j] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            values[j + 1] = y
+            entry = run[:-1]
+            odd = resting[lo:hi] & ~(np.isfinite(entry) & (entry != 0.0))
+            if not odd.any():
+                break
+            # a still step the guard does not admit runs with its real terms
+            j = lo + int(odd.argmax())
+            values[j + 1] = step(j, float(values[j]))
+            lo = j + 1
     return values
 
 
 def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams,
-                    dims: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, int]:
-    """RK4 grid of the corridor lower bound on [0, deadline].
+                    dims: Optional[Sequence[int]] = None,
+                    grid_steps: Optional[int] = None) -> Tuple[np.ndarray, int]:
+    """RK4 rows 0..n_steps of the corridor lower bound on the grid
+    t_k = deadline * k / grid_steps (default: grid_steps = n_steps, the
+    whole of [0, deadline]).
 
     ``dims`` selects the margin dimensions to integrate (default: all);
     every plan must bend one of them.  Returns the (n_steps + 1, len(dims))
@@ -216,6 +259,7 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
     """
     dims = list(range(margin.n)) if dims is None else list(dims)
     t_c = margin.deadline
+    per = n_steps if grid_steps is None else grid_steps
     packed = pack_plans(plans, margin, dims)
     span = [float(margin._span[d]) for d in dims]
     edge, blend, floor = params.edge_buffer, params.blend_scale, params.time_floor
@@ -225,7 +269,7 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
     grid[0] = y
     for g0 in range(0, n_steps, _BLOCK):
         g1 = min(g0 + _BLOCK, n_steps)
-        rows_t = t_c * np.arange(g0, g1 + 1) / n_steps
+        rows_t = t_c * np.arange(g0, g1 + 1) / per
         # release times strictly between two grid rows split that step
         inner = switches[(switches > rows_t[0]) & (switches < rows_t[-1])]
         inner = inner[rows_t[np.searchsorted(rows_t, inner)] != inner]
@@ -236,6 +280,7 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
         ts = np.concatenate((tn, tn[:-1] + half))    # nodes, then midpoints
         coef, live = _margin_coef(ts, t_c)
         rates = [np.where(live, s * coef, 0.0) for s in span]
+        stills = [np.zeros(ts.shape, dtype=bool) for _ in dims]
         pulls = [{} for _ in dims]
         active = np.full(ts.shape, -1)
         for p in range(len(packed) - 1, -1, -1):
@@ -245,19 +290,23 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
             if idx.size == 0:
                 continue
             k = plan[4]
-            terms = _plan_terms(ts[idx], plan, edge, blend)
-            # where both shaper weights vanish exactly the blend is the
-            # scaled margin rate alone; a zero product keeps the shapers,
-            # whose signed zeros could still reach the sum
-            scaled = terms[0] * rates[k][idx]
-            free = (terms[1] == 0.0) & (terms[2] == 0.0) & (scaled != 0.0)
+            weights = phase_weights(ts[idx], *plan[:4], edge, blend)
+            # where both shaper weights vanish exactly the slope is the
+            # scaled margin rate, or a signed zero when that product is zero
+            scaled = weights[0] * rates[k][idx]
+            shaped = (weights[1] != 0.0) | (weights[2] != 0.0)
+            free = ~shaped & (scaled != 0.0)
             rates[k][idx[free]] = scaled[free]
-            held = ~free
-            pulls[k].update(zip(idx[held].tolist(),
-                                zip(*(v[held].tolist() for v in terms))))
+            stills[k][idx[~shaped & (scaled == 0.0)]] = True
+            terms = tuple(w[shaped] for w in weights) + _plan_targets(ts[idx[shaped]], plan)
+            pulls[k].update(zip(idx[shaped].tolist(), zip(*(v.tolist() for v in terms))))
+
+        def held(e):
+            return _plan_terms(float(ts[e]), packed[active[e]], edge, blend)
+
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(len(dims)):
-                values = _column_block(y[i], rates[i], pulls[i], h / 6.0,
+                values = _column_block(y[i], rates[i], stills[i], pulls[i], held, h / 6.0,
                                        half.tolist(), h.tolist(), floor)
                 y[i] = float(values[-1])
                 grid[g0 + 1:g1 + 1, i] = values[rows]

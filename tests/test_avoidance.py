@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rastube.avoidance import (PASS_ABOVE, PASS_BELOW, crossing_fractions,
-                               detour_level, intersection_interval,
+from rastube import tube_core
+from rastube.avoidance import (PASS_ABOVE, PASS_BELOW, ObstaclePlan, _blend_path_clear,
+                               crossing_fractions, detour_level, intersection_interval,
                                plan_obstacle, schedule, select_dimension,
                                select_side)
+from rastube.cli import parse_scenario
 from rastube.errors import InfeasibleScenarioError
+from rastube.geometry import Box
 from rastube.sampling import random_interval_pair
 from rastube.scenario import TubeParams
 
@@ -252,3 +257,82 @@ class TestSchedule:
                 u = case.task.unsafe_sets[p.index].dims[p.dim]
                 ws = case.task.workspace.dims[p.dim]
                 assert not u.contains(ws)
+
+
+def blend_path_clear_by_box(task, plan, samples=400):
+    """The blend-path pre-filter one sample at a time: a Box per sample,
+    checked against every obstacle with Box.disjoint_from."""
+    lower = task.lower_margin()
+    width = 2.0 * task.band_halfwidth
+    k = plan.dim
+    anchor_in = lower.value(k, plan.prep_time)
+    anchor_out = lower.value(k, plan.release_time)
+    ws = task.workspace
+    ts = np.linspace(plan.prep_time, plan.release_time, samples)
+    approach = tube_core.approach_target(ts, plan.prep_time, plan.enter_time,
+                                         plan.level, anchor_in)
+    restore = tube_core.return_target(ts, plan.exit_time, plan.release_time,
+                                      plan.level, anchor_out)
+    for t, to_level, from_level in zip(ts, approach, restore):
+        lo = lower.value_vec(t)
+        if t < plan.enter_time:
+            lo[k] = to_level
+        elif t <= plan.exit_time:
+            lo[k] = plan.level
+        else:
+            lo[k] = from_level
+        hi = lo + width
+        if not (ws.dims[k].lo <= lo[k] and hi[k] <= ws.dims[k].hi):
+            return False
+        cross = Box.from_pairs(zip(lo, hi))
+        for u in task.unsafe_sets:
+            if not cross.disjoint_from(u):
+                return False
+    return True
+
+
+def every_candidate(task, params, edges=False):
+    """Each (obstacle, dimension, side) detour select_side could try; with
+    ``edges``, also levels that touch the obstacle or sit on or just past a
+    workspace bound.  The blend-path check reads the level, not the side."""
+    for j in range(task.n_obstacles):
+        window = intersection_interval(task, j)
+        if window is None:
+            continue
+        t_in, t_out = window
+        for dim in range(task.n):
+            u, ws = task.unsafe_sets[j].dims[dim], task.workspace.dims[dim]
+            width = 2.0 * task.band_halfwidth[dim]
+            levels = [detour_level(task, j, dim, side) for side in (PASS_ABOVE, PASS_BELOW)]
+            if edges:
+                levels += [u.hi, u.lo - width, ws.lo, ws.lo - 1e-9, ws.hi - width,
+                           ws.hi - width + 1e-9]
+            for level in levels:
+                yield ObstaclePlan(index=j, enter_time=t_in, exit_time=t_out,
+                                   prep_time=t_in - params.window_margin,
+                                   release_time=t_out + params.window_margin, dim=dim,
+                                   side=PASS_ABOVE, level=level)
+
+
+BENCH_INPUTS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs")
+                      .glob("random_*.json"))
+
+
+class TestBlendPathClear:
+    def test_same_verdicts_as_box_by_box_on_bundled_candidates(self, case_scenario):
+        task = case_scenario.task
+        verdicts = [(_blend_path_clear(task, plan), blend_path_clear_by_box(task, plan))
+                    for plan in every_candidate(task, case_scenario.tube, edges=True)]
+        assert all(new == old for new, old in verdicts)
+        assert {new for new, _ in verdicts} == {True, False}
+
+    def test_same_verdicts_as_box_by_box_on_benchmark_inputs(self):
+        assert len(BENCH_INPUTS) == 36
+        verdicts = []
+        for path in BENCH_INPUTS:
+            scn = parse_scenario(path)
+            verdicts += [(path.name, plan, _blend_path_clear(scn.task, plan),
+                          blend_path_clear_by_box(scn.task, plan))
+                         for plan in every_candidate(scn.task, scn.tube)]
+        assert [v for v in verdicts if v[2] != v[3]] == []
+        assert {v[2] for v in verdicts} == {True, False}

@@ -58,6 +58,14 @@ class TestParse:
         assert "task.typo_key" in paths
         assert "extra_section" in paths
 
+    @pytest.mark.parametrize("seed", [1.5, "7", True, -1])
+    def test_non_integer_disturbance_seed_names_key(self, tmp_path, seed):
+        doc = load_bundled()
+        doc["plant"]["disturbance"]["seed"] = seed
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario(write_scenario(tmp_path, doc))
+        assert [path for path, _ in err.value.issues] == ["plant.disturbance.seed"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             parse_scenario(tmp_path / "nope.json")
@@ -210,6 +218,17 @@ class TestOverrides:
         assert code == 2
         assert f"error: {key}:" in capsys.readouterr().err
         assert not out.exists()  # rejected before any synthesis work
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True])
+    def test_non_integer_scenario_seed_exits_two(self, tmp_path, capsys, seed):
+        doc = load_bundled()
+        doc["plant"]["disturbance"]["seed"] = seed
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--scenario", str(write_scenario(tmp_path, doc)),
+                        "--out", str(out)])
+        assert code == 2
+        assert "error: plant.disturbance.seed:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_dt_exits_two(self, tmp_path, capsys):
         out = tmp_path / "syn"

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rastube.geometry import Box, Interval, box_contains, box_disjoint, intersects
+from rastube.geometry import Box, Interval
 
 
 def iv(lo, hi):
@@ -14,13 +14,13 @@ class TestInterval:
             Interval(1.0, 0.0)
 
     def test_disjoint_intervals(self):
-        assert not intersects(iv(0.0, 0.5), iv(1.5, 2.0))
+        assert not iv(0.0, 0.5).intersects(iv(1.5, 2.0))
 
     def test_touching_counts_as_intersecting(self):
-        assert intersects(iv(0.0, 1.0), iv(1.0, 2.0))
+        assert iv(0.0, 1.0).intersects(iv(1.0, 2.0))
 
     def test_identical_intervals_intersect(self):
-        assert intersects(iv(0.0, 1.0), iv(0.0, 1.0))
+        assert iv(0.0, 1.0).intersects(iv(0.0, 1.0))
 
     def test_intersection_empty_is_none(self):
         assert iv(0.0, 1.0).intersection(iv(2.0, 3.0)) is None
@@ -33,33 +33,33 @@ class TestInterval:
 class TestBox:
     def test_contains(self):
         outer = Box.from_pairs([[0, 0.5], [0, 0.5]])
-        assert box_contains(outer, Box.from_pairs([[0.1, 0.2], [0.1, 0.2]]))
+        assert outer.contains(Box.from_pairs([[0.1, 0.2], [0.1, 0.2]]))
 
     def test_contains_fails_on_one_dim(self):
         outer = Box.from_pairs([[0, 0.5], [0, 0.5]])
         inner = Box.from_pairs([[0.1, 0.6], [0.1, 0.2]])
-        assert not box_contains(outer, inner)
+        assert not outer.contains(inner)
 
     def test_contains_is_reflexive(self):
         box = Box.from_pairs([[0, 0.5], [0, 0.5]])
-        assert box_contains(box, box)
+        assert box.contains(box)
 
     def test_contains_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            box_contains(Box.from_pairs([[0, 1]]), Box.from_pairs([[0, 1], [0, 1]]))
+            Box.from_pairs([[0, 1]]).contains(Box.from_pairs([[0, 1], [0, 1]]))
 
     def test_disjoint_case_study_obstacle(self):
         start_region = Box.from_pairs([[0, 0.5], [0, 0.5]])
         obstacle = Box.from_pairs([[1.5, 2.0], [0.5, 3.0]])
-        assert box_disjoint(start_region, obstacle)
+        assert start_region.disjoint_from(obstacle)
 
     def test_overlapping_boxes(self):
-        assert not box_disjoint(Box.from_pairs([[1, 3], [1, 3]]),
-                                Box.from_pairs([[2, 4], [2, 4]]))
+        assert not Box.from_pairs([[1, 3], [1, 3]]).disjoint_from(
+            Box.from_pairs([[2, 4], [2, 4]]))
 
     def test_disjoint_in_second_dimension(self):
-        assert box_disjoint(Box.from_pairs([[0, 1], [0, 1]]),
-                            Box.from_pairs([[1, 2], [5, 6]]))
+        assert Box.from_pairs([[0, 1], [0, 1]]).disjoint_from(
+            Box.from_pairs([[1, 2], [5, 6]]))
 
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -77,12 +77,12 @@ def boxes(draw, n=2):
 
 @given(boxes(), boxes())
 def test_disjoint_is_symmetric(a, b):
-    assert box_disjoint(a, b) == box_disjoint(b, a)
+    assert a.disjoint_from(b) == b.disjoint_from(a)
 
 
 @given(boxes())
 def test_contains_is_reflexive_property(a):
-    assert box_contains(a, a)
+    assert a.contains(a)
 
 
 @given(boxes(), st.floats(min_value=0.0, max_value=0.4), st.floats(min_value=0.0, max_value=0.4))
@@ -93,4 +93,4 @@ def test_contains_is_transitive_on_shrunk_chain(a, f1, f2):
 
     b = shrink(a, f1)
     c = shrink(b, f2)
-    assert box_contains(a, b) and box_contains(b, c) and box_contains(a, c)
+    assert a.contains(b) and b.contains(c) and a.contains(c)

@@ -3,8 +3,7 @@ import pytest
 
 from rastube.errors import ConfigurationError
 from rastube.geometry import Box
-from rastube.scenario import (RasTask, TubeParams, build_initial_box,
-                              build_target_box, validate_assumptions)
+from rastube.scenario import RasTask, TubeParams, validate_assumptions
 
 from conftest import make_task
 
@@ -22,20 +21,20 @@ def simple_task(**overrides):
 
 class TestStartBox:
     def test_centered_choice_fills_initial_set(self):
-        box = build_initial_box(simple_task())
+        box = simple_task().start_box()
         assert box.as_pairs() == [[0.0, 0.5], [0.0, 0.5]]
 
     def test_symmetric_case_equals_set(self):
         task = simple_task(initial=[[-1, 1], [-1, 1]], start=[0, 0],
                            start_margin=[1, 1], workspace=[[-2, 13], [-2, 10]])
-        assert build_initial_box(task).as_pairs() == [[-1, 1], [-1, 1]]
+        assert task.start_box().as_pairs() == [[-1, 1], [-1, 1]]
 
     def test_offcenter_margin_shrinks_to_fit(self):
         # oracle: per dimension min(margin, start - set.lo, set.hi - start)
         task = simple_task(start=[0.4, 0.25])
         expect = [min(0.25, 0.4 - 0.0, 0.5 - 0.4), min(0.25, 0.25, 0.25)]
         np.testing.assert_allclose(task.start_margin, expect)
-        np.testing.assert_allclose(build_initial_box(task).as_pairs(),
+        np.testing.assert_allclose(task.start_box().as_pairs(),
                                    [[0.3, 0.5], [0.0, 0.5]])
         assert task.shrunk_start_dims == (0,)
 
@@ -54,23 +53,23 @@ class TestStartBox:
                                start_margin=rng.uniform(0.05, 2.0, 2).tolist(),
                                workspace=[[-20, 20], [-20, 20]],
                                unsafe=[[[8.0, 9.0], [8.0, 9.0]]])
-            box = build_initial_box(task)
+            box = task.start_box()
             assert task.initial_set.contains(box)
             assert box.contains_point(x0)
 
 
 class TestTargetBox:
     def test_case_study_target(self):
-        box = build_target_box(simple_task())
+        box = simple_task().target_box()
         assert box.as_pairs() == [[11.0, 11.5], [7.0, 7.5]]
 
     def test_center_with_half_extent_fills_set(self):
-        assert build_target_box(simple_task()).as_pairs() == \
+        assert simple_task().target_box().as_pairs() == \
             simple_task().target_set.as_pairs()
 
     def test_offcenter_reference_shrinks(self):
         task = simple_task(target_point=[11.4, 7.25])
-        assert build_target_box(task).as_pairs() == [[11.3, 11.5], [7.0, 7.5]]
+        assert task.target_box().as_pairs() == [[11.3, 11.5], [7.0, 7.5]]
         assert task.shrunk_target_dims == (0,)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -326,6 +327,114 @@ class TestIntegrator:
         assert ref_bad > 0
         assert bad == ref_bad
         np.testing.assert_array_equal(got[:bad], ref[:bad])
+
+
+def assert_same_bits(got, ref):
+    """Equal arrays down to the sign of every zero."""
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+class TestSkippedWork:
+    """integrate_lower skips work whose result is fixed: still (hold) steps
+    join the time-only sums, targets are computed only where a scalar step
+    reads them, and a caller may stop at the last row it reads."""
+
+    N_STEPS = TestIntegrator.N_STEPS
+
+    def coarse(self, case_scenario):
+        task = case_scenario.task
+        step = task.deadline / self.N_STEPS
+        return task.lower_margin(), coarse_params(case_scenario.tube, step, 0.5 * step)
+
+    def test_zero_level_matches_stepwise_rk4(self, case_scenario, case_plans):
+        margin, params = self.coarse(case_scenario)
+        plans = [dataclasses.replace(p, level=0.0) for p in case_plans]
+        got, bad = tube_core.integrate_lower(margin, self.N_STEPS, plans, params)
+        ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, plans, params)
+        assert bad == ref_bad == -1
+        assert_same_bits(got, ref)
+
+    def test_small_blocks_match_stepwise_rk4(self, case_scenario, case_plans, monkeypatch):
+        # block edges fall inside hold runs and inside pulled runs
+        monkeypatch.setattr(tube_core, "_BLOCK", 7)
+        margin, params = self.coarse(case_scenario)
+        for plans in (case_plans, [dataclasses.replace(p, level=0.0) for p in case_plans]):
+            got, bad = tube_core.integrate_lower(margin, self.N_STEPS, plans, params)
+            ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, plans, params)
+            assert bad == ref_bad == -1
+            assert_same_bits(got, ref)
+
+    @staticmethod
+    def hold_reads(monkeypatch, plan, params):
+        """Times inside ``plan``'s hold, two steps clear of the blends at
+        either end, at which the integrator computes blend terms one
+        instant at a time."""
+        seen = []
+        terms = tube_core._plan_terms
+        pad = params.edge_buffer + 20.0 * params.blend_scale + 2.0 * params.step
+
+        def counting(t, *args):
+            if plan.enter_time + pad < t < plan.exit_time - pad:
+                seen.append(t)
+            return terms(t, *args)
+
+        monkeypatch.setattr(tube_core, "_plan_terms", counting)
+        return seen
+
+    def test_hold_steps_skip_the_scalar_loop(self, case_scenario, case_plans, monkeypatch):
+        margin, params = self.coarse(case_scenario)
+        seen = self.hold_reads(monkeypatch, case_plans[1], params)
+        got, _ = tube_core.integrate_lower(margin, self.N_STEPS, case_plans, params)
+        assert seen == []
+        ref, _ = stepwise_rk4(margin, self.N_STEPS, case_plans, params)
+        assert_same_bits(got, ref)
+
+    def test_hold_entered_at_zero_runs_one_step_at_a_time(self, case_scenario, monkeypatch):
+        # a constant column at exactly 0.0 held at level 0.0: every hold
+        # step is entered at zero, so none may join the time-only sums
+        from rastube.reach import ReachMargin
+        margin = ReachMargin(np.array([0.0, 0.0]), np.array([11.0, 0.0]), 80.0)
+        plan = ObstaclePlan(index=0, enter_time=21.0, exit_time=30.0, prep_time=20.0,
+                            release_time=31.0, dim=1, side=PASS_ABOVE, level=0.0)
+        _, params = self.coarse(case_scenario)
+        seen = self.hold_reads(monkeypatch, plan, params)
+        got, bad = tube_core.integrate_lower(margin, self.N_STEPS, [plan], params)
+        assert len(seen) > 0.5 * (plan.exit_time - plan.enter_time) / params.step
+        ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, [plan], params)
+        assert bad == ref_bad == -1
+        assert_same_bits(got, ref)
+
+    def test_random_cases_match_stepwise_rk4(self):
+        from rastube.sampling import random_case
+        rng = np.random.default_rng(4242)
+        n_steps = 1501
+        for i in range(3):
+            case = random_case(rng, n_dims=2 + (i % 2))
+            task = case.task
+            step = task.deadline / n_steps
+            params = coarse_params(case.params, step, 0.5 * step)
+            margin = task.lower_margin()
+            got, bad = tube_core.integrate_lower(margin, n_steps, case.plans, params)
+            ref, ref_bad = stepwise_rk4(margin, n_steps, case.plans, params)
+            assert bad == ref_bad == -1
+            assert_same_bits(got, ref)
+
+    def test_candidate_path_is_prefix_of_full_grid(self, case_scenario, case_plans):
+        from rastube.avoidance import _integrated_dim_path
+        task, params = case_scenario.task, case_scenario.tube
+        n_steps = int(round(task.deadline / params.step))
+        full_ts = np.linspace(0.0, task.deadline, n_steps + 1)
+        for plan in case_plans:
+            until = plan.release_time + 1.0
+            ts, path = _integrated_dim_path(task, plan, params, until)
+            full, bad = tube_core.integrate_lower(task.lower_margin(), n_steps, [plan],
+                                                  params, dims=[plan.dim])
+            assert bad == -1
+            last = ts.shape[0] - 1
+            assert ts[-1] <= until < full_ts[last + 1] and last < n_steps
+            assert_same_bits(ts, full_ts[:last + 1])
+            assert_same_bits(path, full[:last + 1, 0])
 
 
 class TestEvolve:
