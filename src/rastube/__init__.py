@@ -4,9 +4,8 @@ prescribed-time reach-avoid-stay tasks."""
 from importlib import resources
 
 from . import cli
-from .avoidance import (ObstaclePlan, active_plan, crossing_fractions,
-                        intersection_interval, schedule, select_dimension,
-                        select_side)
+from .avoidance import (ObstaclePlan, crossing_fractions, intersection_interval,
+                        schedule, select_dimension, select_side)
 from .controller import ControllerConfig, TubeFrame, control_input, gain_diagonal, \
     normalized_error, transformed_error
 from .errors import (ConfigurationError, InfeasibleScenarioError, RastubeError,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -48,10 +48,6 @@ class ObstaclePlan:
     dim: int
     side: str
     level: float
-
-    @property
-    def window(self) -> Tuple[float, float]:
-        return (self.enter_time, self.exit_time)
 
 
 def _fraction(num: float, den: float) -> float:
@@ -170,11 +166,11 @@ def _workspace_fits(task: RasTask, dim: int, level: float) -> bool:
     return ws.lo <= level and level + width <= ws.hi
 
 
-def _blend_path_clear(task: RasTask, plan: ObstaclePlan, samples: int = 400) -> bool:
+def _blend_path_clear(task: RasTask, plan: ObstaclePlan) -> bool:
     """Cheap pre-filter: collision check along the ideal blend path.
 
     Samples the targets the corridor is steered toward in the detour
-    dimension over [prep, release], pairs them with the nominal
+    dimension at 400 times over [prep, release], pairs them with the nominal
     cross-section elsewhere, and requires strict disjointness from every
     obstacle plus workspace containment.  Necessary but not sufficient
     (the integrated bound trails these targets), so accepted candidates
@@ -185,7 +181,7 @@ def _blend_path_clear(task: RasTask, plan: ObstaclePlan, samples: int = 400) -> 
     k = plan.dim
     anchor_in = lower.value(k, plan.prep_time)
     anchor_out = lower.value(k, plan.release_time)
-    ts = np.linspace(plan.prep_time, plan.release_time, samples)
+    ts = np.linspace(plan.prep_time, plan.release_time, 400)
     approach = tube_core.approach_target(ts, plan.prep_time, plan.enter_time,
                                          plan.level, anchor_in)
     restore = tube_core.return_target(ts, plan.exit_time, plan.release_time,
@@ -355,10 +351,3 @@ def schedule(task: RasTask, params: TubeParams) -> List[ObstaclePlan]:
     window_map = dict(windows)
     return [plan_obstacle(task, j, w, params, window_map) for j, w in windows]
 
-
-def active_plan(plans: Sequence[ObstaclePlan], t: float) -> Optional[ObstaclePlan]:
-    """First plan (by entry time) not yet past its release time."""
-    for plan in plans:
-        if plan.release_time > t:
-            return plan
-    return None

@@ -280,6 +280,11 @@ def parse_scenario(path) -> Scenario:
     except ConfigurationError as exc:
         issues.extend(exc.issues)
         tube = tube_defaults
+    if tube.step > 2.0 * tube.time_floor:
+        # a coarser step leaves the floored shaper feedback outside the RK4
+        # stability region and the corridor diverges
+        _err(issues, "tube.step",
+             f"must be <= 2 * tube.time_floor ({2.0 * tube.time_floor:.6g})")
 
     gain_sign = ctrl_sec.get("gain_sign", 1)
     if not isinstance(gain_sign, int) or isinstance(gain_sign, bool) or gain_sign not in (1, -1):
@@ -419,7 +424,10 @@ def cmd_simulate(scn: Scenario, out: Path, seed: Optional[int],
 
 
 def cmd_verify(scn: Scenario, tube_path: Path, out: Path) -> int:
-    tube = Tube.from_csv(tube_path)
+    try:
+        tube = Tube.from_csv(tube_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError([("--tube", f"cannot read {tube_path}: {exc}")])
     if tube.n != scn.task.n:
         raise ConfigurationError([(str(tube_path),
                                    f"tube has {tube.n} dimensions, task has {scn.task.n}")])

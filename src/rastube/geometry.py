@@ -8,7 +8,7 @@ disjointness always means a strictly positive gap in some dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,10 +30,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains_value(self, x: float, strict: bool = False) -> bool:
         if strict:
             return self.lo < x < self.hi
@@ -45,21 +41,6 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         """True when the closed intervals share at least one point."""
         return max(self.lo, other.lo) <= min(self.hi, other.hi)
-
-    def intersection(self, other: "Interval") -> Optional["Interval"]:
-        """Overlap as a new interval, or None when there is none.
-
-        The empty result is an explicit None, never a lo > hi sentinel.
-        """
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
-
-    def gap_to(self, other: "Interval") -> float:
-        """Signed separation: positive when disjoint, <= 0 when touching/overlapping."""
-        return max(other.lo - self.hi, self.lo - other.hi)
 
 
 @dataclass(frozen=True)
@@ -92,10 +73,6 @@ class Box:
     def upper(self) -> np.ndarray:
         return np.array([d.hi for d in self.dims])
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([d.center for d in self.dims])
-
     def _check_dims(self, other: "Box"):
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
@@ -114,14 +91,6 @@ class Box:
         """True iff some dimension separates the boxes with a positive gap."""
         self._check_dims(other)
         return any(not a.intersects(b) for a, b in zip(self.dims, other.dims))
-
-    def intersects(self, other: "Box") -> bool:
-        return not self.disjoint_from(other)
-
-    def clearance_from(self, other: "Box") -> float:
-        """Largest per-dimension signed gap; > 0 iff the boxes are disjoint."""
-        self._check_dims(other)
-        return max(a.gap_to(b) for a, b in zip(self.dims, other.dims))
 
     def as_pairs(self) -> list:
         return [[d.lo, d.hi] for d in self.dims]

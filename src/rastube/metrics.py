@@ -9,7 +9,7 @@ labelled "reconstructed" in every report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,19 +31,16 @@ class EffortReport:
         return {"energy": self.energy, "peak": self.peak, "l1": self.l1}
 
 
-def control_effort(trace: SimTrace, t_cap: Optional[float] = None) -> EffortReport:
-    """Trapezoidal effort integrals over the recorded grid up to ``t_cap``.
-
-    Defaults to the task deadline; failed traces are integrated up to the
-    failure time.
+def control_effort(trace: SimTrace) -> EffortReport:
+    """Trapezoidal effort integrals over the recorded grid up to the task
+    deadline; failed traces are integrated up to the failure time.
     """
     if trace.ts.shape[0] == 0:
         raise ValueError("empty trace")
-    cap = trace.deadline if t_cap is None else t_cap
-    mask = trace.ts <= cap + 1e-12
+    mask = trace.ts <= trace.deadline + 1e-12
     ts = trace.ts[mask]
     if ts.shape[0] == 0:
-        raise ValueError("no trace rows before the cap")
+        raise ValueError("no trace rows before the deadline")
     norms = np.linalg.norm(trace.inputs[mask], axis=1)
     if ts.shape[0] == 1:
         return EffortReport(energy=0.0, peak=float(norms[0]), l1=0.0)
@@ -52,15 +49,7 @@ def control_effort(trace: SimTrace, t_cap: Optional[float] = None) -> EffortRepo
                         l1=float(_trapezoid(norms, ts)))
 
 
-def baseline_ramp_scale(params: TubeParams) -> float:
-    """tanh time constant of the baseline ramps; a small fraction of the
-    window margin, so ramps are an order of magnitude steeper than any
-    smooth-corridor transient while still trackable at a reduced step."""
-    return params.window_margin / 50.0
-
-
-def baseline_tube(task: RasTask, plans: Sequence[ObstaclePlan], params: TubeParams,
-                  ramp_scale: Optional[float] = None) -> Tube:
+def baseline_tube(task: RasTask, plans: Sequence[ObstaclePlan], params: TubeParams) -> Tube:
     """Abrupt-detour corridor on the same grid as the smooth one.
 
     Identical to nominal-margin tracking outside the detour windows; inside
@@ -72,7 +61,10 @@ def baseline_tube(task: RasTask, plans: Sequence[ObstaclePlan], params: TubePara
     n_steps = max(8, int(round(t_c / params.step)))
     ts = np.linspace(0.0, t_c, n_steps + 1)
     lower = margin.value_grid(ts)
-    scale = baseline_ramp_scale(params) if ramp_scale is None else ramp_scale
+    # tanh time constant of the ramps: a small fraction of the window
+    # margin, so ramps are an order of magnitude steeper than any
+    # smooth-corridor transient while still trackable at a reduced step
+    scale = params.window_margin / 50.0
     for p in plans:
         gate = 0.5 * (np.tanh((ts - p.prep_time) / scale)
                       - np.tanh((ts - p.release_time) / scale))

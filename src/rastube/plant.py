@@ -34,14 +34,16 @@ class Dynamics(Protocol):
     ``derivative`` receives the state, input and disturbance as lists of
     floats and returns ``n_states`` floats (a list or a 1-d array); the
     closed loop raises ValueError on any other length.
+    ``symmetric_input_floor`` is the smallest eigenvalue of the symmetric
+    part of the input map at state ``x``, which the run records.
     """
 
     n_states: int
 
+    def symmetric_input_floor(self, x: Sequence[float]) -> float: ...
+
     def derivative(self, x: Sequence[float], u: Sequence[float],
                    w: Sequence[float]) -> Sequence[float]: ...
-
-    def input_matrix(self, x: np.ndarray) -> np.ndarray: ...
 
 
 class OmniRobot:
@@ -61,11 +63,6 @@ class OmniRobot:
                 u[0] * s + u[1] * c + w[1],
                 u[2] + w[2]]
 
-    def input_matrix(self, x):
-        c = math.cos(x[2])
-        s = math.sin(x[2])
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
     def symmetric_input_floor(self, x):
         # closed form: eigenvalues of the symmetric part are {cos h, cos h, 1}
         return min(math.cos(x[2]), 1.0)
@@ -79,9 +76,6 @@ class IntegratorPlant:
 
     def derivative(self, x, u, w):
         return [a + b for a, b in zip(u, w)]
-
-    def input_matrix(self, x):
-        return np.eye(self.n_states)
 
     def symmetric_input_floor(self, x):
         return 1.0
@@ -137,9 +131,10 @@ class DisturbanceModel:
 class FrameProvider:
     """Assembles full-state corridor frames from the task corridor.
 
-    Task dimensions read the synthesized corridor (``source.bounds(t)``
-    returns its lower and upper float lists); remaining state dimensions
-    (for example the robot heading) get fixed wide bounds.
+    The task dimensions lead the state (``task_dims`` is 0, 1, ..., k-1)
+    and read the synthesized corridor (``source.bounds(t)`` returns its
+    lower and upper float lists); the remaining state dimensions (for
+    example the robot heading) get fixed wide bounds.
     """
 
     def __init__(self, source, state_dim: int, task_dims: Sequence[int],
@@ -147,7 +142,10 @@ class FrameProvider:
         self.source = source
         self.state_dim = state_dim
         self.task_dims = list(task_dims)
-        extras = [i for i in range(state_dim) if i not in self.task_dims]
+        if self.task_dims != list(range(len(self.task_dims))):
+            raise ConfigurationError(
+                [("plant", f"task dimensions {self.task_dims} must lead the state")])
+        extras = list(range(len(self.task_dims), state_dim))
         if len(extras) != len(extra_bounds):
             raise ConfigurationError(
                 [("plant", f"{len(extras)} unconstrained dimensions but "
@@ -155,17 +153,10 @@ class FrameProvider:
         self.extra_dims = extras
         self._extra_lo = [float(b[0]) for b in extra_bounds]
         self._extra_hi = [float(b[1]) for b in extra_bounds]
-        # frame entries are the task bounds followed by the extra bounds;
-        # state dimension d reads entry _order[d]
-        placed = self.task_dims + extras
-        self._order = [placed.index(d) for d in range(state_dim)]
 
     def frame(self, t: float) -> TubeFrame:
-        lo_task, hi_task = self.source.bounds(t)
-        lo = lo_task + self._extra_lo
-        hi = hi_task + self._extra_hi
-        order = self._order
-        return TubeFrame([lo[j] for j in order], [hi[j] for j in order])
+        lo, hi = self.source.bounds(t)
+        return TubeFrame(lo + self._extra_lo, hi + self._extra_hi)
 
 
 @dataclass
@@ -260,12 +251,7 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
     Returns (rows filled, min input floor, failure); failure is None when
     the run completes, else (failure time, reason, failure record).
     """
-    floor_fn = getattr(dynamics, "symmetric_input_floor", None)
-    if floor_fn is None:
-        def floor_fn(state):
-            g = np.asarray(dynamics.input_matrix(np.asarray(state)))
-            return float(np.linalg.eigvalsh(0.5 * (g + g.T)).min())
-
+    floor_fn = dynamics.symmetric_input_floor
     rate = dynamics.derivative
     ts = grid_ts.tolist()
     n_steps = len(ts) - 1

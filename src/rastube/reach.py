@@ -2,8 +2,9 @@
 
 The margin runs from the start-box corner to the target-box corner over the
 deadline and is constant afterwards.  The closed form is the exact solution
-of the defining rate equation, so the rate accessor below is its derivative;
-tests cross-check both against an independent integration.
+of the defining rate equation, and ``rates`` is its derivative, the one the
+corridor integrator runs; tests cross-check both against an independent
+integration.
 """
 
 from __future__ import annotations
@@ -77,25 +78,8 @@ class ReachMargin:
         """Boundary value in one dimension at time t."""
         return float(self.start[dim] + self._span[dim] * self._blend(t))
 
-    def rate(self, dim: int, t: float) -> float:
-        """Time derivative of value(); zero at and beyond the deadline."""
-        tc = self.deadline
-        if t >= tc * (1.0 - _DEADLINE_GUARD):
-            return 0.0
-        t = max(t, 0.0)
-        w = tc - t
-        return float(tc * self._span[dim] / (w * w) * _sech_sq(t / w))
-
     def value_vec(self, t: float) -> np.ndarray:
         return self.start + self._span * self._blend(t)
-
-    def rate_vec(self, t: float) -> np.ndarray:
-        tc = self.deadline
-        if t >= tc * (1.0 - _DEADLINE_GUARD):
-            return np.zeros_like(self.start)
-        t = max(t, 0.0)
-        w = tc - t
-        return self._span * (tc / (w * w) * _sech_sq(t / w))
 
     def value_grid(self, ts: np.ndarray) -> np.ndarray:
         """Vectorised value() over a time grid; shape (len(ts), n)."""
@@ -107,21 +91,14 @@ class ReachMargin:
         blend[ts <= 0.0] = 0.0
         return self.start[None, :] + blend[:, None] * self._span[None, :]
 
-    def crossing_time(self, dim: int, level: float) -> float:
-        """Exact time at which value(dim, .) reaches ``level``.
-
-        Clamped to [0, deadline]: levels at or behind the start map to 0,
-        levels at or beyond the end map to the deadline.  Constant
-        dimensions map to 0 or the deadline by the side the level lies on.
-        """
-        span = self._span[dim]
-        num = level - self.start[dim]
-        if span == 0.0:
-            return 0.0 if num <= 0.0 else self.deadline
-        ratio = num / span
-        if ratio <= 0.0:
-            return 0.0
-        if ratio >= 1.0:
-            return self.deadline
-        a = math.atanh(ratio)
-        return self.deadline * a / (1.0 + a)
+    def rates(self, ts) -> np.ndarray:
+        """Time derivative of value() over a time grid, shape (len(ts), n);
+        exactly zero from the deadline guard on."""
+        ts = np.asarray(ts, dtype=float)
+        tc = self.deadline
+        live = ts < tc * (1.0 - _DEADLINE_GUARD)
+        tt = np.where(live & (ts > 0.0), ts, 0.0)
+        w = tc - tt
+        coef = tc / (w * w) * _sech_sq(tt / w)
+        # built one dimension per row: each column of the result is contiguous
+        return np.where(live, self._span[:, None] * coef, 0.0).T

@@ -44,15 +44,16 @@ def _base_task(rng: np.random.Generator, n: int, obstacles, d_u, spans,
 
 
 def random_case(rng: np.random.Generator, n_dims: Optional[int] = None,
-                n_obstacles: Optional[int] = None, max_tries: int = 60) -> SampledCase:
+                n_obstacles: Optional[int] = None) -> SampledCase:
     """A task plus parameters whose schedule is feasible by construction.
 
     Obstacles are placed on the swept corridor at staggered fractions of
     the deadline and re-drawn until crossing windows are well separated,
     start comfortably after zero, end well before the deadline, and admit
-    safe detours with moderate approach/return amplitudes.
+    safe detours with moderate approach/return amplitudes.  Gives up after
+    60 draws.
     """
-    for _ in range(max_tries):
+    for _ in range(60):
         case = _try_case(rng, n_dims, n_obstacles)
         if case is not None:
             return case
@@ -154,42 +155,3 @@ def _amplitudes_ok(task: RasTask, plans) -> bool:
             return False
     return True
 
-
-def random_margin(rng: np.random.Generator, n: int = 1) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Random (start, end, deadline) triple for margin-level tests."""
-    start = rng.uniform(-5.0, 5.0, n)
-    end = start + rng.uniform(0.5, 12.0, n) * rng.choice([-1.0, 1.0], n)
-    deadline = float(rng.uniform(5.0, 100.0))
-    return start, end, deadline
-
-
-def random_interval_pair(rng: np.random.Generator) -> Tuple[RasTask, int]:
-    """Random single-obstacle task for crossing-window oracle tests.
-
-    Includes obstacles that never meet the swept corridor, so the empty
-    classification gets exercised too.
-    """
-    while True:
-        n = int(rng.integers(2, 4))
-        spans = rng.uniform(8.0, 14.0, n)
-        margin = rng.uniform(0.1, 0.3, n)
-        start = rng.uniform(0.6, 1.4, n)
-        target = spans - rng.uniform(0.6, 1.4, n)
-        skeleton = _base_task(rng, n, (), [], spans, start, target, margin)
-        lower = skeleton.lower_margin()
-        width = 2.0 * skeleton.band_halfwidth
-        if rng.random() < 0.25:
-            # deliberately off the swept corridor in one dimension
-            center = lower.value_vec(rng.uniform(0.2, 0.8) * skeleton.deadline) + 0.5 * width
-            miss_dim = int(rng.integers(0, n))
-            center[miss_dim] = spans[miss_dim] + 3.0
-        else:
-            center = lower.value_vec(rng.uniform(0.05, 0.95) * skeleton.deadline) + 0.5 * width
-            center += rng.uniform(-0.5, 0.5, n)
-        half = rng.uniform(0.2, 1.2, n)
-        box = Box.from_pairs(zip(center - half, center + half))
-        if not (skeleton.initial_set.disjoint_from(box)
-                and skeleton.target_set.disjoint_from(box)):
-            continue
-        task = _base_task_like(skeleton, [box], [0.1])
-        return task, 0

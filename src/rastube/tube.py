@@ -45,10 +45,6 @@ class Tube:
     def upper(self) -> np.ndarray:
         return self.lower + self.width[None, :]
 
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
-
     def bounds(self, t: float) -> Tuple[List[float], List[float]]:
         """Linearly interpolated (lower, upper) at time t, as float lists.
 
@@ -191,11 +187,16 @@ def _containment_slack(lower_row, upper_row, box: Box) -> float:
     return float(np.min(slack))
 
 
-def verify_tube(tube: Tube, task: RasTask, boundary_tol: float = 1e-6,
-                max_witnesses: int = 5) -> VerificationReport:
+# slack tolerated on start and arrival containment
+_BOUNDARY_TOL = 1e-6
+# witness times reported per condition
+_MAX_WITNESSES = 5
+
+
+def verify_tube(tube: Tube, task: RasTask) -> VerificationReport:
     """Grid check of the four corridor guarantees.
 
-    start / arrival containment allow a tolerance of ``boundary_tol`` on
+    start / arrival containment allow a tolerance of ``_BOUNDARY_TOL`` on
     the slack; unsafe-set clearance and bound ordering are strict, so a
     tangent corridor fails.
     """
@@ -205,12 +206,12 @@ def verify_tube(tube: Tube, task: RasTask, boundary_tol: float = 1e-6,
 
     s0 = _containment_slack(lower[0], upper[0], task.initial_set)
     conditions.append(ConditionResult(
-        name="starts_inside", passed=s0 >= -boundary_tol, margin=s0,
+        name="starts_inside", passed=s0 >= -_BOUNDARY_TOL, margin=s0,
         detail="corridor at t=0 inside the initial set"))
 
     s1 = _containment_slack(lower[-1], upper[-1], task.target_set)
     conditions.append(ConditionResult(
-        name="arrives_inside", passed=s1 >= -boundary_tol, margin=s1,
+        name="arrives_inside", passed=s1 >= -_BOUNDARY_TOL, margin=s1,
         detail="corridor at the deadline inside the target set"))
 
     worst = math.inf
@@ -220,14 +221,14 @@ def verify_tube(tube: Tube, task: RasTask, boundary_tol: float = 1e-6,
         clearance = gaps.max(axis=1)
         worst = min(worst, float(clearance.min()))
         bad = np.nonzero(clearance <= 0.0)[0]
-        witnesses.extend(tube.ts[bad[:max_witnesses]].tolist())
+        witnesses.extend(tube.ts[bad[:_MAX_WITNESSES]].tolist())
     if not task.unsafe_sets:
         worst = math.inf
     conditions.append(ConditionResult(
         name="avoids_unsafe", passed=not witnesses,
         margin=worst if math.isfinite(worst) else float("inf"),
         detail="strictly positive clearance from every unsafe set",
-        witness_times=tuple(sorted(witnesses)[:max_witnesses])))
+        witness_times=tuple(sorted(witnesses)[:_MAX_WITNESSES])))
 
     gap = upper - lower
     min_gap = float(gap.min())
@@ -235,7 +236,7 @@ def verify_tube(tube: Tube, task: RasTask, boundary_tol: float = 1e-6,
     conditions.append(ConditionResult(
         name="ordered_bounds", passed=min_gap > 0.0, margin=min_gap,
         detail="lower bound strictly below upper bound",
-        witness_times=tuple(tube.ts[bad_rows[:max_witnesses]].tolist())))
+        witness_times=tuple(tube.ts[bad_rows[:_MAX_WITNESSES]].tolist())))
 
     return VerificationReport(conditions=tuple(conditions))
 
@@ -257,19 +258,19 @@ class SmoothnessReport:
                 "flagged": [list(f) for f in self.flagged]}
 
 
-def smoothness_check(tube: Tube, factor: float = 10.0, percentile: float = 99.0) -> SmoothnessReport:
+def smoothness_check(tube: Tube) -> SmoothnessReport:
     """Flag grid steps whose rate spikes far above the tube's own typical rate.
 
-    The threshold is ``factor`` times the given percentile of the
-    finite-difference rate magnitudes; a smooth corridor never reaches it,
-    a step-like one does at every ramp.
+    The threshold is 10 times the 99th percentile of the finite-difference
+    rate magnitudes; a smooth corridor never reaches it, a step-like one
+    does at every ramp.
     """
     rates = tube.rates()
     mags = np.abs(rates)
     max_rate = float(mags.max()) if mags.size else 0.0
     dt = float(np.diff(tube.ts).max()) if tube.ts.shape[0] > 1 else 0.0
     max_jump = float(np.abs(np.diff(tube.lower, axis=0)).max()) if tube.ts.shape[0] > 1 else 0.0
-    threshold = factor * float(np.percentile(mags, percentile)) if mags.size else 0.0
+    threshold = 10.0 * float(np.percentile(mags, 99.0)) if mags.size else 0.0
     rows, dims = np.nonzero(mags > threshold)
     flagged = tuple((float(tube.ts[r + 1]), int(d)) for r, d in zip(rows, dims))
     return SmoothnessReport(max_rate=max_rate, max_jump=max_jump,

@@ -29,7 +29,9 @@ those steps read.  The laws accept floats or arrays and use
 evaluating the derivative one instant at a time, as long as every shaper
 is finite.  (A shaper overflows only when |target - value| / time_floor
 exceeds the float range; a zero weight then makes the reference slope
-NaN, while the time-only terms drop it.)
+NaN, while the time-only terms drop it.)  That one-instant reference
+derivative, and the step-by-step RK4 built on it, live in
+``tests/test_tube.py``.
 
 ``integrate_lower`` takes the number of steps it integrates and,
 separately, the step count of the grid those rows belong to: rows
@@ -45,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .reach import _DEADLINE_GUARD, ReachMargin, _sech_sq
+from .reach import ReachMargin
 from .scenario import TubeParams
 
 # Runge-Kutta steps evaluated together; bounds the scratch arrays.
@@ -133,16 +135,6 @@ def pack_plans(plans, margin: ReachMargin, dims: Optional[Sequence[int]] = None)
             for p in sorted(plans, key=lambda q: q.enter_time)]
 
 
-def _margin_coef(t, t_c: float):
-    """Margin rate per unit span at time(s) t, and whether t lies before
-    the deadline guard (past it the corridor rate is exactly zero)."""
-    ta = np.asarray(t, dtype=float)
-    live = ta < t_c * (1.0 - _DEADLINE_GUARD)
-    tt = np.where(live & (ta > 0.0), ta, 0.0)
-    w = t_c - tt
-    return t_c / (w * w) * _sech_sq(tt / w), live
-
-
 def _plan_targets(t, plan: tuple) -> tuple:
     """Each target of one plan at time(s) t, with the time left in its phase."""
     prep, enter, exit_, release, _, level, anchor_in, anchor_out = plan
@@ -163,23 +155,6 @@ def _blend(rate: float, value: float, w_track: float, w_approach: float, w_resto
     the approach and restore shapers."""
     return (w_track * rate + w_approach * shaper(target_in, value, remaining_in, floor)
             + w_restore * shaper(target_out, value, remaining_out, floor))
-
-
-def _derivative(t, y, t_c, span, plans, edge, blend, floor):
-    """Corridor lower-bound derivative at one instant.
-
-    Every column follows the margin rate; the active plan's column blends
-    that rate with the approach and restore shapers.  ``integrate_lower``
-    evaluates the same terms for a block of times.
-    """
-    coef, live = _margin_coef(t, t_c)
-    out = [float(s * coef) if live else 0.0 for s in span]
-    for plan in plans:
-        if plan[3] > t:
-            k = plan[4]
-            out[k] = _blend(out[k], y[k], *_plan_terms(t, plan, edge, blend), floor)
-            break
-    return out
 
 
 def _column_block(y0, rate, still, pulls, held, sixth, half, h, floor):
@@ -261,7 +236,6 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
     t_c = margin.deadline
     per = n_steps if grid_steps is None else grid_steps
     packed = pack_plans(plans, margin, dims)
-    span = [float(margin._span[d]) for d in dims]
     edge, blend, floor = params.edge_buffer, params.blend_scale, params.time_floor
     switches = np.array(sorted({p[3] for p in packed if 0.0 < p[3] < t_c}))
     y = [float(margin.start[d]) for d in dims]
@@ -278,8 +252,7 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
         h = tn[1:] - tn[:-1]
         half = 0.5 * h
         ts = np.concatenate((tn, tn[:-1] + half))    # nodes, then midpoints
-        coef, live = _margin_coef(ts, t_c)
-        rates = [np.where(live, s * coef, 0.0) for s in span]
+        rates = list(margin.rates(ts).T[dims])
         stills = [np.zeros(ts.shape, dtype=bool) for _ in dims]
         pulls = [{} for _ in dims]
         active = np.full(ts.shape, -1)

@@ -16,11 +16,11 @@ from rastube.controller import ControllerConfig, TubeFrame, control_input, \
 from rastube.errors import TubeViolationError
 from rastube.metrics import baseline_tube, control_effort
 from rastube.reach import ReachMargin
-from rastube.sampling import random_case, random_margin, random_interval_pair
+from rastube.sampling import random_case
 from rastube.tube import evolve_tube, smoothness_check, verify_tube
 
-from test_avoidance import grid_window_oracle
-from test_reach import integrate_rate_equation
+from test_avoidance import grid_window_oracle, random_interval_pair
+from test_reach import integrate_rate_equation, random_margin
 
 N_RANDOM_TUBES = 200
 N_INTERVAL_PAIRS = 200
@@ -55,7 +55,7 @@ def test_criterion_1_tube_guarantees(case_scenario, case_tube, random_suite):
     worst_clear = math.inf
     for name, task, tube in suites:
         assert tube.ts.shape[0] >= 8000, f"{name}: grid below 8000 samples"
-        verdict = verify_tube(tube, task, boundary_tol=1e-6)
+        verdict = verify_tube(tube, task)
         for cond in verdict.conditions:
             assert cond.passed, f"{name}: {cond.name} failed ({cond.margin:.3g})"
         worst_slack = min(worst_slack,

@@ -11,10 +11,42 @@ from rastube.avoidance import (PASS_ABOVE, PASS_BELOW, ObstaclePlan, _blend_path
 from rastube.cli import parse_scenario
 from rastube.errors import InfeasibleScenarioError
 from rastube.geometry import Box
-from rastube.sampling import random_interval_pair
+from rastube.sampling import _base_task, _base_task_like
 from rastube.scenario import TubeParams
 
 from conftest import make_task
+
+
+def random_interval_pair(rng: np.random.Generator):
+    """Random single-obstacle task for crossing-window oracle tests.
+
+    Includes obstacles that never meet the swept corridor, so the empty
+    classification gets exercised too.
+    """
+    while True:
+        n = int(rng.integers(2, 4))
+        spans = rng.uniform(8.0, 14.0, n)
+        margin = rng.uniform(0.1, 0.3, n)
+        start = rng.uniform(0.6, 1.4, n)
+        target = spans - rng.uniform(0.6, 1.4, n)
+        skeleton = _base_task(rng, n, (), [], spans, start, target, margin)
+        lower = skeleton.lower_margin()
+        width = 2.0 * skeleton.band_halfwidth
+        if rng.random() < 0.25:
+            # deliberately off the swept corridor in one dimension
+            center = lower.value_vec(rng.uniform(0.2, 0.8) * skeleton.deadline) + 0.5 * width
+            miss_dim = int(rng.integers(0, n))
+            center[miss_dim] = spans[miss_dim] + 3.0
+        else:
+            center = lower.value_vec(rng.uniform(0.05, 0.95) * skeleton.deadline) + 0.5 * width
+            center += rng.uniform(-0.5, 0.5, n)
+        half = rng.uniform(0.2, 1.2, n)
+        box = Box.from_pairs(zip(center - half, center + half))
+        if not (skeleton.initial_set.disjoint_from(box)
+                and skeleton.target_set.disjoint_from(box)):
+            continue
+        task = _base_task_like(skeleton, [box], [0.1])
+        return task, 0
 
 
 def grid_window_oracle(task, j, samples=100000):
@@ -56,7 +88,13 @@ class TestCrossingFractions:
         # frozen: atanh(1.5/11) = 0.13722, fraction 0.12066, 9.653 s at the
         # 80 s deadline; cross-checked against the exact level crossing
         assert fr[0] == pytest.approx(0.120659, abs=1e-5)
-        t_cross = task.lower_margin().crossing_time(0, 1.5)
+        # the exact level crossing, by bisection of value(0, .) = 1.5
+        m = task.lower_margin()
+        lo, hi = 0.0, task.deadline
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if m.value(0, mid) < 1.5 else (lo, mid)
+        t_cross = 0.5 * (lo + hi)
         assert fr[0] * task.deadline == pytest.approx(t_cross, abs=1e-9)
         assert t_cross == pytest.approx(9.6527, abs=1e-3)
 

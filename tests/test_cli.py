@@ -66,6 +66,25 @@ class TestParse:
             parse_scenario(write_scenario(tmp_path, doc))
         assert [path for path, _ in err.value.issues] == ["plant.disturbance.seed"]
 
+    def test_step_above_twice_time_floor_names_key(self, tmp_path, capsys):
+        doc = load_bundled()
+        doc["tube"].update({"step": 0.01, "time_floor": 0.004})
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario(write_scenario(tmp_path, doc))
+        assert [path for path, _ in err.value.issues] == ["tube.step"]
+        out = tmp_path / "syn"
+        code = run_cli(["synthesize", "--scenario", str(write_scenario(tmp_path, doc)),
+                        "--out", str(out)])
+        assert code == 2
+        assert "error: tube.step:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_at_twice_time_floor_accepted(self, tmp_path):
+        doc = load_bundled()
+        doc["tube"].update({"step": 0.01, "time_floor": 0.005})
+        scn = parse_scenario(write_scenario(tmp_path, doc))
+        assert scn.tube.step == 2.0 * scn.tube.time_floor
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             parse_scenario(tmp_path / "nope.json")
@@ -236,6 +255,20 @@ class TestOverrides:
                         "--out", str(out), "--dt", "0"])
         assert code == 2
         assert "error: tube.step:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, "t,g1L,g1U,g2L,g2U\n",
+                                         "t,g1L,g1U,g2L,g2U\n0,0,0.3,x,0.3\n"],
+                             ids=["missing", "header-only", "non-numeric"])
+    def test_unreadable_tube_exits_two(self, tmp_path, capsys, content):
+        tube = tmp_path / "tube.csv"
+        if content is not None:
+            tube.write_text(content)
+        out = tmp_path / "ver"
+        code = run_cli(["verify", "--scenario", str(fast_scenario(tmp_path)),
+                        "--tube", str(tube), "--out", str(out)])
+        assert code == 2
+        assert "error: --tube:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flag_unused_by_subcommand_rejected(self, tmp_path):

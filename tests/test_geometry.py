@@ -22,13 +22,6 @@ class TestInterval:
     def test_identical_intervals_intersect(self):
         assert iv(0.0, 1.0).intersects(iv(0.0, 1.0))
 
-    def test_intersection_empty_is_none(self):
-        assert iv(0.0, 1.0).intersection(iv(2.0, 3.0)) is None
-
-    def test_intersection_value(self):
-        got = iv(0.0, 2.0).intersection(iv(1.0, 3.0))
-        assert got == iv(1.0, 2.0)
-
 
 class TestBox:
     def test_contains(self):

@@ -23,9 +23,6 @@ class LinearPlant:
     def derivative(self, x, u, w):
         return self.a @ x + self.b @ u + w
 
-    def input_matrix(self, x):
-        return self.b
-
     def symmetric_input_floor(self, x):
         sym = 0.5 * (self.b + self.b.T)
         return float(np.linalg.eigvalsh(sym).min())
@@ -43,6 +40,12 @@ class MarginFrames:
         return lo.tolist(), (lo + self.width).tolist()
 
 
+def heading_rotation(heading):
+    """The omni robot's input map: the heading rotation embedded in 3x3."""
+    c, s = math.cos(heading), math.sin(heading)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 class TestOmniRobot:
     def test_identity_rotation(self):
         got = OmniRobot().derivative(np.array([0.0, 0.0, 0.0]),
@@ -58,14 +61,14 @@ class TestOmniRobot:
         x = np.array([0.3, -0.2, math.pi / 4])
         u = np.array([1.0, 1.0, 0.2])
         w = np.array([0.01, -0.01, 0.0])
-        oracle = OmniRobot().input_matrix(x) @ u + w
+        oracle = heading_rotation(x[2]) @ u + w
         got = OmniRobot().derivative(x, u, w)
         np.testing.assert_allclose(got, oracle, atol=1e-15)
 
     def test_symmetric_part_floor(self):
         robot = OmniRobot()
         for heading in (0.0, 0.4, -1.2):
-            g = robot.input_matrix(np.array([0.0, 0.0, heading]))
+            g = heading_rotation(heading)
             oracle = np.linalg.eigvalsh(0.5 * (g + g.T)).min()
             assert robot.symmetric_input_floor(np.array([0, 0, heading])) == \
                 pytest.approx(oracle, abs=1e-12)
@@ -106,6 +109,14 @@ class TestDisturbance:
         ts = np.linspace(0.0, 10.0, 400)
         seq = model.sequence(2, ts)
         assert np.abs(seq).max() <= 0.03 + 1e-12
+
+
+class TestFrameProvider:
+    def test_non_leading_task_dims_rejected(self):
+        # the heading first, the two task dimensions after it
+        with pytest.raises(ConfigurationError) as err:
+            FrameProvider(None, 3, [1, 2], [(-1.0, 1.0)])
+        assert [path for path, _ in err.value.issues] == ["plant"]
 
 
 def integrator_setup(stay=0.0, disturbance=None, start=(0.25, 0.25), step=0.004):

@@ -3,12 +3,31 @@ import math
 import numpy as np
 import pytest
 
+from rastube.avoidance import _fraction
 from rastube.reach import ReachMargin
-from rastube.sampling import random_margin
+
+
+def random_margin(rng: np.random.Generator, n: int = 1):
+    """Random (start, end, deadline) triple for margin-level tests."""
+    start = rng.uniform(-5.0, 5.0, n)
+    end = start + rng.uniform(0.5, 12.0, n) * rng.choice([-1.0, 1.0], n)
+    deadline = float(rng.uniform(5.0, 100.0))
+    return start, end, deadline
 
 
 def margin(start, end, deadline):
     return ReachMargin(np.array([float(start)]), np.array([float(end)]), deadline)
+
+
+def margin_rate(m, t):
+    """The margin rate the corridor integrator runs, at one time in dim 0."""
+    return float(m.rates([t])[0, 0])
+
+
+def crossing_time(m, level):
+    """Time at which value(0, .) reaches ``level``, from the crossing
+    fraction the planner uses."""
+    return m.deadline * _fraction(level - m.start[0], m.end[0] - m.start[0])
 
 
 def integrate_rate_equation(start, end, t_c, n_steps=40000, horizon=None):
@@ -59,26 +78,26 @@ class TestValue:
         m = margin(3.0, 3.0, 10.0)
         for t in (0.0, 2.5, 9.0, 10.0, 20.0):
             assert m.value(0, t) == 3.0
-            assert m.rate(0, t) == 0.0
+            assert margin_rate(m, t) == 0.0
 
 
 class TestRate:
     def test_zero_at_and_after_deadline(self):
         m = margin(0.0, 11.0, 80.0)
-        assert m.rate(0, 80.0) == 0.0
-        assert m.rate(0, 81.0) == 0.0
+        assert margin_rate(m, 80.0) == 0.0
+        assert margin_rate(m, 81.0) == 0.0
 
     def test_initial_rate_is_span_over_deadline(self):
         m = margin(0.0, 11.0, 80.0)
-        assert m.rate(0, 0.0) == pytest.approx(11.0 / 80.0, rel=1e-12)
+        assert margin_rate(m, 0.0) == pytest.approx(11.0 / 80.0, rel=1e-12)
 
     def test_vanishes_near_deadline(self):
         # finite-difference oracle at t = 79.9 with h = 1e-4
         m = margin(0.0, 11.0, 80.0)
         h = 1e-4
         fd = (m.value(0, 79.9 + h) - m.value(0, 79.9 - h)) / (2 * h)
-        assert m.rate(0, 79.9) == pytest.approx(fd, abs=1e-9)
-        assert m.rate(0, 79.9) < 1e-6
+        assert margin_rate(m, 79.9) == pytest.approx(fd, abs=1e-9)
+        assert margin_rate(m, 79.9) < 1e-6
 
 
 def test_rate_consistent_with_finite_differences():
@@ -89,7 +108,7 @@ def test_rate_consistent_with_finite_differences():
         t = rng.uniform(0.0, 0.995 * t_c)
         h = 1e-5 * t_c
         fd = (m.value(0, t + h) - m.value(0, t - h)) / (2 * h)
-        r = m.rate(0, t)
+        r = margin_rate(m, t)
         assert abs(fd - r) <= 1e-4 * max(1.0, abs(r))
 
 
@@ -123,14 +142,14 @@ def test_crossing_time_inverts_value():
         m = ReachMargin(start, end, t_c)
         frac = rng.uniform(0.05, 0.95)
         level = start[0] + frac * (end[0] - start[0])
-        t = m.crossing_time(0, level)
+        t = crossing_time(m, level)
         assert m.value(0, t) == pytest.approx(level, abs=1e-9 * abs(end[0] - start[0]))
 
 
 def test_crossing_time_clamps():
     m = margin(0.0, 11.0, 80.0)
-    assert m.crossing_time(0, -1.0) == 0.0
-    assert m.crossing_time(0, 12.0) == 80.0
+    assert crossing_time(m, -1.0) == 0.0
+    assert crossing_time(m, 12.0) == 80.0
     const = margin(3.0, 3.0, 10.0)
-    assert const.crossing_time(0, 2.0) == 0.0
-    assert const.crossing_time(0, 4.0) == 10.0
+    assert crossing_time(const, 2.0) == 0.0
+    assert crossing_time(const, 4.0) == 10.0

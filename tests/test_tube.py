@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rastube import tube_core
-from rastube.avoidance import PASS_ABOVE, ObstaclePlan, active_plan
+from rastube.avoidance import PASS_ABOVE, ObstaclePlan, _fraction
 from rastube.errors import InfeasibleScenarioError
 from rastube.geometry import Box
 from rastube.scenario import RasTask, TubeParams
@@ -16,12 +16,21 @@ def tube_derivative(task, plans, params, values, t):
     """Scalar oracle of the corridor lower-bound derivative, written out
     independently of tube_core.
 
-    Every dimension follows the margin rate; the active plan's dimension
-    blends that rate with the approach and restore shapers.
+    Every dimension follows the margin rate, the derivative of
+    start + span * tanh(t / (T - t)); the active plan, the first by entry
+    time not yet released, blends that rate in its dimension with the
+    approach and restore shapers.
     """
     margin = task.lower_margin()
-    out = margin.rate_vec(t)
-    plan = active_plan(sorted(plans, key=lambda p: p.enter_time), t)
+    t_c = margin.deadline
+    out = np.zeros(margin.n)
+    if t < t_c * (1.0 - 1e-9):
+        w = t_c - max(t, 0.0)
+        z = max(t, 0.0) / w
+        sech_sq = 0.0 if z > 300.0 else 1.0 / math.cosh(z) ** 2
+        out = (margin.end - margin.start) * t_c / (w * w) * sech_sq
+    plan = next((p for p in sorted(plans, key=lambda p: p.enter_time)
+                 if p.release_time > t), None)
     if plan is None:
         return out
     k = plan.dim
@@ -57,10 +66,9 @@ def tube_derivative(task, plans, params, values, t):
 def integrator_derivative(task, plans, params, values, t):
     """The derivative the corridor integrator evaluates."""
     m = task.lower_margin()
-    return np.array(tube_core._derivative(
-        t, [float(v) for v in values], task.deadline, [float(s) for s in m._span],
-        tube_core.pack_plans(plans, m), params.edge_buffer, params.blend_scale,
-        params.time_floor))
+    return np.array(corridor_derivative(
+        t, [float(v) for v in values], m, list(range(m.n)), tube_core.pack_plans(plans, m),
+        params.edge_buffer, params.blend_scale, params.time_floor))
 
 
 class TestSmoothstep:
@@ -166,7 +174,7 @@ class TestShapers:
         # fine-grid monotonicity scan of the blend from the anchor (1.0
         # here) up to the level 2.1
         m = demo_margin()
-        prep = m.crossing_time(0, 1.0)
+        prep = m.deadline * _fraction(1.0 - m.start[0], m.end[0] - m.start[0])
         plan = demo_plan(enter=prep + 2.0, exit_=prep + 6.0, level=2.1)
         assert m.value(0, plan.prep_time) == pytest.approx(1.0, abs=1e-12)
         ts = np.linspace(plan.prep_time, plan.enter_time - 1e-9, 4000)
@@ -202,7 +210,7 @@ class TestTubeDerivative:
         m = task.lower_margin()
         for t in (0.0, 11.0, 40.0, 79.0):
             got = integrator_derivative(task, [], case_scenario.tube, m.value_vec(t), t)
-            np.testing.assert_allclose(got, m.rate_vec(t), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got, m.rates([t])[0], rtol=0, atol=1e-15)
 
     def test_initial_rate(self, case_scenario):
         task = case_scenario.task
@@ -246,23 +254,41 @@ class TestTubeDerivative:
             evolve_tube(case_scenario.task, [p, clone], case_scenario.tube)
 
 
+def corridor_derivative(t, y, margin, dims, plans, edge, blend, floor):
+    """Corridor lower-bound derivative at one instant, from the tube_core
+    laws: the bit-for-bit reference of ``integrate_lower``.
+
+    Every column follows the margin rate; the active plan's column blends
+    that rate with the approach and restore shapers.  ``plans`` are packed
+    by ``tube_core.pack_plans`` with the same ``dims``.
+    """
+    rate = margin.rates([t])[0]
+    out = [float(rate[d]) for d in dims]
+    for plan in plans:
+        if plan[3] > t:
+            k = plan[4]
+            out[k] = tube_core._blend(out[k], y[k],
+                                      *tube_core._plan_terms(t, plan, edge, blend), floor)
+            break
+    return out
+
+
 def stepwise_rk4(margin, n_steps, plans, params, dims=None):
-    """Plain RK4 over tube_core._derivative, one step at a time, with steps
+    """Plain RK4 over corridor_derivative, one step at a time, with steps
     split at release times: what integrate_lower computes block by block."""
     dims = list(range(margin.n)) if dims is None else list(dims)
     t_c = margin.deadline
     packed = tube_core.pack_plans(plans, margin, dims)
-    law = (t_c, [float(margin._span[d]) for d in dims], packed,
-           params.edge_buffer, params.blend_scale, params.time_floor)
+    law = (margin, dims, packed, params.edge_buffer, params.blend_scale, params.time_floor)
     switches = sorted(p[3] for p in packed if 0.0 < p[3] < t_c)
 
     def rk4(ta, tb, y):
         h = tb - ta
         half = 0.5 * h
-        k1 = tube_core._derivative(ta, y, *law)
-        k2 = tube_core._derivative(ta + half, [v + half * d for v, d in zip(y, k1)], *law)
-        k3 = tube_core._derivative(ta + half, [v + half * d for v, d in zip(y, k2)], *law)
-        k4 = tube_core._derivative(tb, [v + h * d for v, d in zip(y, k3)], *law)
+        k1 = corridor_derivative(ta, y, *law)
+        k2 = corridor_derivative(ta + half, [v + half * d for v, d in zip(y, k1)], *law)
+        k3 = corridor_derivative(ta + half, [v + half * d for v, d in zip(y, k2)], *law)
+        k4 = corridor_derivative(tb, [v + h * d for v, d in zip(y, k3)], *law)
         return [v + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
