@@ -15,8 +15,10 @@ guarantee or feasibility check failed, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -353,14 +355,46 @@ def _synthesize(scn: Scenario, out: Path):
     smooth = smoothness_check(tube)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "plans.json", _plans_payload(scn, plans, report))
-    tube.to_csv(out / "tube.csv")
     _write_json(out / "verify.json", verdict.as_dict())
     _write_json(out / "smoothness.json", smooth.as_dict())
     return plans, tube, verdict, smooth
 
 
+@contextlib.contextmanager
+def _tube_csv_in_child(tube: Tube, path: Path):
+    """Write ``tube`` to ``path`` from a forked child while the body runs.
+
+    The child leaves through ``os._exit``, so it flushes no inherited
+    buffers and runs no exit handlers.  It is waited for on the way out,
+    and a failed child raises OSError unless the body is raising already.
+    Where ``os.fork`` is missing, the file is written in-line first.
+    """
+    if not hasattr(os, "fork"):
+        tube.to_csv(path)
+        yield
+        return
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            tube.to_csv(path)
+            code = 0
+        except Exception as exc:
+            os.write(2, f"error: {exc}\n".encode())
+        finally:
+            os._exit(code)
+    try:
+        yield
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise OSError(f"writing {path} failed in a child process "
+                      f"(exit code {os.waitstatus_to_exitcode(status)})")
+
+
 def cmd_synthesize(scn: Scenario, out: Path) -> int:
     plans, tube, verdict, smooth = _synthesize(scn, out)
+    tube.to_csv(out / "tube.csv")
     print(f"synthesized corridor with {len(plans)} detour(s); "
           f"verification {'passed' if verdict.passed else 'FAILED'}")
     return EXIT_OK if verdict.passed else EXIT_GUARANTEE
@@ -399,28 +433,30 @@ def _sim_options(scn: Scenario, sim_step: Optional[float] = None,
 def cmd_simulate(scn: Scenario, out: Path, seed: Optional[int],
                  sim_step: Optional[float], stay: Optional[float]) -> int:
     plans, tube, verdict, smooth = _synthesize(scn, out)
-    trace = _run_simulation(scn, tube, plans, seed=seed, sim_step=sim_step, stay=stay)
-    trace.to_csv(out / "trace.csv")
-    effort = control_effort(trace)
-    used_seed = seed if seed is not None else scn.plant.disturbance.seed
-    _write_json(out / "run.json", {
-        "scenario": scn.name,
-        "seed": used_seed,
-        "sim_step": sim_step if sim_step is not None else scn.run.sim_step,
-        "stay_horizon": stay if stay is not None else scn.run.stay_horizon,
-        "flags": trace.flags.as_dict(),
-        "reach_time": trace.reach_time,
-        "failure_time": trace.failure_time,
-        "failure_reason": trace.failure_reason,
-        "failure": trace.failure,
-        "effort": effort.as_dict(),
-        "min_input_floor": trace.min_input_floor,
-        "corridor_verified": verdict.passed,
-    })
-    status = "ok" if (verdict.passed and trace.flags.all_ok) else "FAILED"
-    print(f"simulate: reached={trace.flags.reached} safe={trace.flags.safe} "
-          f"contained={trace.flags.contained} stayed={trace.flags.stayed} [{status}]")
-    return EXIT_OK if (verdict.passed and trace.flags.all_ok) else EXIT_GUARANTEE
+    # the corridor CSV is written on another core while the closed loop runs
+    with _tube_csv_in_child(tube, out / "tube.csv"):
+        trace = _run_simulation(scn, tube, plans, seed=seed, sim_step=sim_step, stay=stay)
+        trace.to_csv(out / "trace.csv")
+        effort = control_effort(trace)
+        used_seed = seed if seed is not None else scn.plant.disturbance.seed
+        _write_json(out / "run.json", {
+            "scenario": scn.name,
+            "seed": used_seed,
+            "sim_step": sim_step if sim_step is not None else scn.run.sim_step,
+            "stay_horizon": stay if stay is not None else scn.run.stay_horizon,
+            "flags": trace.flags.as_dict(),
+            "reach_time": trace.reach_time,
+            "failure_time": trace.failure_time,
+            "failure_reason": trace.failure_reason,
+            "failure": trace.failure,
+            "effort": effort.as_dict(),
+            "min_input_floor": trace.min_input_floor,
+            "corridor_verified": verdict.passed,
+        })
+        status = "ok" if (verdict.passed and trace.flags.all_ok) else "FAILED"
+        print(f"simulate: reached={trace.flags.reached} safe={trace.flags.safe} "
+              f"contained={trace.flags.contained} stayed={trace.flags.stayed} [{status}]")
+        return EXIT_OK if (verdict.passed and trace.flags.all_ok) else EXIT_GUARANTEE
 
 
 def cmd_verify(scn: Scenario, tube_path: Path, out: Path) -> int:

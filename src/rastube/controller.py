@@ -138,6 +138,25 @@ def gain_diagonal(e: np.ndarray, frame: TubeFrame, t: Optional[float] = None) ->
     return np.array(_gain(e, frame.ws))
 
 
+def _law(x, sums, ws, scale, lim) -> Optional[list]:
+    """The feedback on float lists, in one pass: ``u``, or None when some
+    |e_i| >= 1.  ``sums`` and ``ws`` are the frame's bound sums and widths,
+    ``scale`` is -gain_sign * gain and ``lim`` the input limit or None."""
+    e = [(2.0 * xi - si) / wi for xi, si, wi in zip(x, sums, ws)]
+    neg = []
+    for v in e:
+        if abs(v) >= 1.0:
+            return None
+        neg.append(-v)
+    logs = np.log1p(e + neg).tolist()
+    # gain times barrier, in the operand order of _gain and _barrier
+    u = [scale * (4.0 / (wi * (1.0 - v * v))) * (a - b)
+         for v, wi, a, b in zip(e, ws, logs, logs[len(e):])]
+    if lim is not None:
+        u = [min(max(v, -lim), lim) for v in u]
+    return u
+
+
 def control_input(x, frame: TubeFrame, cfg: ControllerConfig,
                   t: Optional[float] = None):
     """Feedback input for one instant; pushes each component toward the
@@ -150,15 +169,7 @@ def control_input(x, frame: TubeFrame, cfg: ControllerConfig,
     as_list = isinstance(x, list)
     if not as_list:
         x = np.asarray(x, dtype=float).tolist()
-    ws = frame.ws
-    e = _normalized(x, frame.sums, ws)
-    _check_inside(e, frame, t)
-    logs = _log_pairs(e)
-    scale = -cfg.gain_sign * cfg.gain
-    # gain times barrier, in the operand order of _gain and _barrier
-    u = [scale * (4.0 / (wi * (1.0 - v * v))) * (a - b)
-         for v, wi, a, b in zip(e, ws, logs, logs[len(e):])]
-    if cfg.input_limit is not None:
-        lim = cfg.input_limit
-        u = [min(max(v, -lim), lim) for v in u]
+    u = _law(x, frame.sums, frame.ws, -cfg.gain_sign * cfg.gain, cfg.input_limit)
+    if u is None:
+        _check_inside(_normalized(x, frame.sums, frame.ws), frame, t)
     return u if as_list else np.array(u)

@@ -2,10 +2,11 @@
 
 One Python RK4 loop steps every plant.  It holds the disturbance constant
 over each macro step, re-evaluates the feedback at every stage against the
-corridor frame at the stage time (the two midpoint stages share one
-frame, and a step's end frame is the next row's), and records state,
-corridor bounds, input, and the active detour per step.  The state and
-input are stepped as lists of floats, which Python updates faster than
+corridor bounds at the stage time (the two midpoint stages share them,
+and a step's end bounds are the next row's), and records state, corridor
+bounds, input, and the active detour per step.  The stage bounds are
+built in bulk, one block of steps at a time; the state and input are
+stepped as lists of floats, which Python updates faster than
 three-element arrays.  Flags summarise the run:
 reached (target hit by the deadline), safe (never inside an unsafe set),
 contained (always strictly inside the corridor), stayed (inside the target
@@ -21,7 +22,7 @@ from typing import Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .avoidance import ObstaclePlan
-from .controller import ControllerConfig, TubeFrame, control_input
+from .controller import ControllerConfig, TubeFrame, _law, control_input
 from .errors import ConfigurationError, TubeViolationError
 from .geometry import Box
 from .scenario import RasTask
@@ -129,12 +130,16 @@ class DisturbanceModel:
 
 
 class FrameProvider:
-    """Assembles full-state corridor frames from the task corridor.
+    """Assembles full-state corridor bounds from the task corridor.
 
     The task dimensions lead the state (``task_dims`` is 0, 1, ..., k-1)
-    and read the synthesized corridor (``source.bounds(t)`` returns its
-    lower and upper float lists); the remaining state dimensions (for
-    example the robot heading) get fixed wide bounds.
+    and read the synthesized corridor: ``source.bounds(t)`` returns its
+    lower and upper bounds at one time as float lists, and
+    ``source.bounds_at(times)`` at many times as arrays of shape
+    (len(times), k).  The remaining state dimensions (for example the
+    robot heading) get fixed wide bounds.  ``frame(t)`` builds the
+    validated frame at one time, which the closed loop needs only at its
+    start; ``block(times)`` builds the bounds of a block of stage times.
     """
 
     def __init__(self, source, state_dim: int, task_dims: Sequence[int],
@@ -157,6 +162,17 @@ class FrameProvider:
     def frame(self, t: float) -> TubeFrame:
         lo, hi = self.source.bounds(t)
         return TubeFrame(lo + self._extra_lo, hi + self._extra_hi)
+
+    def block(self, times) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Full-state (lower, upper, upper + lower, upper - lower) at each of
+        ``times``, arrays of shape (len(times), state_dim) with the bits of
+        ``frame(t)``'s ``lo``, ``hi``, ``sums`` and ``ws`` row for row.
+        Unlike ``frame``, it does not reject a width <= 0."""
+        lo, hi = self.source.bounds_at(times)
+        m = lo.shape[0]
+        lo = np.hstack((lo, np.broadcast_to(self._extra_lo, (m, len(self._extra_lo)))))
+        hi = np.hstack((hi, np.broadcast_to(self._extra_hi, (m, len(self._extra_hi)))))
+        return lo, hi, hi + lo, hi - lo
 
 
 @dataclass
@@ -232,6 +248,10 @@ def _rows_in_box(states: np.ndarray, box: Box, dims: Sequence[int]) -> np.ndarra
     return np.all((x >= box.lower) & (x <= box.upper), axis=1)
 
 
+# grid steps whose stage bounds are built together
+_BLOCK = 512
+
+
 def _violation(time: float, err: TubeViolationError):
     """(failure time, reason, record) for a state that left the corridor at
     stage time ``err.time`` of the step starting at ``time``."""
@@ -243,59 +263,102 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
                inputs):
     """RK4 closed loop over the time grid, filling the preallocated rows.
 
-    ``frame`` is the corridor frame at the first grid time.  The state,
-    input and disturbance are stepped as lists of floats.  The frame built
-    for a step's end stage is the next row's frame: with t = t_end*k/n and
-    t_next = t_end*(k+1)/n, t_next - t is exact (Sterbenz), so the end
-    stage time t + h is t_next itself.
+    ``frame`` is the corridor frame at the first grid time.  The stage
+    bounds are built ``_BLOCK`` steps at a time: each step's midpoint
+    (shared by the two midpoint stages) and its end, which is also the next
+    row's bounds: with t = t_end*k/n and t_next = t_end*(k+1)/n,
+    t_next - t is exact (Sterbenz), so the end stage time t + h is t_next
+    itself.  The state, input and disturbance are stepped as lists of
+    floats, and a block's rows are stored together.
     Returns (rows filled, min input floor, failure); failure is None when
     the run completes, else (failure time, reason, failure record).
     """
     floor_fn = dynamics.symmetric_input_floor
     rate = dynamics.derivative
+    scale = -cfg.gain_sign * cfg.gain
+    lim = cfg.input_limit
     ts = grid_ts.tolist()
     n_steps = len(ts) - 1
     min_floor = float("inf")
-    rows = 0
-    for step, t in enumerate(ts):
-        try:
-            u = control_input(x, frame, cfg, t=t)
-        except TubeViolationError as err:
-            return rows, min_floor, _violation(t, err)
-        states[step] = x
-        lowers[step] = frame.lo
-        uppers[step] = frame.hi
-        inputs[step] = u
-        min_floor = min(min_floor, floor_fn(x))
-        rows = step + 1
-        if step == n_steps:
-            break
-        w = dists[step].tolist()
-        t_next = ts[step + 1]
-        h = t_next - t
-        t_mid = t + 0.5 * h
-        try:
-            mid = frames.frame(t_mid)
-            # strict: a derivative of the wrong length must not be cut short
-            k1 = rate(x, u, w)
-            x2 = [v + 0.5 * h * k for v, k in zip(x, k1, strict=True)]
-            k2 = rate(x2, control_input(x2, mid, cfg, t=t_mid), w)
-            x3 = [v + 0.5 * h * k for v, k in zip(x, k2, strict=True)]
-            k3 = rate(x3, control_input(x3, mid, cfg, t=t_mid), w)
-            x4 = [v + h * k for v, k in zip(x, k3, strict=True)]
-            frame = frames.frame(t_next)
-            k4 = rate(x4, control_input(x4, frame, cfg, t=t_next), w)
-        except TubeViolationError as err:
-            return rows, min_floor, _violation(t, err)
-        sixth = h / 6.0
-        x = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
-             for v, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True)]
-        if not all(map(math.isfinite, x)):
-            dim = next(d for d, v in enumerate(x) if not math.isfinite(v))
-            return rows, min_floor, (t_next, "non-finite state",
-                                     {"time": t_next, "dim": dim, "value": None,
-                                      "lower": None, "upper": None})
-    return rows, min_floor, None
+    lowers[0] = frame.lo
+    uppers[0] = frame.hi
+    # the current row's bounds: sums and widths for the law, lower and
+    # upper for control_input, which builds the failure record
+    row_s, row_w, row_lo, row_hi = frame.sums, frame.ws, frame.lo, frame.hi
+    for first in range(0, n_steps + 1, _BLOCK):
+        stop = min(first + _BLOCK, n_steps + 1)     # rows first..stop-1
+        last = min(stop, n_steps)                   # steps first..last-1
+        if last > first:
+            t0, t1 = grid_ts[first:last], grid_ts[first + 1:last + 1]
+            # stage 2j is the midpoint of step first+j, stage 2j+1 its end
+            stage_arr = np.column_stack((t0 + 0.5 * (t1 - t0), t1)).ravel()
+            lo, hi, sums_arr, ws_arr = frames.block(stage_arr)
+            lowers[first + 1:last + 1] = lo[1::2]
+            uppers[first + 1:last + 1] = hi[1::2]
+            stage_ts = stage_arr.tolist()
+            sums = sums_arr.tolist()
+            ws = ws_arr.tolist()
+            # a stage whose width is <= 0 gets empty bounds: the law returns
+            # [] for it, so control_input runs and its TubeFrame raises
+            # ConfigurationError when the loop reaches that stage
+            for j in np.flatnonzero((ws_arr <= 0.0).any(axis=1)).tolist():
+                sums[j] = ws[j] = []
+            block_w = dists[first:last].tolist()
+        xs = []
+        us = []
+        failure = None
+        # _law returns None outside the corridor (or [] on an empty bounds
+        # row); control_input then raises with the stage's full record
+        for r in range(first, stop):
+            t = ts[r]
+            try:
+                u = _law(x, row_s, row_w, scale, lim) or \
+                    control_input(x, TubeFrame(row_lo, row_hi), cfg, t=t)
+            except TubeViolationError as err:
+                failure = _violation(t, err)
+                break
+            xs.append(x)
+            us.append(u)
+            min_floor = min(min_floor, floor_fn(x))
+            if r == n_steps:
+                break
+            j = 2 * (r - first)
+            w = block_w[r - first]
+            t_next = ts[r + 1]
+            h = t_next - t
+            mid_s, mid_w = sums[j], ws[j]
+            end_s, end_w = sums[j + 1], ws[j + 1]
+            try:
+                # strict: a derivative of the wrong length must not be cut short
+                k1 = rate(x, u, w)
+                x2 = [v + 0.5 * h * k for v, k in zip(x, k1, strict=True)]
+                k2 = rate(x2, _law(x2, mid_s, mid_w, scale, lim) or control_input(
+                    x2, TubeFrame(lo[j], hi[j]), cfg, t=stage_ts[j]), w)
+                x3 = [v + 0.5 * h * k for v, k in zip(x, k2, strict=True)]
+                k3 = rate(x3, _law(x3, mid_s, mid_w, scale, lim) or control_input(
+                    x3, TubeFrame(lo[j], hi[j]), cfg, t=stage_ts[j]), w)
+                x4 = [v + h * k for v, k in zip(x, k3, strict=True)]
+                k4 = rate(x4, _law(x4, end_s, end_w, scale, lim) or control_input(
+                    x4, TubeFrame(lo[j + 1], hi[j + 1]), cfg, t=t_next), w)
+            except TubeViolationError as err:
+                failure = _violation(t, err)
+                break
+            sixth = h / 6.0
+            x = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for v, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True)]
+            if not all(map(math.isfinite, x)):
+                dim = next(d for d, v in enumerate(x) if not math.isfinite(v))
+                failure = (t_next, "non-finite state",
+                           {"time": t_next, "dim": dim, "value": None,
+                            "lower": None, "upper": None})
+                break
+            row_s, row_w, row_lo, row_hi = end_s, end_w, lo[j + 1], hi[j + 1]
+        if xs:
+            states[first:first + len(xs)] = xs
+            inputs[first:first + len(us)] = us
+        if failure is not None:
+            return first + len(xs), min_floor, failure
+    return n_steps + 1, min_floor, None
 
 
 def simulate(task: RasTask, frames: FrameProvider, cfg: ControllerConfig,

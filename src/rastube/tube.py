@@ -10,6 +10,7 @@ fixed-step RK4; verification and smoothness checks run on the stored grid.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -45,27 +46,31 @@ class Tube:
     def upper(self) -> np.ndarray:
         return self.lower + self.width[None, :]
 
-    def bounds(self, t: float) -> Tuple[List[float], List[float]]:
-        """Linearly interpolated (lower, upper) at time t, as float lists.
+    def bounds_at(self, times) -> Tuple[np.ndarray, np.ndarray]:
+        """Linearly interpolated (lower, upper) at each of ``times``, as
+        arrays of shape (len(times), n).
 
         Clamped to the first/last grid row outside the synthesis horizon;
         the corridor is constant past the deadline.
         """
+        t = np.asarray(times, dtype=float)
         ts = self.ts
         rows = ts.shape[0]
         t0 = float(ts[0])
         t1 = float(ts[-1])
-        if t <= t0:
-            lo = self.lower[0].tolist()
-        elif t >= t1:
-            lo = self.lower[-1].tolist()
-        else:
-            pos = (t - t0) / ((t1 - t0) / (rows - 1))
-            i = min(int(pos), rows - 2)
-            frac = pos - i
-            a, b = self.lower[i:i + 2].tolist()
-            lo = [(1.0 - frac) * p + frac * q for p, q in zip(a, b)]
-        return lo, [v + w for v, w in zip(lo, self.width.tolist())]
+        lo = np.where((t <= t0)[:, None], self.lower[0], self.lower[-1])
+        inner = np.flatnonzero((t > t0) & (t < t1))
+        if inner.size:
+            pos = (t[inner] - t0) / ((t1 - t0) / (rows - 1))
+            i = np.minimum(pos.astype(np.intp), rows - 2)
+            frac = (pos - i)[:, None]
+            lo[inner] = (1.0 - frac) * self.lower[i] + frac * self.lower[i + 1]
+        return lo, lo + self.width
+
+    def bounds(self, t: float) -> Tuple[List[float], List[float]]:
+        """``bounds_at`` at the one time t, as float lists."""
+        lo, hi = self.bounds_at([t])
+        return lo[0].tolist(), hi[0].tolist()
 
     def rates(self) -> np.ndarray:
         """Finite-difference derivative on the grid, shape (N, n)."""
@@ -81,7 +86,11 @@ class Tube:
 
     @classmethod
     def from_csv(cls, path) -> "Tube":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a header-only file is reported by the shape check below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] < 3 or (data.shape[1] - 1) % 2:
             raise ValueError("tube CSV needs columns t,g1L,g1U,...")
         n = (data.shape[1] - 1) // 2

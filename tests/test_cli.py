@@ -1,12 +1,17 @@
 import json
+import os
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
 
 import rastube
+import rastube.cli as cli
+from rastube.avoidance import schedule
 from rastube.cli import parse_scenario, run_cli
 from rastube.errors import ConfigurationError
+from rastube.tube import evolve_tube
 
 
 def load_bundled():
@@ -108,6 +113,18 @@ def fast_scenario(tmp_path, **tweaks):
     for section, values in tweaks.items():
         doc[section].update(values)
     return write_scenario(tmp_path, doc, "fast.json")
+
+
+def in_process_tube_csv(scenario, path):
+    """The corridor CSV of ``scenario`` written in this process."""
+    scn = parse_scenario(scenario)
+    evolve_tube(scn.task, schedule(scn.task, scn.tube), scn.tube).to_csv(path)
+    return path.read_bytes()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestPipeline:
@@ -265,10 +282,15 @@ class TestOverrides:
         if content is not None:
             tube.write_text(content)
         out = tmp_path / "ver"
-        code = run_cli(["verify", "--scenario", str(fast_scenario(tmp_path)),
-                        "--tube", str(tube), "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["verify", "--scenario", str(fast_scenario(tmp_path)),
+                            "--tube", str(tube), "--out", str(out)])
         assert code == 2
-        assert "error: --tube:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: --tube:" in err
+        assert "UserWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
         assert not out.exists()
 
     def test_flag_unused_by_subcommand_rejected(self, tmp_path):
@@ -287,3 +309,41 @@ class TestOverrides:
         assert code == 2
         assert f"error: --batch: cannot be combined with {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestTubeWriter:
+    """``simulate`` writes tube.csv from a forked child during the closed loop."""
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-line"])
+    def test_tube_csv_matches_in_process_write(self, tmp_path, monkeypatch, fork):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        scenario = fast_scenario(tmp_path)
+        out = tmp_path / "sim"
+        assert run_cli(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert_no_child_left()
+        assert (out / "tube.csv").read_bytes() == \
+            in_process_tube_csv(scenario, tmp_path / "ref.csv")
+
+    def test_failed_write_raises_after_the_loop(self, tmp_path):
+        out = tmp_path / "sim"
+        (out / "tube.csv").mkdir(parents=True)
+        with pytest.raises(OSError):
+            run_cli(["simulate", "--scenario", str(fast_scenario(tmp_path)),
+                     "--out", str(out)])
+        assert (out / "trace.csv").exists()
+        assert_no_child_left()
+
+    def test_closed_loop_configuration_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        def collapsed(*args, **kwargs):
+            raise ConfigurationError([("frame", "upper bound must exceed lower bound")])
+
+        monkeypatch.setattr(cli, "_run_simulation", collapsed)
+        scenario = fast_scenario(tmp_path)
+        out = tmp_path / "sim"
+        assert run_cli(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert "error: frame:" in capsys.readouterr().err
+        assert_no_child_left()
+        assert (out / "tube.csv").read_bytes() == \
+            in_process_tube_csv(scenario, tmp_path / "ref.csv")
+        assert not (out / "trace.csv").exists()

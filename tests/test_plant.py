@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import rastube.plant as plant_mod
 from rastube.controller import ControllerConfig, control_input
 from rastube.errors import ConfigurationError
 from rastube.plant import (DisturbanceModel, FrameProvider, IntegratorPlant,
                            OmniRobot, SimOptions, simulate)
-from rastube.tube import evolve_tube
+from rastube.tube import Tube, evolve_tube
 
 from conftest import make_task
 
@@ -35,9 +36,14 @@ class MarginFrames:
         self.margin = margin
         self.width = np.asarray(width, dtype=float)
 
+    def bounds_at(self, times):
+        lo = np.array([self.margin.value_vec(min(t, self.margin.deadline))
+                       for t in np.asarray(times).tolist()]).reshape(len(times), -1)
+        return lo, lo + self.width
+
     def bounds(self, t):
-        lo = self.margin.value_vec(min(t, self.margin.deadline))
-        return lo.tolist(), (lo + self.width).tolist()
+        lo, hi = self.bounds_at([t])
+        return lo[0].tolist(), hi[0].tolist()
 
 
 def heading_rotation(heading):
@@ -132,6 +138,25 @@ def integrator_setup(stay=0.0, disturbance=None, start=(0.25, 0.25), step=0.004)
     options = SimOptions(step=step, stay_horizon=stay)
     dist = disturbance or DisturbanceModel()
     return task, frames, options, dist
+
+
+@pytest.fixture(scope="module")
+def case_trace(case_scenario, case_plans, case_tube):
+    """The bundled closed loop with disturbance seed 3."""
+    from rastube.cli import _run_simulation
+    return _run_simulation(case_scenario, case_tube, case_plans, seed=3)
+
+
+class CollapsingTube(Tube):
+    """A corridor whose width drops to zero from time ``collapse`` on."""
+
+    collapse = math.inf
+
+    def bounds_at(self, times):
+        lo, hi = super().bounds_at(times)
+        gone = np.asarray(times) >= self.collapse
+        hi[gone] = lo[gone]
+        return lo, hi
 
 
 def leaving_setup():
@@ -267,15 +292,14 @@ class TestSimulate:
             k4 = law(x + h * k3, t + h) + w
             x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def test_case_study_matches_array_loop_bit_for_bit(self, case_scenario, case_plans,
-                                                        case_tube):
+    def test_case_study_matches_array_loop_bit_for_bit(self, case_scenario, case_tube,
+                                                        case_trace):
         # the stepper runs the law on float lists and hands each step's end
         # frame on to the next row; written out here on numpy arrays (the
         # omni robot's heading is the unconstrained third state), every
         # recorded value of the whole run must have the same bits
-        from rastube.cli import _run_simulation
         scn = case_scenario
-        trace = _run_simulation(scn, case_tube, case_plans, seed=3)
+        trace = case_trace
         h0, hw = scn.plant.heading_init, scn.plant.heading_halfwidth
         cfg = scn.controller
         t_end = scn.task.deadline + scn.run.stay_horizon
@@ -318,12 +342,27 @@ class TestSimulate:
         for key, expected in rows.items():
             np.testing.assert_array_equal(getattr(trace, key), np.array(expected))
 
-    def test_frames_built_once_per_stage_time(self, monkeypatch):
-        # one frame per distinct stage time: t = 0, then each step's
-        # midpoint and end, the end frame serving the next row as well
-        import rastube.plant as plant_mod
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_keeps_bits(self, monkeypatch, case_scenario, case_plans,
+                                   case_tube, case_trace, block):
+        from rastube.cli import _run_simulation
+        monkeypatch.setattr(plant_mod, "_BLOCK", block)
+        trace = _run_simulation(case_scenario, case_tube, case_plans, seed=3)
+        for key in ("states", "inputs", "lower", "upper"):
+            assert getattr(trace, key).tobytes() == getattr(case_trace, key).tobytes()
 
+    def test_frames_built_once_per_stage_time(self, monkeypatch):
+        # the corridor is read once per distinct stage time: t = 0 for the
+        # start frame, then each step's midpoint and end in blocks, the end
+        # bounds serving the next row as well; control_input only runs to
+        # report a stage outside the corridor
+        received = []
         calls = {"frame": 0, "control": 0, "dynamics": 0}
+
+        class CountingTube(Tube):
+            def bounds_at(self, times):
+                received.extend(np.asarray(times).tolist())
+                return super().bounds_at(times)
 
         class CountingFrames(FrameProvider):
             def frame(self, t):
@@ -340,19 +379,30 @@ class TestSimulate:
             return control_input(*args, **kwargs)
 
         monkeypatch.setattr(plant_mod, "control_input", counting_control)
+        monkeypatch.setattr(plant_mod, "_BLOCK", 7)
         task, frames, options, dist = integrator_setup()
-        frames = CountingFrames(frames.source, 2, [0, 1], [])
+        tube = frames.source
+        frames = CountingFrames(CountingTube(ts=tube.ts, lower=tube.lower, width=tube.width),
+                                2, [0, 1], [])
         trace = simulate(task, frames, ControllerConfig(gain=2.0), CountingPlant(2),
                          dist, options)
         assert trace.completed
-        n = trace.ts.shape[0] - 1
-        assert calls == {"frame": 2 * n + 1, "control": 4 * n + 1, "dynamics": 4 * n}
+        ts = trace.ts
+        n = ts.shape[0] - 1
+        mids = ts[:-1] + 0.5 * (ts[1:] - ts[:-1])
+        assert len(received) == 2 * n + 1
+        assert sorted(received) == sorted(ts.tolist() + mids.tolist())
+        assert calls == {"frame": 1, "control": 0, "dynamics": 4 * n}
 
     @pytest.mark.parametrize("step", [0.01, 0.008])
-    def test_failure_record_names_stage_and_bounds(self, step):
+    def test_failure_record_names_stage_and_bounds(self, monkeypatch, step):
         task, frames = leaving_setup()
-        trace = simulate(task, frames, ControllerConfig(gain=2.0), IntegratorPlant(2),
-                         DisturbanceModel(), SimOptions(step=step))
+
+        def run():
+            return simulate(task, frames, ControllerConfig(gain=2.0), IntegratorPlant(2),
+                            DisturbanceModel(), SimOptions(step=step))
+
+        trace = run()
         assert not trace.completed
         rec = trace.failure
         assert set(rec) == {"time", "dim", "value", "lower", "upper"}
@@ -363,6 +413,44 @@ class TestSimulate:
         assert not rec["lower"] < rec["value"] < rec["upper"]
         lo, hi = frames.source.bounds(rec["time"])
         assert (rec["lower"], rec["upper"]) == (lo[rec["dim"]], hi[rec["dim"]])
+        # the same failure when the failed step is the first, then the
+        # last, of a block of stage bounds
+        k = int(round(trace.failure_time / step))
+        assert k >= 1
+        for block in (k, k + 1):
+            monkeypatch.setattr(plant_mod, "_BLOCK", block)
+            again = run()
+            assert (again.failure_time, again.failure_reason, again.failure) == \
+                (trace.failure_time, trace.failure_reason, trace.failure)
+            assert again.states.tobytes() == trace.states.tobytes()
+
+    def test_width_collapse_after_leaving_keeps_failure(self):
+        # the corridor closes at t = 0.1, after the state has left it
+        # (t = 0.03) but within the same block of stage bounds
+        task, frames = leaving_setup()
+        run = [simulate(task, frames, ControllerConfig(gain=2.0), IntegratorPlant(2),
+                        DisturbanceModel(), SimOptions(step=0.01))]
+        tube = frames.source
+        collapsing = CollapsingTube(ts=tube.ts, lower=tube.lower, width=tube.width)
+        collapsing.collapse = 0.1
+        run.append(simulate(task, FrameProvider(collapsing, 2, [0, 1], []),
+                            ControllerConfig(gain=2.0), IntegratorPlant(2),
+                            DisturbanceModel(), SimOptions(step=0.01)))
+        assert run[0].failure is not None
+        assert run[1].failure == run[0].failure
+        assert run[1].states.tobytes() == run[0].states.tobytes()
+
+    def test_width_collapse_before_leaving_rejected(self):
+        # the midpoint stage of the second step, t = 0.015, has width 0
+        task, frames = leaving_setup()
+        tube = frames.source
+        collapsing = CollapsingTube(ts=tube.ts, lower=tube.lower, width=tube.width)
+        collapsing.collapse = 0.015
+        with pytest.raises(ConfigurationError) as err:
+            simulate(task, FrameProvider(collapsing, 2, [0, 1], []),
+                     ControllerConfig(gain=2.0), IntegratorPlant(2),
+                     DisturbanceModel(), SimOptions(step=0.01))
+        assert [path for path, _ in err.value.issues] == ["frame"]
 
     def test_failure_record_none_when_completed(self):
         task, frames = leaving_setup()

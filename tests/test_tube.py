@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rastube import tube_core
 from rastube.avoidance import PASS_ABOVE, ObstaclePlan, _fraction
@@ -461,6 +462,56 @@ class TestSkippedWork:
             assert ts[-1] <= until < full_ts[last + 1] and last < n_steps
             assert_same_bits(ts, full_ts[:last + 1])
             assert_same_bits(path, full[:last + 1, 0])
+
+
+def scalar_bounds(tube, t):
+    """The corridor interpolation written out for one time, on floats;
+    ``Tube.bounds_at`` must give these bits row for row."""
+    ts = tube.ts
+    rows = ts.shape[0]
+    t0 = float(ts[0])
+    t1 = float(ts[-1])
+    if t <= t0:
+        lo = tube.lower[0].tolist()
+    elif t >= t1:
+        lo = tube.lower[-1].tolist()
+    else:
+        pos = (t - t0) / ((t1 - t0) / (rows - 1))
+        i = min(int(pos), rows - 2)
+        frac = pos - i
+        a, b = tube.lower[i:i + 2].tolist()
+        lo = [(1.0 - frac) * p + frac * q for p, q in zip(a, b)]
+    return lo, [v + w for v, w in zip(lo, tube.width.tolist())]
+
+
+def assert_bounds_bits(tube, times):
+    lo, hi = tube.bounds_at(times)
+    expected = [scalar_bounds(tube, t) for t in times]
+    assert lo.tobytes() == np.array([e[0] for e in expected]).tobytes()
+    assert hi.tobytes() == np.array([e[1] for e in expected]).tobytes()
+    for t, (e_lo, e_hi) in zip(times, expected):
+        assert tube.bounds(t) == (e_lo, e_hi)
+
+
+class TestBoundsAt:
+    def test_grid_midpoints_and_ends(self, case_tube):
+        ts = case_tube.ts
+        t1 = float(ts[-1])
+        mids = ts[:-1] + 0.5 * (ts[1:] - ts[:-1])
+        times = ts[::97].tolist() + mids[::89].tolist() + [
+            -5.0, -0.0, 0.0, float(ts[1]), float(ts[-2]), math.nextafter(t1, 0.0), t1,
+            math.nextafter(t1, math.inf), 2.0 * t1]
+        assert_bounds_bits(case_tube, times)
+
+    def test_closed_loop_stage_times(self, case_tube):
+        # the grid and midpoints of a 0.01 s closed loop over deadline + stay
+        grid = 100.0 * np.arange(10001) / 10000
+        mids = grid[:-1] + 0.5 * (grid[1:] - grid[:-1])
+        assert_bounds_bits(case_tube, grid[::37].tolist() + mids[::41].tolist())
+
+    @given(st.lists(st.floats(-10.0, 120.0), min_size=1, max_size=12))
+    def test_random_times(self, case_tube, times):
+        assert_bounds_bits(case_tube, times)
 
 
 class TestEvolve:
