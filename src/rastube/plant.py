@@ -291,11 +291,10 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
         if last > first:
             t0, t1 = grid_ts[first:last], grid_ts[first + 1:last + 1]
             # stage 2j is the midpoint of step first+j, stage 2j+1 its end
-            stage_arr = np.column_stack((t0 + 0.5 * (t1 - t0), t1)).ravel()
-            lo, hi, sums_arr, ws_arr = frames.block(stage_arr)
+            stage_ts = np.column_stack((t0 + 0.5 * (t1 - t0), t1)).ravel()
+            lo, hi, sums_arr, ws_arr = frames.block(stage_ts)
             lowers[first + 1:last + 1] = lo[1::2]
             uppers[first + 1:last + 1] = hi[1::2]
-            stage_ts = stage_arr.tolist()
             sums = sums_arr.tolist()
             ws = ws_arr.tolist()
             # a stage whose width is <= 0 gets empty bounds: the law returns
@@ -333,10 +332,10 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
                 k1 = rate(x, u, w)
                 x2 = [v + 0.5 * h * k for v, k in zip(x, k1, strict=True)]
                 k2 = rate(x2, _law(x2, mid_s, mid_w, scale, lim) or control_input(
-                    x2, TubeFrame(lo[j], hi[j]), cfg, t=stage_ts[j]), w)
+                    x2, TubeFrame(lo[j], hi[j]), cfg, t=t + 0.5 * h), w)
                 x3 = [v + 0.5 * h * k for v, k in zip(x, k2, strict=True)]
                 k3 = rate(x3, _law(x3, mid_s, mid_w, scale, lim) or control_input(
-                    x3, TubeFrame(lo[j], hi[j]), cfg, t=stage_ts[j]), w)
+                    x3, TubeFrame(lo[j], hi[j]), cfg, t=t + 0.5 * h), w)
                 x4 = [v + h * k for v, k in zip(x, k3, strict=True)]
                 k4 = rate(x4, _law(x4, end_s, end_w, scale, lim) or control_input(
                     x4, TubeFrame(lo[j + 1], hi[j + 1]), cfg, t=t_next), w)

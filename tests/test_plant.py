@@ -424,32 +424,29 @@ class TestSimulate:
                 (trace.failure_time, trace.failure_reason, trace.failure)
             assert again.states.tobytes() == trace.states.tobytes()
 
-    def test_width_collapse_after_leaving_keeps_failure(self):
-        # the corridor closes at t = 0.1, after the state has left it
-        # (t = 0.03) but within the same block of stage bounds
+    @staticmethod
+    def leaving_run(collapse=math.inf):
+        """The 0.01 s leaving run, its corridor closed from ``collapse`` on."""
         task, frames = leaving_setup()
-        run = [simulate(task, frames, ControllerConfig(gain=2.0), IntegratorPlant(2),
-                        DisturbanceModel(), SimOptions(step=0.01))]
-        tube = frames.source
-        collapsing = CollapsingTube(ts=tube.ts, lower=tube.lower, width=tube.width)
-        collapsing.collapse = 0.1
-        run.append(simulate(task, FrameProvider(collapsing, 2, [0, 1], []),
-                            ControllerConfig(gain=2.0), IntegratorPlant(2),
-                            DisturbanceModel(), SimOptions(step=0.01)))
-        assert run[0].failure is not None
-        assert run[1].failure == run[0].failure
-        assert run[1].states.tobytes() == run[0].states.tobytes()
+        tube = CollapsingTube(ts=frames.source.ts, lower=frames.source.lower,
+                              width=frames.source.width)
+        tube.collapse = collapse
+        return simulate(task, FrameProvider(tube, 2, [0, 1], []), ControllerConfig(gain=2.0),
+                        IntegratorPlant(2), DisturbanceModel(), SimOptions(step=0.01))
+
+    def test_width_collapse_after_leaving_keeps_failure(self):
+        # the state leaves at t = 0.03; the corridor closes at t = 0.1,
+        # within the same block of stage bounds
+        plain = self.leaving_run()
+        collapsed = self.leaving_run(collapse=0.1)
+        assert plain.failure is not None
+        assert collapsed.failure == plain.failure
+        assert collapsed.states.tobytes() == plain.states.tobytes()
 
     def test_width_collapse_before_leaving_rejected(self):
         # the midpoint stage of the second step, t = 0.015, has width 0
-        task, frames = leaving_setup()
-        tube = frames.source
-        collapsing = CollapsingTube(ts=tube.ts, lower=tube.lower, width=tube.width)
-        collapsing.collapse = 0.015
         with pytest.raises(ConfigurationError) as err:
-            simulate(task, FrameProvider(collapsing, 2, [0, 1], []),
-                     ControllerConfig(gain=2.0), IntegratorPlant(2),
-                     DisturbanceModel(), SimOptions(step=0.01))
+            self.leaving_run(collapse=0.015)
         assert [path for path, _ in err.value.issues] == ["frame"]
 
     def test_failure_record_none_when_completed(self):
