@@ -9,6 +9,7 @@ corridor boundary.  No plant model enters anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log1p
 from typing import Optional
 
 import numpy as np
@@ -82,21 +83,17 @@ def _float_list(values) -> Optional[list]:
 
 
 # The law works on lists of floats, which is far faster than numpy on
-# three-element vectors.  The logarithms go through np.log1p, so every
-# value has the same bits as numpy's array arithmetic.
+# three-element vectors.  The logarithms go through math.log1p (the
+# platform's libm), never np.log1p: numpy picks its log1p kernel by the
+# CPU's SIMD level at run time, and its AVX-512 kernel rounds differently,
+# so a trace would depend on the machine that wrote it.
 
 def _normalized(x, sums, widths) -> list:
     return [(2.0 * xi - si) / wi for xi, si, wi in zip(x, sums, widths)]
 
 
-def _log_pairs(e) -> list:
-    """log1p(e_i) for every i, then log1p(-e_i) for every i."""
-    return np.log1p(e + [-v for v in e]).tolist()
-
-
 def _barrier(e) -> list:
-    logs = _log_pairs(e)
-    return [a - b for a, b in zip(logs, logs[len(e):])]
+    return [log1p(v) - log1p(-v) for v in e]
 
 
 def _gain(e, widths) -> list:
@@ -142,18 +139,14 @@ def _law(x, sums, ws, scale, lim) -> Optional[list]:
     """The feedback on float lists, in one pass: ``u``, or None when some
     |e_i| >= 1.  ``sums`` and ``ws`` are the frame's bound sums and widths,
     ``scale`` is -gain_sign * gain and ``lim`` the input limit or None."""
-    e = [(2.0 * xi - si) / wi for xi, si, wi in zip(x, sums, ws)]
-    neg = []
-    for v in e:
+    u = []
+    for xi, si, wi in zip(x, sums, ws):
+        v = (2.0 * xi - si) / wi
         if abs(v) >= 1.0:
             return None
-        neg.append(-v)
-    logs = np.log1p(e + neg).tolist()
-    # gain times barrier, in the operand order of _gain and _barrier
-    u = [scale * (4.0 / (wi * (1.0 - v * v))) * (a - b)
-         for v, wi, a, b in zip(e, ws, logs, logs[len(e):])]
-    if lim is not None:
-        u = [min(max(v, -lim), lim) for v in u]
+        # gain times barrier, in the operand order of _gain and _barrier
+        ui = scale * (4.0 / (wi * (1.0 - v * v))) * (log1p(v) - log1p(-v))
+        u.append(ui if lim is None else min(max(ui, -lim), lim))
     return u
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .avoidance import ObstaclePlan
 from .plant import SimTrace
+from .reach import _tanh
 from .scenario import RasTask, TubeParams
 from .tube import Tube
 
@@ -66,8 +67,8 @@ def baseline_tube(task: RasTask, plans: Sequence[ObstaclePlan], params: TubePara
     # smooth-corridor transient while still trackable at a reduced step
     scale = params.window_margin / 50.0
     for p in plans:
-        gate = 0.5 * (np.tanh((ts - p.prep_time) / scale)
-                      - np.tanh((ts - p.release_time) / scale))
+        gate = 0.5 * (_tanh((ts - p.prep_time) / scale)
+                      - _tanh((ts - p.release_time) / scale))
         lower[:, p.dim] += (p.level - lower[:, p.dim]) * gate
     return Tube(ts=ts, lower=lower, width=2.0 * task.band_halfwidth)
 

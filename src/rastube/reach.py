@@ -19,6 +19,22 @@ import numpy as np
 _DEADLINE_GUARD = 1e-9
 
 
+def _tanh(x):
+    """math.tanh of a float, or elementwise of an array.
+
+    numpy's tanh picks a SIMD kernel at run time, and its AVX2 and AVX-512
+    kernels round differently from libm, so arrays go through math.tanh
+    too.  From |x| >= 20 on math.tanh returns exactly +-1, so array
+    entries there skip the call.
+    """
+    if isinstance(x, np.ndarray):
+        out = np.sign(x)
+        live = ~(np.abs(x) >= 20.0)
+        out[live] = np.fromiter(map(math.tanh, x[live].tolist()), float)
+        return out
+    return math.tanh(x)
+
+
 def _sech_sq(z):
     """1 / cosh(z)^2 of a float, or elementwise of an array; zero for |z| > 300.
 
@@ -87,7 +103,7 @@ class ReachMargin:
         tc = self.deadline
         blend = np.ones_like(ts)
         inside = ts < tc * (1.0 - _DEADLINE_GUARD)
-        blend[inside] = np.tanh(np.maximum(ts[inside], 0.0) / (tc - ts[inside]))
+        blend[inside] = _tanh(np.maximum(ts[inside], 0.0) / (tc - ts[inside]))
         blend[ts <= 0.0] = 0.0
         return self.start[None, :] + blend[:, None] * self._span[None, :]
 

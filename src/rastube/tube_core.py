@@ -42,28 +42,15 @@ same bits as the matching rows of the full grid.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .reach import ReachMargin
+from .reach import ReachMargin, _tanh
 from .scenario import TubeParams
 
 # Runge-Kutta steps evaluated together; bounds the scratch arrays.
 _BLOCK = 1024
-
-
-def _tanh(x):
-    """math.tanh of a float, or elementwise of an array (numpy's tanh
-    rounds differently).  From |x| >= 20 on math.tanh returns exactly +-1,
-    so array entries there skip the call."""
-    if isinstance(x, np.ndarray):
-        out = np.sign(x)
-        live = ~(np.abs(x) >= 20.0)
-        out[live] = np.fromiter(map(math.tanh, x[live].tolist()), float)
-        return out
-    return math.tanh(x)
 
 
 def smoothstep(t, scale: float):

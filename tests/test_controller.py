@@ -182,3 +182,18 @@ def test_barrier_divergence_along_ray():
         norms.append(abs(u[0]))
     assert all(b >= a for a, b in zip(norms, norms[1:]))
     assert norms[-1] > 1e5
+
+
+@given(st.lists(st.tuples(inside, widths, st.floats(min_value=-50.0, max_value=50.0)),
+                min_size=1, max_size=4),
+       st.floats(min_value=0.1, max_value=20.0), st.sampled_from([1, -1]))
+def test_law_is_gain_times_barrier_bit_for_bit(rows, gain, sign):
+    # the one-pass law keeps the operand order of the separate helpers
+    e, w, lo = (np.array(col) for col in zip(*rows))
+    f = frame(lo, lo + w)
+    x = lo + 0.5 * (1.0 + e) * w
+    err = normalized_error(x, f)
+    want = -sign * gain * gain_diagonal(err, f) * transformed_error(err)
+    cfg = ControllerConfig(gain=gain, gain_sign=sign)
+    assert control_input(x, f, cfg).tobytes() == want.tobytes()
+    assert control_input(x.tolist(), f, cfg) == want.tolist()

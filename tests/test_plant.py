@@ -1,7 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+
+try:
+    from numpy._core import _multiarray_umath as np_umath
+except ImportError:     # numpy < 2
+    from numpy.core import _multiarray_umath as np_umath
 
 import rastube.plant as plant_mod
 from rastube.controller import ControllerConfig, control_input
@@ -314,7 +323,8 @@ class TestSimulate:
         def law(x, t):
             lo, hi = bounds(t)
             e = (2.0 * x - (hi + lo)) / (hi - lo)
-            eps = np.log1p(e) - np.log1p(-e)
+            # per element through math.log1p, as the law takes it
+            eps = np.array([math.log1p(v) - math.log1p(-v) for v in e.tolist()])
             return -cfg.gain_sign * cfg.gain * (4.0 / ((hi - lo) * (1.0 - e * e))) * eps
 
         def plant(x, u, w):
@@ -350,6 +360,34 @@ class TestSimulate:
         trace = _run_simulation(case_scenario, case_tube, case_plans, seed=3)
         for key in ("states", "inputs", "lower", "upper"):
             assert getattr(trace, key).tobytes() == getattr(case_trace, key).tobytes()
+
+    def test_trace_csv_independent_of_avx512(self, tmp_path, case_scenario, case_plans,
+                                             case_tube):
+        # numpy picks its elementwise kernels by the CPU's SIMD level at run
+        # time; the bundled trace.csv must have the same bytes with numpy's
+        # AVX-512 kernels switched off
+        features = np_umath.__cpu_features__
+        off = [f for f in np_umath.__cpu_dispatch__ if f == "X86_V4" or f.startswith("AVX512")]
+        if not (features.get("AVX512F") and off):
+            pytest.skip("numpy runs no AVX-512 kernels on this CPU")
+        from rastube.cli import _run_simulation
+        _run_simulation(case_scenario, case_tube, case_plans).to_csv(tmp_path / "trace.csv")
+        child = textwrap.dedent(f"""
+            import importlib, sys
+            from rastube import bundled_scenario_path
+            from rastube.cli import run_cli
+            features = importlib.import_module({np_umath.__name__!r}).__cpu_features__
+            assert not any(features[f] for f in {off!r})
+            sys.exit(run_cli(["simulate", "--scenario", str(bundled_scenario_path()),
+                              "--out", {str(tmp_path / "child")!r}]))
+            """)
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "child" / "trace.csv").read_bytes() == \
+            (tmp_path / "trace.csv").read_bytes()
 
     def test_frames_built_once_per_stage_time(self, monkeypatch):
         # the corridor is read once per distinct stage time: t = 0 for the
