@@ -123,10 +123,13 @@ def _vector(section, name, path, issues, length=None):
         if length is None:
             _err(issues, f"{path}.{name}", "must be a list")
             return None
-        return [float(value)] * length
+        value = [value] * length
     if not isinstance(value, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         _err(issues, f"{path}.{name}", "must be a number or list of numbers")
+        return None
+    if not all(math.isfinite(v) for v in value):
+        _err(issues, f"{path}.{name}", "entries must be finite")
         return None
     if length is not None and len(value) != length:
         _err(issues, f"{path}.{name}", f"expected {length} entries")

@@ -102,8 +102,12 @@ class DisturbanceModel:
         if self.kind not in ("none", "uniform", "sinusoidal"):
             raise ConfigurationError([("plant.disturbance.kind",
                                        f"unknown kind {self.kind!r}")])
-        if self.bound < 0:
-            raise ConfigurationError([("plant.disturbance.bound", "must be >= 0")])
+        if not (math.isfinite(self.bound) and self.bound >= 0):
+            raise ConfigurationError([("plant.disturbance.bound", "must be finite and >= 0")])
+        if not math.isfinite(self.frequency):
+            raise ConfigurationError([("plant.disturbance.frequency", "must be finite")])
+        if self.phases is not None and not np.isfinite(np.asarray(self.phases, dtype=float)).all():
+            raise ConfigurationError([("plant.disturbance.phase", "entries must be finite")])
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
                 or self.seed < 0:
             raise ConfigurationError([("plant.disturbance.seed",

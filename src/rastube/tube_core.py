@@ -1,9 +1,8 @@
 """Fixed-step RK4 integration of the corridor lower bound.
 
-This module is the single home of the detour laws: the phase weights, the
-approach and return targets, the shaper feedback, and the blended
-derivative built from them.  ``pack_plans`` turns plans into float tuples,
-sorted by entry time:
+This module is the single home of the detour laws: the phase weights and
+the approach and return targets.  ``pack_plans`` turns plans into float
+tuples, sorted by entry time:
 
     (prep, enter, exit, release, column, level, anchor_in, anchor_out)
 
@@ -12,26 +11,29 @@ margin values at prep and release.  Steps that straddle a plan's release
 time are split there, so the derivative switch never lands inside a
 Runge-Kutta step.
 
-The columns of the state evolve independently, and most of the time a
-column's derivative depends on time alone: the margin rate, possibly
-scaled by a phase weight.  The integrator evaluates every time-only term
-for a block of steps at once and sums those increments in order with
-``np.add.accumulate``.  In the hold phase of a detour all three phase
-weights are exactly zero, so the slope there is a signed zero: a zero
-weight times a finite shaper.  Such still evaluations count as zero in
-the time-only sums.  The step's increment then differs from the scalar
-one at most in the sign of a zero, which leaves a finite nonzero value
-unchanged.  A step entered at zero or at a non-finite value, and every
-step where a phase weight pulls the active plan's column toward a target,
-runs one at a time; the targets are computed only for the evaluations
-those steps read.  The laws accept floats or arrays and use
-``math.tanh`` / ``math.cosh`` for both, so the grid is bit-identical to
-evaluating the derivative one instant at a time, as long as every shaper
-is finite.  (A shaper overflows only when |target - value| / time_floor
-exceeds the float range; a zero weight then makes the reference slope
-NaN, while the time-only terms drop it.)  That one-instant reference
-derivative, and the step-by-step RK4 built on it, live in
-``tests/test_tube.py``.
+The columns of the state evolve independently, and each one's derivative
+is affine in its own value: y' = a(t) - b(t) * y.  A column follows the
+margin rate (b = 0) unless the active plan bends it; then
+
+    a = w_track * rate + w_approach * target_in / d_in + w_restore * target_out / d_out
+    b = w_approach / d_in + w_restore / d_out
+
+with each d the time left in its phase, floored at ``time_floor``.  The
+floor keeps the pull finite past a phase end; it stays inside RK4's
+stability region only for step <= 2 * time_floor, which scenario parsing
+enforces.  One RK4 step of an affine ODE is itself affine,
+y+ = P * y + Q, so the integrator builds a and b at every node and
+midpoint of a block of steps, folds them into P and Q in numpy, and runs
+one multiply-add per step.  Q is the step taken from y = 0, summed in the
+order the scalar RK4 sums it; a step with b = 0 has P == 1.0 exactly and
+Q equal to the scalar step's increment.  So every column no plan bends,
+and every row before a column's first evaluation with a nonzero approach
+or restore weight, keeps the bits of evaluating the derivative one
+instant at a time.  Past that evaluation P * y + Q rounds differently
+from the scalar step; the rows agree within 6e-14 on the benchmark's
+inputs.  That one-instant reference, and the step-by-step RK4 built on
+it, live in ``tests/test_tube.py``.  The targets are computed only where
+an approach or restore weight is nonzero, never inside a hold.
 
 ``integrate_lower`` takes the number of steps it integrates and,
 separately, the step count of the grid those rows belong to: rows
@@ -99,16 +101,6 @@ def return_target(t, exit_: float, release: float, level: float, anchor: float):
     return _ramp(t, exit_, release, level, anchor)
 
 
-def shaper(target: float, value: float, remaining: float, floor: float) -> float:
-    """Feedback rate steering ``value`` onto ``target`` in ``remaining`` time.
-
-    The denominator vanishes at the phase end, which is what forces exact
-    arrival; past that instant it is floored and the numerator is already
-    near zero, leaving a benign proportional pin.
-    """
-    return (target - value) / (floor if remaining < floor else remaining)
-
-
 def pack_plans(plans, margin: ReachMargin, dims: Optional[Sequence[int]] = None) -> List[tuple]:
     """Plans as float tuples for the integrator, sorted by entry time.
 
@@ -127,84 +119,6 @@ def _plan_targets(t, plan: tuple) -> tuple:
     prep, enter, exit_, release, _, level, anchor_in, anchor_out = plan
     return (approach_target(t, prep, enter, level, anchor_in), enter - t,
             return_target(t, exit_, release, level, anchor_out), release - t)
-
-
-def _plan_terms(t, plan: tuple, edge: float, blend: float) -> tuple:
-    """Time-only terms of one plan's blend at time(s) t: the three phase
-    weights, then each target with the time left in its phase."""
-    return phase_weights(t, *plan[:4], edge, blend) + _plan_targets(t, plan)
-
-
-def _blend(rate: float, value: float, w_track: float, w_approach: float, w_restore: float,
-           target_in: float, remaining_in: float, target_out: float, remaining_out: float,
-           floor: float) -> float:
-    """The active plan column's derivative: the margin rate blended with
-    the approach and restore shapers."""
-    return (w_track * rate + w_approach * shaper(target_in, value, remaining_in, floor)
-            + w_restore * shaper(target_out, value, remaining_out, floor))
-
-
-def _column_block(y0, rate, still, pulls, held, sixth, half, h, floor):
-    """RK4 values of one column over a block of m steps.
-
-    ``rate`` holds the margin-rate term at the m + 1 step nodes and then at
-    the m midpoints; ``pulls`` maps each evaluation index where a shaper
-    pulls the column to its time-only blend terms.  ``still`` marks the
-    evaluations whose slope is a signed zero, and ``held(e)`` gives their
-    blend terms when a scalar step reads them.  A still step joins the
-    time-only sums only when it is entered at a finite nonzero value, which
-    adding a signed zero leaves unchanged.  Returns the m + 1 node values,
-    starting with ``y0``.
-    """
-    m = sixth.shape[0]
-    nb = m + 1
-    flat = np.where(still, 0.0, rate)
-    mid = flat[nb:]
-    inc = sixth * (((flat[:m] + 2.0 * mid) + 2.0 * mid) + flat[1:nb])
-    pulled = np.zeros(2 * m + 1, dtype=bool)
-    pulled[list(pulls)] = True
-    coupled = pulled[:m] | pulled[nb:] | pulled[1:nb]
-    resting = still[:m] | still[nb:] | still[1:nb]
-    values = np.empty(nb)
-    values[0] = y0
-    edges = (np.flatnonzero(np.diff(coupled)) + 1).tolist()
-    rates, sixths, stills = rate.tolist(), sixth.tolist(), still.tolist()
-
-    def slope(e, value):
-        terms = pulls.get(e)
-        if terms is None:
-            if not stills[e]:
-                return rates[e]
-            terms = pulls[e] = held(e)
-        return _blend(rates[e], value, *terms, floor)
-
-    def step(j, y):
-        k1 = slope(j, y)
-        k2 = slope(nb + j, y + half[j] * k1)
-        k3 = slope(nb + j, y + half[j] * k2)
-        k4 = slope(j + 1, y + h[j] * k3)
-        return y + sixths[j] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    for lo, hi in zip([0] + edges, edges + [m]):
-        if coupled[lo]:
-            y = float(values[lo])
-            for j in range(lo, hi):
-                y = step(j, y)
-                values[j + 1] = y
-            continue
-        while lo < hi:
-            # time-only increments: summed in order, exactly as a loop would
-            run = np.add.accumulate(np.concatenate((values[lo:lo + 1], inc[lo:hi])))
-            values[lo + 1:hi + 1] = run[1:]
-            entry = run[:-1]
-            odd = resting[lo:hi] & ~(np.isfinite(entry) & (entry != 0.0))
-            if not odd.any():
-                break
-            # a still step the guard does not admit runs with its real terms
-            j = lo + int(odd.argmax())
-            values[j + 1] = step(j, float(values[j]))
-            lo = j + 1
-    return values
 
 
 def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams,
@@ -239,37 +153,50 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
         h = tn[1:] - tn[:-1]
         half = 0.5 * h
         ts = np.concatenate((tn, tn[:-1] + half))    # nodes, then midpoints
-        rates = list(margin.rates(ts).T[dims])
-        stills = [np.zeros(ts.shape, dtype=bool) for _ in dims]
-        pulls = [{} for _ in dims]
+        a = margin.rates(ts).T[dims]
+        b = np.zeros_like(a)
         active = np.full(ts.shape, -1)
         for p in range(len(packed) - 1, -1, -1):
             active[ts < packed[p][3]] = p
-        for p, plan in enumerate(packed):
-            idx = np.flatnonzero(active == p)
-            if idx.size == 0:
-                continue
-            k = plan[4]
-            weights = phase_weights(ts[idx], *plan[:4], edge, blend)
-            # where both shaper weights vanish exactly the slope is the
-            # scaled margin rate, or a signed zero when that product is zero
-            scaled = weights[0] * rates[k][idx]
-            shaped = (weights[1] != 0.0) | (weights[2] != 0.0)
-            free = ~shaped & (scaled != 0.0)
-            rates[k][idx[free]] = scaled[free]
-            stills[k][idx[~shaped & (scaled == 0.0)]] = True
-            terms = tuple(w[shaped] for w in weights) + _plan_targets(ts[idx[shaped]], plan)
-            pulls[k].update(zip(idx[shaped].tolist(), zip(*(v.tolist() for v in terms))))
-
-        def held(e):
-            return _plan_terms(float(ts[e]), packed[active[e]], edge, blend)
-
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(len(dims)):
-                values = _column_block(y[i], rates[i], stills[i], pulls[i], held, h / 6.0,
-                                       half.tolist(), h.tolist(), floor)
-                y[i] = float(values[-1])
-                grid[g0 + 1:g1 + 1, i] = values[rows]
+            for p, plan in enumerate(packed):
+                idx = np.flatnonzero(active == p)
+                if idx.size == 0:
+                    continue
+                k = plan[4]
+                w_track, w_in, w_out = phase_weights(ts[idx], *plan[:4], edge, blend)
+                a[k, idx] *= w_track
+                # targets only where an approach or restore weight is nonzero
+                shaped = (w_in != 0.0) | (w_out != 0.0)
+                at = idx[shaped]
+                w_in, w_out = w_in[shaped], w_out[shaped]
+                target_in, left_in, target_out, left_out = _plan_targets(ts[at], plan)
+                d_in, d_out = np.maximum(left_in, floor), np.maximum(left_out, floor)
+                a[k, at] += w_in * target_in / d_in + w_out * target_out / d_out
+                b[k, at] = w_in / d_in + w_out / d_out
+            m = h.shape[0]
+            a0, am, a1 = a[:, :m], a[:, m + 1:], a[:, 1:m + 1]
+            b0, bm, b1 = b[:, :m], b[:, m + 1:], b[:, 1:m + 1]
+            sixth = h / 6.0
+            # the RK4 slopes from y = 0 sum to Q; their derivatives in y, to P - 1
+            k1 = a0
+            k2 = am - bm * (half * k1)
+            k3 = am - bm * (half * k2)
+            k4 = a1 - b1 * (h * k3)
+            Q = sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+            j1 = -b0
+            j2 = -bm * (1.0 + half * j1)
+            j3 = -bm * (1.0 + half * j2)
+            j4 = -b1 * (1.0 + h * j3)
+            P = 1.0 + sixth * (((j1 + 2.0 * j2) + 2.0 * j3) + j4)
+        for i in range(len(dims)):
+            v = y[i]
+            values = [v]
+            for pj, qj in zip(P[i].tolist(), Q[i].tolist()):
+                v = pj * v + qj
+                values.append(v)
+            y[i] = v
+            grid[g0 + 1:g1 + 1, i] = np.array(values)[rows]
         finite = np.isfinite(grid[g0 + 1:g1 + 1]).all(axis=1)
         if not finite.all():
             return grid, int(g0 + 1 + np.flatnonzero(~finite)[0])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import warnings
@@ -70,6 +71,31 @@ class TestParse:
         with pytest.raises(ConfigurationError) as err:
             parse_scenario(write_scenario(tmp_path, doc))
         assert [path for path, _ in err.value.issues] == ["plant.disturbance.seed"]
+
+    @pytest.mark.parametrize("key, value, disturbance", [
+        ("task.start_margin", math.nan, None),
+        ("task.obstacle_margin", [0.15, math.inf, 0.15], None),
+        ("task.obstacle_margin", math.nan, None),
+        ("plant.disturbance.bound", math.nan, None),
+        ("plant.disturbance.bound", math.inf, None),
+        ("plant.disturbance.frequency", math.nan, "sinusoidal"),
+        ("plant.disturbance.phase", [math.nan, 0.0], "sinusoidal")])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, key, value, disturbance):
+        # JSON's NaN and Infinity parse as floats; they must not reach a run
+        doc = load_bundled()
+        if disturbance is not None:
+            doc["plant"]["disturbance"]["kind"] = disturbance
+        *parents, name = key.split(".")
+        section = doc
+        for part in parents:
+            section = section[part]
+        section[name] = value
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--scenario", str(write_scenario(tmp_path, doc)),
+                        "--out", str(out)])
+        assert code == 2
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_step_above_twice_time_floor_names_key(self, tmp_path, capsys):
         doc = load_bundled()

@@ -147,14 +147,20 @@ def return_target(plan, margin, t):
                                    margin.value(plan.dim, plan.release_time))
 
 
+def shaper(target, value, remaining, floor):
+    """Feedback rate steering ``value`` onto ``target`` in ``remaining``
+    time, with the denominator floored once the phase has ended."""
+    return (target - value) / max(remaining, floor)
+
+
 def approach_shaper(plan, params, t, value_now, margin):
-    return tube_core.shaper(approach_target(plan, margin, t), value_now,
-                            plan.enter_time - t, params.time_floor)
+    return shaper(approach_target(plan, margin, t), value_now,
+                  plan.enter_time - t, params.time_floor)
 
 
 def return_shaper(plan, params, t, value_now, margin):
-    return tube_core.shaper(return_target(plan, margin, t), value_now,
-                            plan.release_time - t, params.time_floor)
+    return shaper(return_target(plan, margin, t), value_now,
+                  plan.release_time - t, params.time_floor)
 
 
 class TestShapers:
@@ -257,7 +263,7 @@ class TestTubeDerivative:
 
 def corridor_derivative(t, y, margin, dims, plans, edge, blend, floor):
     """Corridor lower-bound derivative at one instant, from the tube_core
-    laws: the bit-for-bit reference of ``integrate_lower``.
+    laws: the reference of ``integrate_lower``.
 
     Every column follows the margin rate; the active plan's column blends
     that rate with the approach and restore shapers.  ``plans`` are packed
@@ -268,8 +274,10 @@ def corridor_derivative(t, y, margin, dims, plans, edge, blend, floor):
     for plan in plans:
         if plan[3] > t:
             k = plan[4]
-            out[k] = tube_core._blend(out[k], y[k],
-                                      *tube_core._plan_terms(t, plan, edge, blend), floor)
+            w_track, w_in, w_out = tube_core.phase_weights(t, *plan[:4], edge, blend)
+            target_in, left_in, target_out, left_out = tube_core._plan_targets(t, plan)
+            out[k] = (w_track * out[k] + w_in * shaper(target_in, y[k], left_in, floor)
+                      + w_out * shaper(target_out, y[k], left_out, floor))
             break
     return out
 
@@ -315,12 +323,28 @@ def coarse_params(params, step, floor):
                       blend_scale=params.blend_scale, time_floor=floor, step=step)
 
 
+# Wherever a shaper pulls, the affine step P * y + Q rounds differently
+# from the scalar RK4 step; on these coarse grids the rows agree within 4e-15.
+ATOL = 1e-12
+
+
+def assert_close(got, ref):
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=0, atol=ATOL)
+
+
+def assert_same_bits(got, ref):
+    """Equal arrays down to the sign of every zero."""
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 class TestIntegrator:
     # a coarse grid keeps the step-by-step reference quick; the release
     # times fall between grid rows, so steps are split there
     N_STEPS = 3001
 
-    def test_matches_stepwise_rk4_bit_for_bit(self, case_scenario, case_plans):
+    def test_matches_stepwise_rk4(self, case_scenario, case_plans):
         task = case_scenario.task
         step = task.deadline / self.N_STEPS
         params = coarse_params(case_scenario.tube, step, 0.5 * step)
@@ -328,7 +352,7 @@ class TestIntegrator:
         got, bad = tube_core.integrate_lower(margin, self.N_STEPS, case_plans, params)
         ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, case_plans, params)
         assert bad == ref_bad == -1
-        np.testing.assert_array_equal(got, ref)
+        assert_close(got, ref)
 
     def test_single_column_matches_stepwise_rk4(self, case_scenario, case_plans):
         # the candidate check integrates a plan's own dimension alone
@@ -340,7 +364,7 @@ class TestIntegrator:
         got, _ = tube_core.integrate_lower(margin, self.N_STEPS, [plan], params,
                                            dims=[plan.dim])
         ref, _ = stepwise_rk4(margin, self.N_STEPS, [plan], params, dims=[plan.dim])
-        np.testing.assert_array_equal(got, ref)
+        assert_close(got, ref)
 
     def test_divergence_reported_at_the_same_row(self, case_scenario, case_plans):
         # a shaper floor far below the step leaves RK4's stability region,
@@ -353,19 +377,14 @@ class TestIntegrator:
         ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, case_plans, params)
         assert ref_bad > 0
         assert bad == ref_bad
-        np.testing.assert_array_equal(got[:bad], ref[:bad])
-
-
-def assert_same_bits(got, ref):
-    """Equal arrays down to the sign of every zero."""
-    assert got.shape == ref.shape
-    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        # the rows grow to about 1e249 before they overflow: compare relative
+        np.testing.assert_allclose(got[:bad], ref[:bad], rtol=ATOL, atol=ATOL)
 
 
 class TestSkippedWork:
-    """integrate_lower skips work whose result is fixed: still (hold) steps
-    join the time-only sums, targets are computed only where a scalar step
-    reads them, and a caller may stop at the last row it reads."""
+    """integrate_lower keeps the bits of the one-instant reference wherever
+    no shaper pulls, computes targets only where a shaper weight is nonzero,
+    and lets a caller stop at the last row it reads."""
 
     N_STEPS = TestIntegrator.N_STEPS
 
@@ -375,62 +394,75 @@ class TestSkippedWork:
         return task.lower_margin(), coarse_params(case_scenario.tube, step, 0.5 * step)
 
     def test_zero_level_matches_stepwise_rk4(self, case_scenario, case_plans):
+        from rastube.reach import ReachMargin
         margin, params = self.coarse(case_scenario)
-        plans = [dataclasses.replace(p, level=0.0) for p in case_plans]
-        got, bad = tube_core.integrate_lower(margin, self.N_STEPS, plans, params)
-        ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, plans, params)
-        assert bad == ref_bad == -1
-        assert_same_bits(got, ref)
+        # plans held at level 0.0; then a constant column at exactly 0.0
+        # held at 0.0, where every hold step is entered at zero
+        still = ReachMargin(np.array([0.0, 0.0]), np.array([11.0, 0.0]), 80.0)
+        hold = ObstaclePlan(index=0, enter_time=21.0, exit_time=30.0, prep_time=20.0,
+                            release_time=31.0, dim=1, side=PASS_ABOVE, level=0.0)
+        for m, plans in ((margin, [dataclasses.replace(p, level=0.0) for p in case_plans]),
+                         (still, [hold])):
+            got, bad = tube_core.integrate_lower(m, self.N_STEPS, plans, params)
+            ref, ref_bad = stepwise_rk4(m, self.N_STEPS, plans, params)
+            assert bad == ref_bad == -1
+            assert_close(got, ref)
 
     def test_small_blocks_match_stepwise_rk4(self, case_scenario, case_plans, monkeypatch):
-        # block edges fall inside hold runs and inside pulled runs
-        monkeypatch.setattr(tube_core, "_BLOCK", 7)
+        # block edges fall inside hold runs and inside pulled runs; every
+        # step's P and Q depend on its times alone, so the bits stay
         margin, params = self.coarse(case_scenario)
         for plans in (case_plans, [dataclasses.replace(p, level=0.0) for p in case_plans]):
-            got, bad = tube_core.integrate_lower(margin, self.N_STEPS, plans, params)
-            ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, plans, params)
-            assert bad == ref_bad == -1
-            assert_same_bits(got, ref)
+            full, _ = tube_core.integrate_lower(margin, self.N_STEPS, plans, params)
+            with monkeypatch.context() as patch:
+                patch.setattr(tube_core, "_BLOCK", 7)
+                got, bad = tube_core.integrate_lower(margin, self.N_STEPS, plans, params)
+            assert bad == -1
+            assert_same_bits(got, full)
+            ref, _ = stepwise_rk4(margin, self.N_STEPS, plans, params)
+            assert_close(got, ref)
 
-    @staticmethod
-    def hold_reads(monkeypatch, plan, params):
-        """Times inside ``plan``'s hold, two steps clear of the blends at
-        either end, at which the integrator computes blend terms one
-        instant at a time."""
-        seen = []
-        terms = tube_core._plan_terms
-        pad = params.edge_buffer + 20.0 * params.blend_scale + 2.0 * params.step
-
-        def counting(t, *args):
-            if plan.enter_time + pad < t < plan.exit_time - pad:
-                seen.append(t)
-            return terms(t, *args)
-
-        monkeypatch.setattr(tube_core, "_plan_terms", counting)
-        return seen
-
-    def test_hold_steps_skip_the_scalar_loop(self, case_scenario, case_plans, monkeypatch):
+    def test_unbent_rows_keep_the_bits(self, case_scenario, case_plans):
+        # every evaluation before prep - edge - 20 * blend has exactly zero
+        # approach and restore weights, so each step up to there has
+        # P == 1.0 and the scalar increment as Q
         margin, params = self.coarse(case_scenario)
-        seen = self.hold_reads(monkeypatch, case_plans[1], params)
-        got, _ = tube_core.integrate_lower(margin, self.N_STEPS, case_plans, params)
-        assert seen == []
-        ref, _ = stepwise_rk4(margin, self.N_STEPS, case_plans, params)
-        assert_same_bits(got, ref)
+        ts = margin.deadline * np.arange(self.N_STEPS + 1) / self.N_STEPS
+        for k in range(margin.n):
+            plans = [p for p in case_plans if p.dim == k]
+            got, _ = tube_core.integrate_lower(margin, self.N_STEPS, plans, params)
+            ref, _ = stepwise_rk4(margin, self.N_STEPS, plans, params)
+            assert_close(got, ref)
+            others = [i for i in range(margin.n) if i != k]
+            assert_same_bits(got[:, others], ref[:, others])
+            first = min((p.prep_time for p in plans), default=np.inf) \
+                - params.edge_buffer - 20.0 * params.blend_scale
+            before = ts < first
+            assert before.sum() > 100
+            assert_same_bits(got[before, k], ref[before, k])
 
-    def test_hold_entered_at_zero_runs_one_step_at_a_time(self, case_scenario, monkeypatch):
-        # a constant column at exactly 0.0 held at level 0.0: every hold
-        # step is entered at zero, so none may join the time-only sums
-        from rastube.reach import ReachMargin
-        margin = ReachMargin(np.array([0.0, 0.0]), np.array([11.0, 0.0]), 80.0)
-        plan = ObstaclePlan(index=0, enter_time=21.0, exit_time=30.0, prep_time=20.0,
-                            release_time=31.0, dim=1, side=PASS_ABOVE, level=0.0)
-        _, params = self.coarse(case_scenario)
-        seen = self.hold_reads(monkeypatch, plan, params)
-        got, bad = tube_core.integrate_lower(margin, self.N_STEPS, [plan], params)
-        assert len(seen) > 0.5 * (plan.exit_time - plan.enter_time) / params.step
-        ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, [plan], params)
-        assert bad == ref_bad == -1
-        assert_same_bits(got, ref)
+    def test_hold_reads_no_targets(self, case_scenario, case_plans, monkeypatch):
+        margin, params = self.coarse(case_scenario)
+        plan = case_plans[1]
+        # two steps clear of the blends at either end of the hold
+        pad = params.edge_buffer + 20.0 * params.blend_scale + 2.0 * params.step
+        assert plan.exit_time - plan.enter_time > 2.0 * pad + 100.0 * params.step
+        reads, inside = [], []
+        targets = tube_core._plan_targets
+
+        def counting(t, packed):
+            ta = np.atleast_1d(t)
+            reads.append(ta.size)
+            inside.extend(ta[(ta > plan.enter_time + pad) & (ta < plan.exit_time - pad)])
+            return targets(t, packed)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tube_core, "_plan_targets", counting)
+            got, _ = tube_core.integrate_lower(margin, self.N_STEPS, case_plans, params)
+        assert sum(reads) > 0
+        assert inside == []
+        ref, _ = stepwise_rk4(margin, self.N_STEPS, case_plans, params)
+        assert_close(got, ref)
 
     def test_random_cases_match_stepwise_rk4(self):
         from rastube.sampling import random_case
@@ -445,7 +477,7 @@ class TestSkippedWork:
             got, bad = tube_core.integrate_lower(margin, n_steps, case.plans, params)
             ref, ref_bad = stepwise_rk4(margin, n_steps, case.plans, params)
             assert bad == ref_bad == -1
-            assert_same_bits(got, ref)
+            assert_close(got, ref)
 
     def test_candidate_path_is_prefix_of_full_grid(self, case_scenario, case_plans):
         from rastube.avoidance import _integrated_dim_path
