@@ -394,19 +394,12 @@ class TestSkippedWork:
         return task.lower_margin(), coarse_params(case_scenario.tube, step, 0.5 * step)
 
     def test_zero_level_matches_stepwise_rk4(self, case_scenario, case_plans):
-        from rastube.reach import ReachMargin
         margin, params = self.coarse(case_scenario)
-        # plans held at level 0.0; then a constant column at exactly 0.0
-        # held at 0.0, where every hold step is entered at zero
-        still = ReachMargin(np.array([0.0, 0.0]), np.array([11.0, 0.0]), 80.0)
-        hold = ObstaclePlan(index=0, enter_time=21.0, exit_time=30.0, prep_time=20.0,
-                            release_time=31.0, dim=1, side=PASS_ABOVE, level=0.0)
-        for m, plans in ((margin, [dataclasses.replace(p, level=0.0) for p in case_plans]),
-                         (still, [hold])):
-            got, bad = tube_core.integrate_lower(m, self.N_STEPS, plans, params)
-            ref, ref_bad = stepwise_rk4(m, self.N_STEPS, plans, params)
-            assert bad == ref_bad == -1
-            assert_close(got, ref)
+        plans = [dataclasses.replace(p, level=0.0) for p in case_plans]
+        got, bad = tube_core.integrate_lower(margin, self.N_STEPS, plans, params)
+        ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, plans, params)
+        assert bad == ref_bad == -1
+        assert_close(got, ref)
 
     def test_small_blocks_match_stepwise_rk4(self, case_scenario, case_plans, monkeypatch):
         # block edges fall inside hold runs and inside pulled runs; every
@@ -463,6 +456,35 @@ class TestSkippedWork:
         assert inside == []
         ref, _ = stepwise_rk4(margin, self.N_STEPS, case_plans, params)
         assert_close(got, ref)
+
+    def test_hold_entered_at_zero_runs_one_step_at_a_time(self, case_scenario, monkeypatch):
+        # a constant column at exactly 0.0 held at level 0.0: every hold
+        # step is entered at zero, and the scan must neither read a target
+        # inside the hold nor move the column off zero
+        from rastube.reach import ReachMargin
+        margin = ReachMargin(np.array([0.0, 0.0]), np.array([11.0, 0.0]), 80.0)
+        plan = ObstaclePlan(index=0, enter_time=21.0, exit_time=30.0, prep_time=20.0,
+                            release_time=31.0, dim=1, side=PASS_ABOVE, level=0.0)
+        _, params = self.coarse(case_scenario)
+        pad = params.edge_buffer + 20.0 * params.blend_scale + 2.0 * params.step
+        assert plan.exit_time - plan.enter_time > 2.0 * pad + 100.0 * params.step
+        inside = []
+        targets = tube_core._plan_targets
+
+        def counting(t, packed):
+            ta = np.atleast_1d(t)
+            inside.extend(ta[(ta > plan.enter_time + pad) & (ta < plan.exit_time - pad)])
+            return targets(t, packed)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tube_core, "_plan_targets", counting)
+            got, bad = tube_core.integrate_lower(margin, self.N_STEPS, [plan], params)
+        assert inside == []
+        ref, ref_bad = stepwise_rk4(margin, self.N_STEPS, [plan], params)
+        assert bad == ref_bad == -1
+        assert_close(got, ref)
+        assert_same_bits(got[:, 0], ref[:, 0])
+        assert np.all(got[:, 1] == 0.0)
 
     def test_random_cases_match_stepwise_rk4(self):
         from rastube.sampling import random_case
