@@ -15,10 +15,8 @@ guarantee or feasibility check failed, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +32,7 @@ from .metrics import baseline_tube, comparison_report, control_effort
 from .plant import (PLANT_MODELS, DisturbanceModel, FrameProvider, SimOptions,
                     simulate)
 from .scenario import RasTask, TubeParams, validate_assumptions
-from .tube import Tube, evolve_tube, smoothness_check, verify_tube
+from .tube import Tube, evolve_tube, in_child, smoothness_check, verify_tube
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,13 +97,31 @@ def _get_section(doc, name, required_keys, optional_keys, issues):
     return section
 
 
+def _finite(value) -> bool:
+    """Whether a JSON number is finite as a float; an integer too large
+    for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _float(value) -> float:
+    """``float(value)``, with an integer too large for a float taken as the
+    infinity of its sign, which the range checks then report."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _number(section, name, path, issues, default=None, required=False, positive=False):
     if name not in section or section[name] is None:
         if required:
             _err(issues, f"{path}.{name}", "missing")
         return default
     value = section[name]
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not _finite(value):
         _err(issues, f"{path}.{name}", "must be a finite number")
         return default
     if positive and value <= 0:
@@ -128,7 +144,7 @@ def _vector(section, name, path, issues, length=None):
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         _err(issues, f"{path}.{name}", "must be a number or list of numbers")
         return None
-    if not all(math.isfinite(v) for v in value):
+    if not all(_finite(v) for v in value):
         _err(issues, f"{path}.{name}", "entries must be finite")
         return None
     if length is not None and len(value) != length:
@@ -144,7 +160,7 @@ def _box(section, name, path, issues, n=None) -> Optional[Box]:
         return None
     try:
         box = Box.from_pairs(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         _err(issues, f"{path}.{name}", f"not a valid box: {exc}")
         return None
     if n is not None and box.n != n:
@@ -201,7 +217,7 @@ def parse_scenario(path) -> Scenario:
                     _err(issues, f"task.unsafe_sets[{j}]", f"expected {n} dimensions")
                 else:
                     unsafe.append(u)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 _err(issues, f"task.unsafe_sets[{j}]", f"not a valid box: {exc}")
 
     time_limit = _number(task_sec, "time_limit", "task", issues, required=True, positive=True)
@@ -240,13 +256,13 @@ def parse_scenario(path) -> Scenario:
             try:
                 disturbance = DisturbanceModel(
                     kind=dist_sec.get("kind", "none"),
-                    bound=float(dist_sec.get("bound", 0.0)),
+                    bound=_float(dist_sec.get("bound", 0.0)),
                     seed=dist_sec.get("seed", 0),
-                    frequency=float(dist_sec.get("frequency", 0.1)),
+                    frequency=_float(dist_sec.get("frequency", 0.1)),
                     phases=dist_sec.get("phase"))
             except ConfigurationError as exc:
                 issues.extend(exc.issues)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 _err(issues, "plant.disturbance", str(exc))
 
     if issues:
@@ -363,38 +379,6 @@ def _synthesize(scn: Scenario, out: Path):
     return plans, tube, verdict, smooth
 
 
-@contextlib.contextmanager
-def _tube_csv_in_child(tube: Tube, path: Path):
-    """Write ``tube`` to ``path`` from a forked child while the body runs.
-
-    The child leaves through ``os._exit``, so it flushes no inherited
-    buffers and runs no exit handlers.  It is waited for on the way out,
-    and a failed child raises OSError unless the body is raising already.
-    Where ``os.fork`` is missing, the file is written in-line first.
-    """
-    if not hasattr(os, "fork"):
-        tube.to_csv(path)
-        yield
-        return
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            tube.to_csv(path)
-            code = 0
-        except Exception as exc:
-            os.write(2, f"error: {exc}\n".encode())
-        finally:
-            os._exit(code)
-    try:
-        yield
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status:
-        raise OSError(f"writing {path} failed in a child process "
-                      f"(exit code {os.waitstatus_to_exitcode(status)})")
-
-
 def cmd_synthesize(scn: Scenario, out: Path) -> int:
     plans, tube, verdict, smooth = _synthesize(scn, out)
     tube.to_csv(out / "tube.csv")
@@ -436,8 +420,10 @@ def _sim_options(scn: Scenario, sim_step: Optional[float] = None,
 def cmd_simulate(scn: Scenario, out: Path, seed: Optional[int],
                  sim_step: Optional[float], stay: Optional[float]) -> int:
     plans, tube, verdict, smooth = _synthesize(scn, out)
-    # the corridor CSV is written on another core while the closed loop runs
-    with _tube_csv_in_child(tube, out / "tube.csv"):
+    # the corridor CSV is written on another core while the closed loop
+    # runs; that child writes it in one piece, leaving this core to the loop
+    tube_csv = out / "tube.csv"
+    with in_child(lambda: tube.to_csv(tube_csv), f"writing {tube_csv}"):
         trace = _run_simulation(scn, tube, plans, seed=seed, sim_step=sim_step, stay=stay)
         trace.to_csv(out / "trace.csv")
         effort = control_effort(trace)

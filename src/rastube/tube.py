@@ -5,11 +5,19 @@ detour window, blends toward the plan's level and back through three
 smoothly weighted phases.  The upper bound is the lower bound shifted by
 the corridor width.  Synthesis integrates the blended derivative with
 fixed-step RK4; verification and smoothness checks run on the stored grid.
+
+``Tube.to_csv`` and ``plant.SimTrace.to_csv`` write every grid row through
+``_write_rows``: each value as ``%.17g``, one ``%`` operation per slice of
+256 rows, with the second half of a large table formatted by a forked
+child (``in_child``).  The bytes are those of ``%.17g`` applied value by
+value, in one process or two.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -117,20 +125,111 @@ def _pairs(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.stack((lower, upper), axis=2).reshape(lower.shape[0], -1)
 
 
+# rows formatted by one ``%`` operation
+_SLICE = 256
+# bytes copied from a writer child's pipe at a time
+_COPY_CHUNK = 1 << 20
+# set in a child forked by ``in_child``: it does its work in-line and
+# forks no child of its own
+_forked = False
+
+
+def _can_fork() -> bool:
+    return hasattr(os, "fork") and not _forked
+
+
+@contextlib.contextmanager
+def in_child(work, what: str):
+    """Run ``work()`` in a forked child while the body runs.
+
+    The child leaves through ``os._exit``, so it flushes no inherited
+    buffers and runs no exit handlers.  It is waited for on the way out,
+    and a failed child raises OSError naming ``what`` unless the body is
+    raising already.  Where ``os.fork`` is missing, and inside such a
+    child, ``work()`` runs in-line before the body instead.
+    """
+    global _forked
+    if not _can_fork():
+        work()
+        yield
+        return
+    pid = os.fork()
+    if pid == 0:
+        _forked = True
+        code = 1
+        try:
+            work()
+            code = 0
+        except Exception as exc:
+            os.write(2, f"error: {exc}\n".encode())
+        finally:
+            os._exit(code)
+    try:
+        yield
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise OSError(f"{what} failed in a child process "
+                      f"(exit code {os.waitstatus_to_exitcode(status)})")
+
+
+def _formatted(block, ints, a: int, b: int):
+    """Rows a..b-1 as CSV bytes, one ``%`` operation per slice of
+    ``_SLICE`` rows: the row format repeated once per row, applied to the
+    slice's values flattened row by row, with each row's ``ints`` entry
+    as a Python int after its floats."""
+    for lo in range(a, b, _SLICE):
+        values = block(lo, min(lo + _SLICE, b))
+        rows, cols = values.shape
+        flat = values.ravel().tolist()
+        fmt = ",".join(["%.17g"] * cols)
+        if ints is not None:
+            fmt += ",%d"
+            merged = [0] * (rows * (cols + 1))
+            for j in range(cols):
+                merged[j::cols + 1] = flat[j::cols]
+            merged[cols::cols + 1] = ints[lo:lo + rows].tolist()
+            flat = merged
+        yield ((fmt + "\n") * rows % tuple(flat)).encode()
+
+
 def _write_rows(path, header: Sequence[str], n_rows: int, block, ints=None) -> None:
-    """CSV with a header line and ``n_rows`` rows of values in 17
-    significant digits.  ``block(a, b)`` returns rows a..b-1 as a 2-d
-    array; ``ints`` adds a last integer column.  Rows are built and
-    formatted a slice at a time, which keeps memory flat."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for a in range(0, n_rows, 256):
-            rows = block(a, a + 256).tolist()
-            if ints is not None:
-                rows = [r + [i] for r, i in zip(rows, ints[a:a + 256].tolist())]
-            fmt = ",".join(["%.17g"] * (len(rows[0]) - (ints is not None))
-                           + ["%d"] * (ints is not None)) + "\n"
-            fh.write("".join(fmt % tuple(r) for r in rows))
+    """CSV with a header line and ``n_rows`` rows of values, each written
+    as ``%.17g`` (17 significant digits).  ``block(a, b)`` returns rows
+    a..b-1 as a 2-d array; ``ints`` adds a last integer column, written
+    as ``%d``.  Rows are built and formatted a slice at a time, which
+    keeps memory flat.
+
+    From ``2 * _SLICE`` rows on, and where ``in_child`` can fork, a child
+    formats the second half (from a slice boundary) into a pipe while
+    this process writes the header and the first half; the pipe is then
+    copied into the file ``_COPY_CHUNK`` bytes at a time.  The file's
+    bytes are the same either way.
+    """
+    head = n_rows // (2 * _SLICE) * _SLICE if _can_fork() else 0
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if not head:
+            fh.writelines(_formatted(block, ints, 0, n_rows))
+            return
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb", buffering=0) as source, open(write_end, "wb") as sink:
+
+            def tail():
+                source.close()
+                # formatted in full before writing, so that a full pipe does
+                # not hold the child back while the parent formats its half
+                sink.writelines(list(_formatted(block, ints, head, n_rows)))
+                sink.close()
+
+            with in_child(tail, f"writing {path}"):
+                sink.close()
+                # the read end closes before the child is waited for, so an
+                # error in this half leaves no child blocked on a full pipe
+                with source:
+                    fh.writelines(_formatted(block, ints, 0, head))
+                    while chunk := source.read(_COPY_CHUNK):
+                        fh.write(chunk)
 
 
 def evolve_tube(task: RasTask, plans: Sequence[ObstaclePlan], params: TubeParams) -> Tube:

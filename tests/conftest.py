@@ -1,7 +1,11 @@
+import os
+
 import pytest
 from hypothesis import settings
 
 import rastube
+import rastube.plant
+import rastube.tube
 from rastube.avoidance import schedule
 from rastube.cli import parse_scenario
 from rastube.geometry import Box
@@ -48,3 +52,32 @@ def make_task(initial, target, unsafe, deadline, start, target_point,
         start=start, target=target_point, start_margin=start_margin,
         target_margin=target_margin, obstacle_margin=obstacle_margin,
         workspace=Box.from_pairs(workspace))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def serial_write_rows(path, header, n_rows, block, ints=None):
+    """Reference CSV writer: one ``%`` per row, in one process.  The
+    program's ``tube._write_rows`` must write the same bytes."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for a in range(0, n_rows, 256):
+            rows = block(a, a + 256).tolist()
+            if ints is not None:
+                rows = [r + [i] for r, i in zip(rows, ints[a:a + 256].tolist())]
+            fmt = ",".join(["%.17g"] * (len(rows[0]) - (ints is not None))
+                           + ["%d"] * (ints is not None)) + "\n"
+            fh.write("".join(fmt % tuple(r) for r in rows))
+
+
+def reference_csv(table, path):
+    """The bytes of ``table.to_csv(path)`` (a Tube or a SimTrace) written
+    by ``serial_write_rows``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rastube.tube, "_write_rows", serial_write_rows)
+        mp.setattr(rastube.plant, "_write_rows", serial_write_rows)
+        table.to_csv(path)
+    return path.read_bytes()

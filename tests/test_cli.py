@@ -14,6 +14,8 @@ from rastube.cli import parse_scenario, run_cli
 from rastube.errors import ConfigurationError
 from rastube.tube import evolve_tube
 
+from conftest import assert_no_child_left, reference_csv
+
 
 def load_bundled():
     return json.loads(Path(rastube.bundled_scenario_path()).read_text())
@@ -97,6 +99,31 @@ class TestParse:
         assert f"error: {key}:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, where, value", [
+        ("task.time_limit", ("task", "time_limit"), 10 ** 400),
+        ("task.start_state", ("task", "start_state", 0), 10 ** 400),
+        ("task.initial_set", ("task", "initial_set", 0, 1), 10 ** 400),
+        ("task.unsafe_sets[0]", ("task", "unsafe_sets", 0, 0, 1), 10 ** 400),
+        ("plant.heading_init", ("plant", "heading_init"), 10 ** 400),
+        ("plant.disturbance.bound", ("plant", "disturbance", "bound"), 10 ** 400),
+        ("plant.disturbance.bound", ("plant", "disturbance", "bound"), -10 ** 400)],
+        ids=["time_limit", "start_state", "initial_set", "unsafe_sets", "heading_init",
+             "bound", "negative-bound"])
+    def test_integer_too_large_for_float_exits_two(self, tmp_path, capsys, key, where, value):
+        # a 401-digit JSON integer parses as a Python int that no float holds
+        doc = load_bundled()
+        *parents, last = where
+        section = doc
+        for part in parents:
+            section = section[part]
+        section[last] = value
+        out = tmp_path / "syn"
+        code = run_cli(["synthesize", "--scenario", str(write_scenario(tmp_path, doc)),
+                        "--out", str(out)])
+        assert code == 2
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_step_above_twice_time_floor_names_key(self, tmp_path, capsys):
         doc = load_bundled()
         doc["tube"].update({"step": 0.01, "time_floor": 0.004})
@@ -142,15 +169,10 @@ def fast_scenario(tmp_path, **tweaks):
 
 
 def in_process_tube_csv(scenario, path):
-    """The corridor CSV of ``scenario`` written in this process."""
+    """The corridor CSV of ``scenario`` written in this process by the
+    reference writer."""
     scn = parse_scenario(scenario)
-    evolve_tube(scn.task, schedule(scn.task, scn.tube), scn.tube).to_csv(path)
-    return path.read_bytes()
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return reference_csv(evolve_tube(scn.task, schedule(scn.task, scn.tube), scn.tube), path)
 
 
 class TestPipeline:
@@ -338,7 +360,8 @@ class TestOverrides:
 
 
 class TestTubeWriter:
-    """``simulate`` writes tube.csv from a forked child during the closed loop."""
+    """``simulate`` writes tube.csv from a forked child during the closed
+    loop, and splits trace.csv across itself and a second child."""
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-line"])
     def test_tube_csv_matches_in_process_write(self, tmp_path, monkeypatch, fork):
@@ -348,6 +371,26 @@ class TestTubeWriter:
         out = tmp_path / "sim"
         assert run_cli(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
         assert_no_child_left()
+        assert (out / "tube.csv").read_bytes() == \
+            in_process_tube_csv(scenario, tmp_path / "ref.csv")
+
+    def test_forked_writer_does_not_fork_again(self, tmp_path, monkeypatch):
+        # the tube.csv child writes its 20001 rows in one piece; only
+        # trace.csv is split, by this process
+        forks = tmp_path / "forks"
+        fork = os.fork
+
+        def logged_fork():
+            with open(forks, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        scenario = fast_scenario(tmp_path)
+        out = tmp_path / "sim"
+        assert run_cli(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert_no_child_left()
+        assert forks.read_text().split() == [str(os.getpid())] * 2
         assert (out / "tube.csv").read_bytes() == \
             in_process_tube_csv(scenario, tmp_path / "ref.csv")
 

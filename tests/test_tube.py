@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -10,7 +13,10 @@ from rastube.avoidance import PASS_ABOVE, ObstaclePlan, _fraction
 from rastube.errors import InfeasibleScenarioError
 from rastube.geometry import Box
 from rastube.scenario import RasTask, TubeParams
-from rastube.tube import Tube, evolve_tube, smoothness_check, verify_tube
+from rastube.plant import SimFlags, SimTrace
+from rastube.tube import Tube, _write_rows, evolve_tube, smoothness_check, verify_tube
+
+from conftest import assert_no_child_left, reference_csv
 
 
 def tube_derivative(task, plans, params, values, t):
@@ -696,3 +702,87 @@ class TestSmoothness:
         a = verify_tube(case_tube, case_scenario.task)
         b = verify_tube(again, case_scenario.task)
         assert [c.passed for c in a.conditions] == [c.passed for c in b.conditions]
+
+
+def awkward_values(rng, shape):
+    """Floats whose shortest and 17-digit forms differ, of every sign and
+    magnitude, with exact zeros and integers among them."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    values.flat[::7] = 0.0
+    values.flat[3::11] = np.round(values.flat[3::11] * 1e-300)
+    return values
+
+
+def demo_tube(rows):
+    rng = np.random.default_rng(rows)
+    return Tube(ts=np.linspace(0.0, 80.0, rows), lower=awkward_values(rng, (rows, 2)),
+                width=np.array([0.1, 0.30000000000000004]))
+
+
+def demo_trace(rows):
+    rng = np.random.default_rng(rows)
+    values = [awkward_values(rng, (rows, 3)) for _ in range(5)]
+    return SimTrace(ts=np.linspace(0.0, 80.0, rows), states=values[0], lower=values[1],
+                    upper=values[2], inputs=values[3], disturbances=values[4],
+                    active=rng.integers(-1, 3, rows), flags=SimFlags(True, True, True, True),
+                    deadline=80.0)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body after ``seconds``, instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestRowWriter:
+    """``_write_rows`` writes the bytes of the serial reference writer,
+    whether or not it splits the rows across two processes."""
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-line"])
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("make", [demo_tube, demo_trace], ids=["tube", "trace"])
+    def test_bytes_match_serial_reference(self, tmp_path, monkeypatch, make, rows, fork):
+        table = make(rows)
+        expected = reference_csv(table, tmp_path / "ref.csv")
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        table.to_csv(tmp_path / "out.csv")
+        assert_no_child_left()
+        assert (tmp_path / "out.csv").read_bytes() == expected
+
+    def test_failed_child_raises(self, tmp_path):
+        tube = demo_tube(1025)
+        parent = os.getpid()
+
+        def block(a, b):
+            if os.getpid() != parent:
+                raise ValueError("no rows in the child")
+            return tube.lower[a:b]
+
+        with pytest.raises(OSError, match="failed in a child process"):
+            _write_rows(tmp_path / "out.csv", ["g1L", "g2L"], 1025, block)
+        assert_no_child_left()
+
+    def test_error_in_parent_half_leaves_no_child(self, tmp_path):
+        # the child's half is far larger than a pipe holds, so the child
+        # blocks on it until the parent closes the read end
+        tube = demo_tube(16384)
+        parent = os.getpid()
+
+        def block(a, b):
+            if os.getpid() == parent and a >= 256:
+                raise ValueError("no rows in the parent")
+            return tube.lower[a:b]
+
+        with time_limit(60), pytest.raises(ValueError, match="no rows in the parent"):
+            _write_rows(tmp_path / "out.csv", ["g1L", "g2L"], 16384, block)
+        assert_no_child_left()
