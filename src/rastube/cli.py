@@ -80,6 +80,19 @@ def _err(issues, path, msg):
     issues.append((path, msg))
 
 
+# rows a corridor or closed-loop grid may hold; each grid is a few
+# (rows, dimensions) float arrays, so this bounds what a run allocates
+MAX_GRID_ROWS = 1_000_000
+
+
+def _check_rows(issues, path, span: float, step: float) -> None:
+    """Report ``path`` when a grid of step ``step`` over ``span`` seconds
+    would hold more than MAX_GRID_ROWS rows (round(span / step) + 1)."""
+    if not span / step < MAX_GRID_ROWS - 0.5:
+        _err(issues, path, f"a step of {step:.6g} over {span:.6g} s asks for more "
+                           f"than {MAX_GRID_ROWS} grid rows")
+
+
 def _get_section(doc, name, required_keys, optional_keys, issues):
     section = doc.get(name)
     if section is None:
@@ -306,6 +319,7 @@ def parse_scenario(path) -> Scenario:
         # stability region and the corridor diverges
         _err(issues, "tube.step",
              f"must be <= 2 * tube.time_floor ({2.0 * tube.time_floor:.6g})")
+    _check_rows(issues, "tube.step", task.deadline, tube.step)
 
     gain_sign = ctrl_sec.get("gain_sign", 1)
     if not isinstance(gain_sign, int) or isinstance(gain_sign, bool) or gain_sign not in (1, -1):
@@ -327,6 +341,8 @@ def parse_scenario(path) -> Scenario:
         output_dir=str(run_sec.get("output_dir", "out")))
     if run.stay_horizon is None or run.stay_horizon < 0:
         _err(issues, "run.stay_horizon", "must be >= 0")
+    else:
+        _check_rows(issues, "run.sim_step", task.deadline + run.stay_horizon, run.sim_step)
 
     if issues:
         raise ConfigurationError(issues)
@@ -410,11 +426,17 @@ def _disturbance(scn: Scenario, seed: Optional[int] = None) -> DisturbanceModel:
 def _sim_options(scn: Scenario, sim_step: Optional[float] = None,
                  stay: Optional[float] = None) -> SimOptions:
     """The scenario's simulation options with any overrides applied; raises
-    ConfigurationError for an invalid step or stay horizon."""
+    ConfigurationError for an invalid step or stay horizon, or for too
+    many grid rows."""
     _, extra_bounds, extra_init = scn.frame_layout()
-    return SimOptions(step=sim_step if sim_step is not None else scn.run.sim_step,
-                      stay_horizon=stay if stay is not None else scn.run.stay_horizon,
-                      extra_state=extra_init, extra_bounds=extra_bounds)
+    options = SimOptions(step=sim_step if sim_step is not None else scn.run.sim_step,
+                         stay_horizon=stay if stay is not None else scn.run.stay_horizon,
+                         extra_state=extra_init, extra_bounds=extra_bounds)
+    issues = []
+    _check_rows(issues, "run.sim_step", scn.task.deadline + options.stay_horizon, options.step)
+    if issues:
+        raise ConfigurationError(issues)
+    return options
 
 
 def cmd_simulate(scn: Scenario, out: Path, seed: Optional[int],
@@ -467,15 +489,18 @@ def cmd_verify(scn: Scenario, tube_path: Path, out: Path) -> int:
     return EXIT_OK if verdict.passed else EXIT_GUARANTEE
 
 
+def _compare_step(scn: Scenario, sim_step: Optional[float]) -> float:
+    """The closed-loop step of ``compare``: the abrupt baseline needs a
+    finer step than routine runs, kept matched between the two corridors."""
+    return sim_step if sim_step is not None else scn.run.sim_step / 10.0
+
+
 def cmd_compare(scn: Scenario, out: Path, seed: Optional[int],
                 sim_step: Optional[float]) -> int:
     plans = schedule(scn.task, scn.tube)
     smooth_tube = evolve_tube(scn.task, plans, scn.tube)
     abrupt_tube = baseline_tube(scn.task, plans, scn.tube)
-    if sim_step is None:
-        # the abrupt baseline needs a finer step than routine runs; keep it
-        # matched between the two corridors
-        sim_step = scn.run.sim_step / 10.0
+    sim_step = _compare_step(scn, sim_step)
     used_seed = seed if seed is not None else scn.plant.disturbance.seed
     smooth_trace = _run_simulation(scn, smooth_tube, plans, seed=used_seed,
                                    sim_step=sim_step, stay=0.0)
@@ -565,9 +590,16 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                                   blend_scale=scn.tube.blend_scale,
                                   time_floor=max(scn.tube.time_floor, args.dt / 2.0),
                                   step=args.dt)
+            issues = []
+            _check_rows(issues, "tube.step", scn.task.deadline, args.dt)
+            if issues:
+                raise ConfigurationError(issues)
+        # reject invalid simulation overrides before any synthesis work
+        if args.command == "simulate":
+            _sim_options(scn, args.sim_step, args.stay_horizon)
+        if args.command == "compare":
+            _sim_options(scn, _compare_step(scn, args.sim_step), 0.0)
         if args.command in ("simulate", "compare"):
-            # reject invalid simulation overrides before any synthesis work
-            _sim_options(scn, args.sim_step, getattr(args, "stay_horizon", None))
             _disturbance(scn, args.seed)
         out = Path(args.out or scn.run.output_dir)
 

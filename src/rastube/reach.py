@@ -4,7 +4,8 @@ The margin runs from the start-box corner to the target-box corner over the
 deadline and is constant afterwards.  The closed form is the exact solution
 of the defining rate equation, and ``rates`` is its derivative, the one the
 corridor integrator runs; tests cross-check both against an independent
-integration.
+integration.  ``increments`` holds the RK4 increments of that rate on a
+uniform grid: the steps of every corridor row that no detour bends.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import numpy as np
 # Relative distance to the deadline below which evaluation switches to the
 # constant branch; avoids overflowing tanh/sech arguments.
 _DEADLINE_GUARD = 1e-9
+
+# Runge-Kutta steps evaluated together; bounds the scratch arrays.
+_BLOCK = 1024
 
 
 def _tanh(x):
@@ -33,6 +37,19 @@ def _tanh(x):
         out[live] = np.fromiter(map(math.tanh, x[live].tolist()), float)
         return out
     return math.tanh(x)
+
+
+def rk4_increment(a0, am, a1, bm, b1, h):
+    """Q of the RK4 step y+ = P * y + Q of y' = a(t) - b(t) * y: the step
+    taken from y = 0, with a and b at the step's start (a0), midpoint (am,
+    bm) and end (a1, b1), summed in the order the scalar RK4 sums it.
+    With b = 0 it is the increment of the rate a alone."""
+    half = 0.5 * h
+    k1 = a0
+    k2 = am - bm * (half * k1)
+    k3 = am - bm * (half * k2)
+    k4 = a1 - b1 * (h * k3)
+    return h / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
 
 
 def _sech_sq(z):
@@ -66,6 +83,8 @@ class ReachMargin:
     end: np.ndarray
     deadline: float
     _span: np.ndarray = field(init=False, repr=False)
+    # (grid_steps, increments) of the last grid ``increments`` filled
+    _nominal: tuple = field(init=False, repr=False, compare=False, default=(0, None))
 
     def __post_init__(self):
         start = np.asarray(self.start, dtype=float)
@@ -118,3 +137,26 @@ class ReachMargin:
         coef = tc / (w * w) * _sech_sq(tt / w)
         # built one dimension per row: each column of the result is contiguous
         return np.where(live, self._span[:, None] * coef, 0.0).T
+
+    def increments(self, grid_steps: int) -> np.ndarray:
+        """RK4 increments of ``rates`` on the grid t_k = deadline * k /
+        grid_steps, shape (n, grid_steps): column k is the step from row k
+        to row k + 1, as ``rk4_increment`` takes it with b = 0.
+
+        Filled ``_BLOCK`` steps at a time and kept for the last grid asked
+        for, so every integration of this margin on one grid shares them.
+        """
+        steps, held = self._nominal
+        if held is not None and steps == grid_steps:
+            return held
+        t_c = self.deadline
+        out = np.empty((self.n, grid_steps))
+        for g0 in range(0, grid_steps, _BLOCK):
+            g1 = min(g0 + _BLOCK, grid_steps)
+            m = g1 - g0
+            rows_t = t_c * np.arange(g0, g1 + 1) / grid_steps
+            h = rows_t[1:] - rows_t[:-1]
+            a = self.rates(np.concatenate((rows_t, rows_t[:-1] + 0.5 * h))).T
+            out[:, g0:g1] = rk4_increment(a[:, :m], a[:, m + 1:], a[:, 1:m + 1], 0.0, 0.0, h)
+        object.__setattr__(self, "_nominal", (grid_steps, out))
+        return out

@@ -9,6 +9,7 @@ when the configured extents would not fit inside the start/target sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -140,7 +141,15 @@ class RasTask:
         return self._clamped_box(self.target, self.target_margin, self.target_set)
 
     def lower_margin(self) -> ReachMargin:
-        """Reach margin between the lower corners of the corridor boxes."""
+        """Reach margin between the lower corners of the corridor boxes.
+
+        The same instance on every call, so the candidate checks and the
+        corridor of one task share its nominal increments.
+        """
+        return self._lower_margin
+
+    @cached_property
+    def _lower_margin(self) -> ReachMargin:
         return ReachMargin(self.start_box().lower, self.target_box().lower, self.deadline)
 
 

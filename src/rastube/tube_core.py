@@ -8,8 +8,8 @@ tuples, sorted by entry time:
 
 where ``column`` indexes the integrated state and the anchors are the
 margin values at prep and release.  Steps that straddle a plan's release
-time are split there, so the derivative switch never lands inside a
-Runge-Kutta step.
+time are split there, in every column, so the derivative switch never
+lands inside a Runge-Kutta step.
 
 The columns of the state evolve independently, and each one's derivative
 is affine in its own value: y' = a(t) - b(t) * y.  A column follows the
@@ -22,18 +22,33 @@ with each d the time left in its phase, floored at ``time_floor``.  The
 floor keeps the pull finite past a phase end; it stays inside RK4's
 stability region only for step <= 2 * time_floor, which scenario parsing
 enforces.  One RK4 step of an affine ODE is itself affine,
-y+ = P * y + Q, so the integrator builds a and b at every node and
-midpoint of a block of steps, folds them into P and Q in numpy, and runs
-one multiply-add per step.  Q is the step taken from y = 0, summed in the
-order the scalar RK4 sums it; a step with b = 0 has P == 1.0 exactly and
-Q equal to the scalar step's increment.  So every column no plan bends,
-and every row before a column's first evaluation with a nonzero approach
-or restore weight, keeps the bits of evaluating the derivative one
-instant at a time.  Past that evaluation P * y + Q rounds differently
-from the scalar step; the rows agree within 6e-14 on the benchmark's
-inputs.  That one-instant reference, and the step-by-step RK4 built on
-it, live in ``tests/test_tube.py``.  The targets are computed only where
+y+ = P * y + Q, with Q the step taken from y = 0, summed in the order
+the scalar RK4 sums it.
+
+Nominal increments.  Where the weights are exactly (1, 0, 0), P == 1.0
+and Q is the margin rate's own RK4 increment, which depends on the grid
+alone.  ``ReachMargin.increments`` computes those once per grid and keeps
+them, and ``RasTask.lower_margin`` hands out one margin per task, so every
+candidate check and the corridor of a task share one set.
+
+Windows.  A plan's weights differ from (1, 0, 0) only near t = 0, where
+the origin blend ramps, and from a pad of ``_SATURATED`` blend scales
+before its first transition up to its release; past the pad every
+``smoothstep`` is exactly +-0.5.  In those windows of the column the
+plan bends, and on the steps next to each release in every column, the
+kernel builds a and b at each node and midpoint, ``_BLOCK`` steps at a
+time, and folds them into P and Q.  The targets are computed only where
 an approach or restore weight is nonzero, never inside a hold.
+
+Accumulate.  Every run of steps with P == 1.0 exactly, whether nominal or
+inside a window (the hold, the origin ramp), is one in-order
+``np.add.accumulate``, which gives the bits of y = 1.0 * y + Q step by
+step; only where P differs from 1.0 does the scan take one multiply-add
+per step in Python.  The result has the bits of running that scan over
+the whole grid; past the first pulled evaluation P * y + Q rounds
+differently from the scalar step, within 6e-14 on the benchmark's inputs.
+The whole-grid scan, the one-instant derivative and the step-by-step RK4
+built on it live in ``tests/test_tube.py`` as references.
 
 ``integrate_lower`` takes the number of steps it integrates and,
 separately, the step count of the grid those rows belong to: rows
@@ -44,15 +59,17 @@ same bits as the matching rows of the full grid.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .reach import ReachMargin, _tanh
+from .reach import _BLOCK, ReachMargin, _tanh, rk4_increment
 from .scenario import TubeParams
 
-# Runge-Kutta steps evaluated together; bounds the scratch arrays.
-_BLOCK = 1024
+# smoothstep(x, scale) is exactly +-0.5 from |x| = 20 * scale on; plan
+# windows reach this many blend scales past each transition
+_SATURATED = 24.0
 
 
 def smoothstep(t, scale: float):
@@ -121,6 +138,116 @@ def _plan_targets(t, plan: tuple) -> tuple:
             return_target(t, exit_, release, level, anchor_out), release - t)
 
 
+def _time_windows(packed: list, column: int, edge: float, pad: float) -> List[tuple]:
+    """Time intervals in which an active plan may bend ``column``.
+
+    Plan p is active from the latest earlier release up to its own.  Its
+    phase weights are exactly (1, 0, 0) there except near t = 0, where the
+    origin blend ramps, and from ``pad`` before its first transition on;
+    ``pad`` lies past where every ``smoothstep`` saturates.
+    """
+    windows = []
+    begin = 0.0
+    for prep, enter, exit_, release, k, *_ in packed:
+        if k == column and begin < release:
+            first = min(prep - edge, enter + edge, exit_ - edge, release + edge) - pad
+            if begin < pad:
+                windows.append((begin, min(pad, release)))
+            windows.append((max(begin, first), release))
+        begin = max(begin, release)
+    return windows
+
+
+def _kernel_spans(windows, switches, t_c: float, per: int, n_steps: int) -> List[tuple]:
+    """Merged step ranges [j0, j1) covering ``windows`` and every step
+    within one of a release time, clamped to the steps 0..n_steps-1."""
+    spans = sorted((max(0, math.floor(lo * per / t_c) - 1),
+                    min(n_steps, math.ceil(hi * per / t_c) + 1))
+                   for lo, hi in windows + [(sw, sw) for sw in switches])
+    merged = []
+    for j0, j1 in spans:
+        if j0 >= j1:
+            continue
+        if merged and j0 <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], j1)
+        else:
+            merged.append([j0, j1])
+    return merged
+
+
+def _affine_steps(margin: ReachMargin, dim: int, column: int, packed: list, params: TubeParams,
+                  switches: np.ndarray, per: int, g0: int, g1: int):
+    """P and Q of every RK4 step of ``column`` (margin dimension ``dim``)
+    from row g0 to row g1, the steps split at release times, with the node
+    index each row g0+1..g1 lands on."""
+    t_c = margin.deadline
+    edge, blend, floor = params.edge_buffer, params.blend_scale, params.time_floor
+    rows_t = t_c * np.arange(g0, g1 + 1) / per
+    # release times strictly between two grid rows split that step
+    inner = switches[(switches > rows_t[0]) & (switches < rows_t[-1])]
+    inner = inner[rows_t[np.searchsorted(rows_t, inner)] != inner]
+    tn = np.sort(np.concatenate((rows_t, inner)))
+    rows = np.searchsorted(tn, rows_t[1:])
+    h = tn[1:] - tn[:-1]
+    half = 0.5 * h
+    ts = np.concatenate((tn, tn[:-1] + half))    # nodes, then midpoints
+    a = margin.rates(ts).T[dim]
+    b = np.zeros_like(a)
+    active = np.full(ts.shape, -1)
+    for p in range(len(packed) - 1, -1, -1):
+        active[ts < packed[p][3]] = p
+    for p, plan in enumerate(packed):
+        idx = np.flatnonzero(active == p)
+        if plan[4] != column or idx.size == 0:
+            continue
+        w_track, w_in, w_out = phase_weights(ts[idx], *plan[:4], edge, blend)
+        a[idx] *= w_track
+        # targets only where an approach or restore weight is nonzero
+        shaped = (w_in != 0.0) | (w_out != 0.0)
+        at = idx[shaped]
+        w_in, w_out = w_in[shaped], w_out[shaped]
+        target_in, left_in, target_out, left_out = _plan_targets(ts[at], plan)
+        d_in, d_out = np.maximum(left_in, floor), np.maximum(left_out, floor)
+        a[at] += w_in * target_in / d_in + w_out * target_out / d_out
+        b[at] = w_in / d_in + w_out / d_out
+    m = h.shape[0]
+    b0, bm, b1 = b[:m], b[m + 1:], b[1:m + 1]
+    Q = rk4_increment(a[:m], a[m + 1:], a[1:m + 1], bm, b1, h)
+    # the derivatives in y of the RK4 slopes sum to P - 1
+    j1 = -b0
+    j2 = -bm * (1.0 + half * j1)
+    j3 = -bm * (1.0 + half * j2)
+    j4 = -b1 * (1.0 + h * j3)
+    P = 1.0 + h / 6.0 * (((j1 + 2.0 * j2) + 2.0 * j3) + j4)
+    return P, Q, rows
+
+
+def _accumulate(y: float, q: np.ndarray) -> np.ndarray:
+    """The values (...((y + q[0]) + q[1]) ... + q[i]): the bits of the
+    scan y = 1.0 * y + q."""
+    return np.add.accumulate(np.concatenate(([y], q)))[1:]
+
+
+def _scan(y: float, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The value after each step of y = P * y + Q: runs with P == 1.0
+    accumulate, the rest take one multiply-add per step."""
+    out = np.empty(Q.size)
+    y = float(y)
+    pulled = P != 1.0
+    cuts = (np.flatnonzero(pulled[1:] != pulled[:-1]) + 1).tolist()
+    for s0, s1 in zip([0, *cuts], [*cuts, Q.size]):
+        if pulled[s0]:
+            values = []
+            for pj, qj in zip(P[s0:s1].tolist(), Q[s0:s1].tolist()):
+                y = pj * y + qj
+                values.append(y)
+            out[s0:s1] = values
+        else:
+            out[s0:s1] = _accumulate(y, Q[s0:s1])
+            y = float(out[s1 - 1])
+    return out
+
+
 def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams,
                     dims: Optional[Sequence[int]] = None,
                     grid_steps: Optional[int] = None) -> Tuple[np.ndarray, int]:
@@ -136,68 +263,27 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
     dims = list(range(margin.n)) if dims is None else list(dims)
     t_c = margin.deadline
     per = n_steps if grid_steps is None else grid_steps
+    if not 0 <= n_steps <= per:
+        raise ValueError(f"n_steps={n_steps} outside the grid of {per} steps")
     packed = pack_plans(plans, margin, dims)
-    edge, blend, floor = params.edge_buffer, params.blend_scale, params.time_floor
+    nominal = margin.increments(per)
     switches = np.array(sorted({p[3] for p in packed if 0.0 < p[3] < t_c}))
-    y = [float(margin.start[d]) for d in dims]
+    pad = _SATURATED * params.blend_scale
     grid = np.empty((n_steps + 1, len(dims)))
-    grid[0] = y
-    for g0 in range(0, n_steps, _BLOCK):
-        g1 = min(g0 + _BLOCK, n_steps)
-        rows_t = t_c * np.arange(g0, g1 + 1) / per
-        # release times strictly between two grid rows split that step
-        inner = switches[(switches > rows_t[0]) & (switches < rows_t[-1])]
-        inner = inner[rows_t[np.searchsorted(rows_t, inner)] != inner]
-        tn = np.sort(np.concatenate((rows_t, inner)))
-        rows = np.searchsorted(tn, rows_t[1:])     # node index of each grid row
-        h = tn[1:] - tn[:-1]
-        half = 0.5 * h
-        ts = np.concatenate((tn, tn[:-1] + half))    # nodes, then midpoints
-        a = margin.rates(ts).T[dims]
-        b = np.zeros_like(a)
-        active = np.full(ts.shape, -1)
-        for p in range(len(packed) - 1, -1, -1):
-            active[ts < packed[p][3]] = p
-        with np.errstate(over="ignore", invalid="ignore"):
-            for p, plan in enumerate(packed):
-                idx = np.flatnonzero(active == p)
-                if idx.size == 0:
-                    continue
-                k = plan[4]
-                w_track, w_in, w_out = phase_weights(ts[idx], *plan[:4], edge, blend)
-                a[k, idx] *= w_track
-                # targets only where an approach or restore weight is nonzero
-                shaped = (w_in != 0.0) | (w_out != 0.0)
-                at = idx[shaped]
-                w_in, w_out = w_in[shaped], w_out[shaped]
-                target_in, left_in, target_out, left_out = _plan_targets(ts[at], plan)
-                d_in, d_out = np.maximum(left_in, floor), np.maximum(left_out, floor)
-                a[k, at] += w_in * target_in / d_in + w_out * target_out / d_out
-                b[k, at] = w_in / d_in + w_out / d_out
-            m = h.shape[0]
-            a0, am, a1 = a[:, :m], a[:, m + 1:], a[:, 1:m + 1]
-            b0, bm, b1 = b[:, :m], b[:, m + 1:], b[:, 1:m + 1]
-            sixth = h / 6.0
-            # the RK4 slopes from y = 0 sum to Q; their derivatives in y, to P - 1
-            k1 = a0
-            k2 = am - bm * (half * k1)
-            k3 = am - bm * (half * k2)
-            k4 = a1 - b1 * (h * k3)
-            Q = sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
-            j1 = -b0
-            j2 = -bm * (1.0 + half * j1)
-            j3 = -bm * (1.0 + half * j2)
-            j4 = -b1 * (1.0 + h * j3)
-            P = 1.0 + sixth * (((j1 + 2.0 * j2) + 2.0 * j3) + j4)
-        for i in range(len(dims)):
-            v = y[i]
-            values = [v]
-            for pj, qj in zip(P[i].tolist(), Q[i].tolist()):
-                v = pj * v + qj
-                values.append(v)
-            y[i] = v
-            grid[g0 + 1:g1 + 1, i] = np.array(values)[rows]
-        finite = np.isfinite(grid[g0 + 1:g1 + 1]).all(axis=1)
-        if not finite.all():
-            return grid, int(g0 + 1 + np.flatnonzero(~finite)[0])
-    return grid, -1
+    grid[0] = margin.start[dims]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, d in enumerate(dims):
+            column = grid[:, c]
+            windows = _time_windows(packed, c, params.edge_buffer, pad)
+            spans = _kernel_spans(windows, switches.tolist(), t_c, per, n_steps)
+            done = 0
+            for j0, j1 in spans + [(n_steps, n_steps)]:
+                column[done + 1:j0 + 1] = _accumulate(column[done], nominal[d, done:j0])
+                for g0 in range(j0, j1, _BLOCK):
+                    g1 = min(g0 + _BLOCK, j1)
+                    P, Q, rows = _affine_steps(margin, d, c, packed, params, switches,
+                                               per, g0, g1)
+                    column[g0 + 1:g1 + 1] = _scan(column[g0], P, Q)[rows - 1]
+                done = j1
+    finite = np.isfinite(grid[1:]).all(axis=1)
+    return grid, -1 if finite.all() else int(1 + np.flatnonzero(~finite)[0])

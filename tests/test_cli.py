@@ -143,6 +143,19 @@ class TestParse:
         scn = parse_scenario(write_scenario(tmp_path, doc))
         assert scn.tube.step == 2.0 * scn.tube.time_floor
 
+    @pytest.mark.parametrize("section, key, span", [("tube", "step", 80.0),
+                                                    ("run", "sim_step", 100.0)])
+    def test_grid_rows_capped(self, tmp_path, section, key, span):
+        # bundled: 80 s to the deadline plus a 20 s stay horizon
+        doc = load_bundled()
+        doc[section][key] = span / (cli.MAX_GRID_ROWS - 1)
+        parse_scenario(write_scenario(tmp_path, doc))
+        for step in (span / cli.MAX_GRID_ROWS, 1e-300, 5e-324):
+            doc[section][key] = step
+            with pytest.raises(ConfigurationError) as err:
+                parse_scenario(write_scenario(tmp_path, doc))
+            assert [path for path, _ in err.value.issues] == [f"{section}.{key}"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             parse_scenario(tmp_path / "nope.json")
@@ -166,6 +179,10 @@ def fast_scenario(tmp_path, **tweaks):
     for section, values in tweaks.items():
         doc[section].update(values)
     return write_scenario(tmp_path, doc, "fast.json")
+
+
+def unreachable_schedule(*args):
+    raise AssertionError("planned a corridor for a rejected grid")
 
 
 def in_process_tube_csv(scenario, path):
@@ -320,6 +337,30 @@ class TestOverrides:
                         "--out", str(out), "--dt", "0"])
         assert code == 2
         assert "error: tube.step:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, key", [
+        ("synthesize", "--dt", "tube.step"), ("simulate", "--dt", "tube.step"),
+        ("simulate", "--sim-step", "run.sim_step"), ("compare", "--sim-step", "run.sim_step")])
+    def test_grid_rows_over_cap_exit_two(self, tmp_path, capsys, monkeypatch, command, flag,
+                                         key):
+        monkeypatch.setattr(cli, "schedule", unreachable_schedule)
+        out = tmp_path / "out"
+        code = run_cli([command, "--scenario", str(fast_scenario(tmp_path)),
+                        "--out", str(out), flag, "1e-300"])
+        assert code == 2
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_checks_the_step_it_runs(self, tmp_path, capsys, monkeypatch):
+        # 5e-4 s gives simulate 168001 rows over 84 s; compare steps at a
+        # tenth of it over the 80 s deadline, 1600001 rows
+        scenario = fast_scenario(tmp_path, run={"sim_step": 5e-4})
+        parse_scenario(scenario)
+        monkeypatch.setattr(cli, "schedule", unreachable_schedule)
+        out = tmp_path / "out"
+        assert run_cli(["compare", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert "error: run.sim_step:" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [None, "t,g1L,g1U,g2L,g2U\n",

@@ -361,17 +361,18 @@ class TestSimulate:
         for key in ("states", "inputs", "lower", "upper"):
             assert getattr(trace, key).tobytes() == getattr(case_trace, key).tobytes()
 
-    def test_trace_csv_independent_of_avx512(self, tmp_path, case_scenario, case_plans,
-                                             case_tube):
+    def test_trace_csv_independent_of_avx512(self, tmp_path):
         # numpy picks its elementwise kernels by the CPU's SIMD level at run
-        # time; the bundled trace.csv must have the same bytes with numpy's
-        # AVX-512 kernels switched off
+        # time; every file of a bundled simulate must have the same bytes
+        # with numpy's AVX-512 kernels switched off
         features = np_umath.__cpu_features__
         off = [f for f in np_umath.__cpu_dispatch__ if f == "X86_V4" or f.startswith("AVX512")]
         if not (features.get("AVX512F") and off):
             pytest.skip("numpy runs no AVX-512 kernels on this CPU")
-        from rastube.cli import _run_simulation
-        _run_simulation(case_scenario, case_tube, case_plans).to_csv(tmp_path / "trace.csv")
+        from rastube import bundled_scenario_path
+        from rastube.cli import run_cli
+        assert run_cli(["simulate", "--scenario", str(bundled_scenario_path()),
+                        "--out", str(tmp_path / "default")]) == 0
         child = textwrap.dedent(f"""
             import importlib, sys
             from rastube import bundled_scenario_path
@@ -386,8 +387,12 @@ class TestSimulate:
         done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert (tmp_path / "child" / "trace.csv").read_bytes() == \
-            (tmp_path / "trace.csv").read_bytes()
+        names = ["plans.json", "run.json", "smoothness.json", "trace.csv", "tube.csv",
+                 "verify.json"]
+        assert sorted(f.name for f in (tmp_path / "child").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "child" / name).read_bytes() == \
+                (tmp_path / "default" / name).read_bytes(), name
 
     def test_frames_built_once_per_stage_time(self, monkeypatch):
         # the corridor is read once per distinct stage time: t = 0 for the

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rastube import tube_core
-from rastube.avoidance import PASS_ABOVE, ObstaclePlan, _fraction
+from rastube.avoidance import PASS_ABOVE, ObstaclePlan, _fraction, schedule
 from rastube.errors import InfeasibleScenarioError
 from rastube.geometry import Box
 from rastube.scenario import RasTask, TubeParams
@@ -324,6 +324,79 @@ def stepwise_rk4(margin, n_steps, plans, params, dims=None):
     return grid, -1
 
 
+def reference_integrate_lower(margin, n_steps, plans, params, dims=None, grid_steps=None):
+    """The whole-grid affine RK4 scan: P and Q of every step built in
+    numpy, 1024 steps at a time, then one multiply-add per step and column.
+    ``tube_core.integrate_lower`` must give its bits and its divergence
+    row while integrating only where a plan bends a column."""
+    dims = list(range(margin.n)) if dims is None else list(dims)
+    t_c = margin.deadline
+    per = n_steps if grid_steps is None else grid_steps
+    packed = tube_core.pack_plans(plans, margin, dims)
+    edge, blend, floor = params.edge_buffer, params.blend_scale, params.time_floor
+    switches = np.array(sorted({p[3] for p in packed if 0.0 < p[3] < t_c}))
+    y = [float(margin.start[d]) for d in dims]
+    grid = np.empty((n_steps + 1, len(dims)))
+    grid[0] = y
+    for g0 in range(0, n_steps, 1024):
+        g1 = min(g0 + 1024, n_steps)
+        rows_t = t_c * np.arange(g0, g1 + 1) / per
+        # release times strictly between two grid rows split that step
+        inner = switches[(switches > rows_t[0]) & (switches < rows_t[-1])]
+        inner = inner[rows_t[np.searchsorted(rows_t, inner)] != inner]
+        tn = np.sort(np.concatenate((rows_t, inner)))
+        rows = np.searchsorted(tn, rows_t[1:])     # node index of each grid row
+        h = tn[1:] - tn[:-1]
+        half = 0.5 * h
+        ts = np.concatenate((tn, tn[:-1] + half))    # nodes, then midpoints
+        a = margin.rates(ts).T[dims]
+        b = np.zeros_like(a)
+        active = np.full(ts.shape, -1)
+        for p in range(len(packed) - 1, -1, -1):
+            active[ts < packed[p][3]] = p
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, plan in enumerate(packed):
+                idx = np.flatnonzero(active == p)
+                if idx.size == 0:
+                    continue
+                k = plan[4]
+                w_track, w_in, w_out = tube_core.phase_weights(ts[idx], *plan[:4], edge, blend)
+                a[k, idx] *= w_track
+                shaped = (w_in != 0.0) | (w_out != 0.0)
+                at = idx[shaped]
+                w_in, w_out = w_in[shaped], w_out[shaped]
+                target_in, left_in, target_out, left_out = tube_core._plan_targets(ts[at], plan)
+                d_in, d_out = np.maximum(left_in, floor), np.maximum(left_out, floor)
+                a[k, at] += w_in * target_in / d_in + w_out * target_out / d_out
+                b[k, at] = w_in / d_in + w_out / d_out
+            m = h.shape[0]
+            a0, am, a1 = a[:, :m], a[:, m + 1:], a[:, 1:m + 1]
+            b0, bm, b1 = b[:, :m], b[:, m + 1:], b[:, 1:m + 1]
+            sixth = h / 6.0
+            k1 = a0
+            k2 = am - bm * (half * k1)
+            k3 = am - bm * (half * k2)
+            k4 = a1 - b1 * (h * k3)
+            Q = sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+            j1 = -b0
+            j2 = -bm * (1.0 + half * j1)
+            j3 = -bm * (1.0 + half * j2)
+            j4 = -b1 * (1.0 + h * j3)
+            P = 1.0 + sixth * (((j1 + 2.0 * j2) + 2.0 * j3) + j4)
+        for i in range(len(dims)):
+            v = y[i]
+            values = [v]
+            for pj, qj in zip(P[i].tolist(), Q[i].tolist()):
+                v = pj * v + qj
+                values.append(v)
+            y[i] = v
+            grid[g0 + 1:g1 + 1, i] = np.array(values)[rows]
+        finite = np.isfinite(grid[g0 + 1:g1 + 1]).all(axis=1)
+        if not finite.all():
+            return grid, int(g0 + 1 + np.flatnonzero(~finite)[0])
+    return grid, -1
+
+
 def coarse_params(params, step, floor):
     return TubeParams(window_margin=params.window_margin, edge_buffer=params.edge_buffer,
                       blend_scale=params.blend_scale, time_floor=floor, step=step)
@@ -522,6 +595,140 @@ class TestSkippedWork:
             assert ts[-1] <= until < full_ts[last + 1] and last < n_steps
             assert_same_bits(ts, full_ts[:last + 1])
             assert_same_bits(path, full[:last + 1, 0])
+
+
+class TestWindowedIntegrator:
+    """integrate_lower runs the plan kernel only where a plan may bend a
+    column and accumulates the margin's nominal increments elsewhere, with
+    the bits of the whole-grid reference scan."""
+
+    def assert_matches_reference(self, margin, n_steps, plans, params, **kw):
+        got, bad = tube_core.integrate_lower(margin, n_steps, plans, params, **kw)
+        ref, ref_bad = reference_integrate_lower(margin, n_steps, plans, params, **kw)
+        assert bad == ref_bad
+        rows = slice(None) if bad < 0 else slice(0, bad + 1)
+        assert_same_bits(got[rows], ref[rows])
+        return got, bad
+
+    def test_bundled_corridor_all_columns(self, case_scenario, case_plans):
+        task, params = case_scenario.task, case_scenario.tube
+        n_steps = int(round(task.deadline / params.step))
+        _, bad = self.assert_matches_reference(task.lower_margin(), n_steps, case_plans, params)
+        assert bad == -1
+
+    def test_bundled_candidate_checks(self, case_scenario, monkeypatch):
+        # every (dimension, side) the planner integrates: one column, a
+        # prefix of the corridor grid
+        calls = []
+        integrate = tube_core.integrate_lower
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return integrate(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tube_core, "integrate_lower", recording)
+            schedule(case_scenario.task, case_scenario.tube)
+        assert len(calls) >= 3
+        for (margin, n_steps, plans, params), kw in calls:
+            assert len(kw["dims"]) == 1 and kw["grid_steps"] != n_steps
+            self.assert_matches_reference(margin, n_steps, plans, params, **kw)
+
+    def test_random_cases(self):
+        from rastube.sampling import random_case
+        rng = np.random.default_rng(5151)
+        for i in range(4):
+            case = random_case(rng, n_dims=2 + (i % 2))
+            n_steps = int(round(case.task.deadline / case.params.step))
+            _, bad = self.assert_matches_reference(case.task.lower_margin(), n_steps,
+                                                   case.plans, case.params)
+            assert bad == -1
+
+    def test_release_between_rows_splits_unbent_column(self, case_scenario, case_plans):
+        # the detour bends dimension 1 only; its release falls strictly
+        # between two rows, so dimension 0 takes a split step there too,
+        # which on this grid moves some of its later rows by an ulp
+        task = case_scenario.task
+        n_steps = 2999
+        step = task.deadline / n_steps
+        params = coarse_params(case_scenario.tube, step, 0.5 * step)
+        plan = case_plans[0]
+        assert plan.dim == 1
+        ts = task.deadline * np.arange(n_steps + 1) / n_steps
+        assert plan.release_time not in ts
+        got, _ = self.assert_matches_reference(task.lower_margin(), n_steps, [plan], params)
+        unsplit, _ = reference_integrate_lower(task.lower_margin(), n_steps, [], params)
+        assert not np.array_equal(got[:, 0], unsplit[:, 0])
+
+    def test_zero_level_hold(self, case_scenario):
+        from rastube.reach import ReachMargin
+        margin = ReachMargin(np.array([0.0, 0.0]), np.array([11.0, 0.0]), 80.0)
+        plan = ObstaclePlan(index=0, enter_time=21.0, exit_time=30.0, prep_time=20.0,
+                            release_time=31.0, dim=1, side=PASS_ABOVE, level=0.0)
+        params = coarse_params(case_scenario.tube, 80.0 / 3001, 0.5 * 80.0 / 3001)
+        got, _ = self.assert_matches_reference(margin, 3001, [plan], params)
+        assert np.all(got[:, 1] == 0.0)
+
+    def test_divergence_row(self, case_scenario, case_plans):
+        task = case_scenario.task
+        step = task.deadline / 3001
+        params = coarse_params(case_scenario.tube, step, step * 1e-30)
+        _, bad = self.assert_matches_reference(task.lower_margin(), 3001, case_plans, params)
+        assert bad > 0
+
+    def test_small_blocks(self, case_scenario, case_plans, monkeypatch):
+        # windows and nominal increments filled 7 steps at a time, on a
+        # fresh margin so that its increments are built under the patch
+        from rastube import reach
+        from rastube.reach import ReachMargin
+        task, params = case_scenario.task, case_scenario.tube
+        n_steps = int(round(task.deadline / params.step))
+        m = task.lower_margin()
+        with monkeypatch.context() as patch:
+            patch.setattr(tube_core, "_BLOCK", 7)
+            patch.setattr(reach, "_BLOCK", 7)
+            margin = ReachMargin(m.start, m.end, m.deadline)
+            self.assert_matches_reference(margin, n_steps, case_plans, params)
+            for plan in case_plans:
+                self.assert_matches_reference(margin, n_steps // 2, [plan], params,
+                                              dims=[plan.dim], grid_steps=n_steps)
+
+
+class TestSharedIncrements:
+    def test_schedule_and_evolve_compute_increments_once(self, monkeypatch):
+        # one task's candidate checks and corridor share one set of nominal
+        # increments; a task parsed again computes its own
+        from rastube import bundled_scenario_path
+        from rastube.cli import parse_scenario
+        from rastube.reach import ReachMargin
+
+        first = parse_scenario(bundled_scenario_path())
+        t_c = first.task.deadline
+        n_steps = int(round(t_c / first.tube.step))
+        # the midpoint of the last step lies past every plan's release, so
+        # only the nominal increments evaluate the margin rate there
+        last = t_c * (n_steps - 1) / n_steps
+        late = last + 0.5 * (t_c * n_steps / n_steps - last)
+        reads = []
+        rates = ReachMargin.rates
+
+        def counting(margin, ts):
+            reads.append(bool(np.any(np.asarray(ts) == late)))
+            return rates(margin, ts)
+
+        monkeypatch.setattr(ReachMargin, "rates", counting)
+
+        def late_reads(scn):
+            reads.clear()
+            evolve_tube(scn.task, schedule(scn.task, scn.tube), scn.tube)
+            return sum(reads)
+
+        assert first.task.lower_margin() is first.task.lower_margin()
+        assert late_reads(first) == 1
+        assert late_reads(first) == 0
+        second = parse_scenario(bundled_scenario_path())
+        assert second.task.lower_margin() is not first.task.lower_margin()
+        assert late_reads(second) == 1
 
 
 def scalar_bounds(tube, t):
