@@ -7,20 +7,25 @@ the corridor width.  Synthesis integrates the blended derivative with
 fixed-step RK4; verification and smoothness checks run on the stored grid.
 
 ``Tube.to_csv`` and ``plant.SimTrace.to_csv`` write every grid row through
-``_write_rows``: each value as ``%.17g``, one ``%`` operation per slice of
-256 rows, with the second half of a large table formatted by a forked
-child (``in_child``).  The bytes are those of ``%.17g`` applied value by
-value, in one process or two.
+``_write_rows``: each value as ``%.17g`` (``%d`` for an integer column),
+formatted ``_SLICE`` rows at a time by array operations, with the second
+half of a large table formatted by a forked child (``in_child``).  The
+kernel finds each value's 17 correctly rounded digits with a double-double
+product and leaves to ``%`` only what it cannot decide: non-finite values,
+magnitudes outside [1e-280, 1e280) other than zero, roundings within 1e-12
+of a tie, and integers of magnitude 2**53 and up.  The bytes are those of
+``%.17g`` and ``%d`` applied value by value, in one process or two.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,8 +130,8 @@ def _pairs(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.stack((lower, upper), axis=2).reshape(lower.shape[0], -1)
 
 
-# rows formatted by one ``%`` operation
-_SLICE = 256
+# rows formatted together
+_SLICE = 1024
 # bytes copied from a writer child's pipe at a time
 _COPY_CHUNK = 1 << 20
 # set in a child forked by ``in_child``: it does its work in-line and
@@ -173,32 +178,263 @@ def in_child(work, what: str):
                       f"(exit code {os.waitstatus_to_exitcode(status)})")
 
 
+# -- ``%.17g`` and ``%d`` as array operations -------------------------------
+#
+# Every value gets a field of 32 bytes, built as four little-endian uint64
+# words (byte b of a word is bits 8b..8b+7), and every byte the value does
+# not use is NUL:
+#
+#   0       '-' for a negative value
+#   1-5     "0." and up to three zeros, for decimal exponents -4..-1
+#   7-24    the 17 significant digits, with '.' after the integer digits
+#           (after the first digit in scientific notation) and the
+#           trailing zeros of the fraction dropped
+#   25-29   "e+dd", "e-ddd" and so on, in scientific notation
+#   31      the separator
+#
+# An integer field holds its '-' in byte 7 and its digits, without leading
+# zeros, in bytes 8-23.  Dropping the NULs of a slice's fields leaves the
+# CSV text.  The digits are N = round(|x| * 10**(16 - X)) with
+# X = floor(log10 |x|), the correctly rounded 17 digits that ``%`` prints.
+
+# decimal exponents with a 10**(16 - X) table entry, one either side of
+# those of the magnitudes [_LOW, _HIGH) the kernel formats; outside them the
+# Veltkamp split below could overflow
+_X_LO, _X_HI = -282, 282
+_LOW, _HIGH = 1e-280, 1e280
+# |fraction - 0.5| of the scaled value below which the rounding goes
+# through ``%``: the double-double product is within 1e-14 of the exact one
+_TIE = 1e-12
+
+
+def _split(v):
+    """Veltkamp's split of v into a high part of 26 bits and the rest,
+    so that the product of two high or two low parts is exact."""
+    c = v * 134217729.0
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _pow10(k: int) -> Tuple[float, float]:
+    """10**k as hi + lo, both correctly rounded, from exact integers."""
+    if k >= 0:
+        hi = float(10 ** k)
+        return hi, float(10 ** k - int(hi))
+    hi = 1 / 10 ** -k
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * 10 ** -k) / (den * 10 ** -k)
+
+
+def _byte_word(text: bytes, at: int) -> int:
+    """The field word holding ``text`` from byte ``at`` on."""
+    return int.from_bytes(bytes(at) + text, "little")
+
+
+def _mask(lo: int, hi: int, word: int) -> int:
+    """The bytes lo <= 8 * word + b < hi of a field word, set."""
+    start, end = max(lo - 8 * word, 0), min(hi - 8 * word, 8)
+    return (1 << 8 * end) - (1 << 8 * start) if start < end else 0
+
+
+class _Tables(NamedTuple):
+    # per decimal exponent X, at index X - _X_LO: 10**(16 - X) as hi + lo
+    # and the split of hi, the word 0 and word 3 bytes ("0.00", "e+17"),
+    # the body index of the decimal point (17: none), and how many digits
+    # stay even when they are trailing zeros (the integer digits of fixed
+    # notation)
+    scale_hi: np.ndarray
+    scale_lo: np.ndarray
+    scale_hh: np.ndarray
+    scale_hl: np.ndarray
+    prefix: np.ndarray
+    suffix: np.ndarray
+    point: np.ndarray
+    kept: np.ndarray
+    # per body index point * 18 + kept digits, for words 1..3: where the
+    # digits before the point stay, where those after it go, moved one
+    # byte on, and the point itself
+    keep: tuple
+    move: tuple
+    dot: tuple
+    # "0000".."9999" as little-endian uint32 words, and their trailing zeros
+    digits: np.ndarray
+    zeros: np.ndarray
+    # words 1 and 2 of an integer field without its first ``lead`` digits
+    lead: tuple
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The kernel's lookup tables, built on the first write, so that a
+    process that writes no CSV does not pay for them."""
+    xs = range(_X_LO, _X_HI + 1)
+    scale = np.array([_pow10(16 - x) for x in xs]).T.copy()
+    prefix = np.zeros(len(xs), np.uint64)
+    suffix = np.zeros(len(xs), np.uint64)
+    point = np.ones(len(xs), np.intp)
+    kept = np.ones(len(xs), np.intp)
+    for i, x in enumerate(xs):
+        if -4 <= x < 0:
+            prefix[i] = _byte_word(b"0.000"[:1 - x], 1)
+            point[i] = 17
+        elif 0 <= x < 17:
+            point[i] = kept[i] = x + 1
+        else:
+            suffix[i] = _byte_word(b"e%+03d" % x, 1)
+    masks = np.zeros((3, 3, 18 * 18), np.uint64)
+    for p in range(1, 18):
+        at = 7 + p
+        for k in range(1, 18):
+            for w in range(3):
+                masks[:, w, p * 18 + k] = (
+                    _mask(0, min(at, 7 + k), w + 1), _mask(at + 1, 8 + k, w + 1),
+                    _mask(at, at + 1, w + 1) & 0x2E2E2E2E2E2E2E2E if k > p else 0)
+    n = np.arange(10000)
+    return _Tables(
+        scale[0], scale[1], *_split(scale[0]), prefix, suffix, point, kept,
+        *(tuple(m) for m in masks),
+        sum((0x30 + n.astype(np.uint32) // 10 ** (3 - k) % 10) << 8 * k for k in range(4)),
+        sum((n % 10 ** k == 0).astype(np.int8) for k in range(1, 5)),
+        tuple(np.array([_mask(8 + lead, 24, w) for lead in range(16)], np.uint64)
+              for w in (1, 2)))
+
+
+_POWERS = np.array([10 ** k for k in range(1, 16)], np.int64)
+_COMMA, _NEWLINE = 0x2C << 56, 0x0A << 56
+
+
+def _scaled(a, X, t: _Tables):
+    """a * 10**(16 - X) as ph + pl: ph the rounded product, an integer
+    from 2**53 on, and pl the rest (Dekker's product)."""
+    i = X - _X_LO
+    ph = a * t.scale_hi[i]
+    ah, al = _split(a)
+    bh, bl = t.scale_hh[i], t.scale_hl[i]
+    pl = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
+    return ph, pl + a * t.scale_lo[i]
+
+
+def _outside(ph, pl):
+    """+1 where ph + pl >= 1e17, -1 where it is below 1e16, else 0."""
+    return ((ph - 1e17) + pl >= 0).astype(np.intp) - ((ph - 1e16) + pl < 0)
+
+
+def _digit_words(n, out, digits):
+    """Write the last 16 decimal digits of int64 n >= 0 as ASCII to bytes
+    8..23 of the fields ``out``.  Returns the number the digits before
+    them form, and the 16 digits as four numbers below 10**4."""
+    quads = out.view("<u4")
+    q = n // 10 ** 8
+    head = q // 10 ** 8
+    chunks = []
+    for part in (q - head * 10 ** 8, n - q * 10 ** 8):
+        high = part // 10 ** 4
+        chunks += [high, part - high * 10 ** 4]
+    for j, c in enumerate(chunks):
+        quads[:, 2 + j] = digits[c]
+    return head, chunks
+
+
+def _float_fields(x, t: _Tables):
+    """The 32-byte fields of ``"%.17g" % v`` for each v of 1-d float64 x,
+    each ended by a comma, and the indices the kernel left to ``%``:
+    non-finite values, magnitudes outside [_LOW, _HIGH) other than zero,
+    and roundings too close to a tie."""
+    a = np.abs(x)
+    ok = (a >= _LOW) & (a < _HIGH)
+    a = np.where(ok, a, 1.0)
+    X = np.floor(np.log10(a)).astype(np.intp)
+    ph, pl = _scaled(a, X, t)
+    # np.log10 only estimates X: the product says where it is one off
+    step = _outside(ph, pl)
+    fix = np.flatnonzero(step)
+    if fix.size:
+        X[fix] += step[fix]
+        ph[fix], pl[fix] = again = _scaled(a[fix], X[fix], t)
+        ok[fix] &= _outside(*again) == 0
+    r = np.rint(pl)
+    ok &= np.abs(np.abs(pl - r) - 0.5) >= _TIE
+    N = ph.astype(np.int64) + r.astype(np.int64)
+    carry = np.flatnonzero(N == 10 ** 17)
+    N[carry] = 10 ** 16
+    X[carry] += 1
+    digits = np.empty((x.size, 3), "<u8")
+    head, (c1, c2, c3, c4) = _digit_words(N, digits, t.digits)
+    zeros = np.where(c4 != 0, t.zeros[c4], 4 + np.where(
+        c3 != 0, t.zeros[c3], 4 + np.where(c2 != 0, t.zeros[c2], 4 + t.zeros[c1])))
+    i = X - _X_LO
+    j = t.point[i] * 18 + np.maximum(17 - zeros, t.kept[i])
+    keep, move, dot = t.keep, t.move, t.dot
+    w0 = (head + 0x30).astype(np.uint64) << 56
+    w1, w2 = digits[:, 1], digits[:, 2]
+    out = np.empty((x.size, 4), "<u8")
+    out[:, 0] = w0 | t.prefix[i] | (x.view(np.uint64) >> 63) * 0x2D
+    out[:, 1] = (w1 & keep[0][j]) | (((w1 << 8) | (w0 >> 56)) & move[0][j]) | dot[0][j]
+    out[:, 2] = (w2 & keep[1][j]) | (((w2 << 8) | (w1 >> 56)) & move[1][j]) | dot[1][j]
+    out[:, 3] = ((w2 >> 56) & move[2][j]) | t.suffix[i] | _COMMA
+    # a zero keeps its sign and gets one digit
+    zero = np.flatnonzero(x == 0.0)
+    out[zero, 0] = (out[zero, 0] & 0xFF) | 0x30 << 56
+    out[zero, 1:3] = 0
+    out[zero, 3] = _COMMA
+    return out, np.flatnonzero(~ok & (x != 0.0))
+
+
+def _int_fields(v, t: _Tables):
+    """The 32-byte fields of ``"%d" % i`` for each i of 1-d integer v,
+    each ended by a newline, and the indices the kernel left to ``%``:
+    |i| >= 2**53."""
+    ok = (v > -2 ** 53) & (v < 2 ** 53)
+    n = np.abs(np.where(ok, v, 0).astype(np.int64))
+    lead = 15 - np.searchsorted(_POWERS, n, side="right")
+    out = np.empty((v.size, 4), "<u8")
+    _digit_words(n, out, t.digits)
+    out[:, 0] = (v < 0).astype(np.uint64) * (0x2D << 56)
+    out[:, 1] &= t.lead[0][lead]
+    out[:, 2] &= t.lead[1][lead]
+    out[:, 3] = _NEWLINE
+    return out, np.flatnonzero(~ok)
+
+
+def _patch(fields, at, texts) -> None:
+    """Overwrite fields ``at`` with ``texts`` (the ``%`` fallback), keeping
+    each field's last byte, the separator."""
+    raw = fields.view(np.uint8)
+    for k, text in zip(at.tolist(), texts):
+        raw[k, :31] = 0
+        raw[k, :len(text)] = np.frombuffer(text.encode(), np.uint8)
+
+
 def _formatted(block, ints, a: int, b: int):
-    """Rows a..b-1 as CSV bytes, one ``%`` operation per slice of
-    ``_SLICE`` rows: the row format repeated once per row, applied to the
-    slice's values flattened row by row, with each row's ``ints`` entry
-    as a Python int after its floats."""
+    """Rows a..b-1 as CSV bytes, ``_SLICE`` rows at a time: each value's
+    field from ``_float_fields`` (``_int_fields`` for the ``ints`` entry
+    after a row's floats), the row's last separator a newline, NULs
+    dropped."""
+    t = _tables()
     for lo in range(a, b, _SLICE):
-        values = block(lo, min(lo + _SLICE, b))
+        values = np.asarray(block(lo, min(lo + _SLICE, b)), dtype=float)
         rows, cols = values.shape
-        flat = values.ravel().tolist()
-        fmt = ",".join(["%.17g"] * cols)
-        if ints is not None:
-            fmt += ",%d"
-            merged = [0] * (rows * (cols + 1))
-            for j in range(cols):
-                merged[j::cols + 1] = flat[j::cols]
-            merged[cols::cols + 1] = ints[lo:lo + rows].tolist()
-            flat = merged
-        yield ((fmt + "\n") * rows % tuple(flat)).encode()
+        x = values.ravel()
+        fields, rest = _float_fields(x, t)
+        _patch(fields, rest, ["%.17g" % v for v in x[rest].tolist()])
+        row = fields.view(np.uint8).reshape(rows, 32 * cols)
+        if ints is None:
+            row[:, -1] = 0x0A
+        else:
+            last = ints[lo:lo + rows]
+            tail, rest = _int_fields(last, t)
+            _patch(tail, rest, ["%d" % i for i in last[rest].tolist()])
+            row = np.concatenate((row, tail.view(np.uint8)), axis=1)
+        yield row[row != 0].tobytes()
 
 
 def _write_rows(path, header: Sequence[str], n_rows: int, block, ints=None) -> None:
     """CSV with a header line and ``n_rows`` rows of values, each written
-    as ``%.17g`` (17 significant digits).  ``block(a, b)`` returns rows
-    a..b-1 as a 2-d array; ``ints`` adds a last integer column, written
-    as ``%d``.  Rows are built and formatted a slice at a time, which
-    keeps memory flat.
+    with the bytes of ``%.17g`` (17 significant digits).  ``block(a, b)``
+    returns rows a..b-1 as a 2-d array; ``ints`` adds a last integer
+    column, written with the bytes of ``%d``.  Rows are built and
+    formatted ``_SLICE`` at a time by ``_formatted``, which keeps memory
+    flat: a slice's fields take 32 bytes per value.
 
     From ``2 * _SLICE`` rows on, and where ``in_child`` can fork, a child
     formats the second half (from a slice boundary) into a pipe while

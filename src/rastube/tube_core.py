@@ -27,8 +27,9 @@ the scalar RK4 sums it.
 
 Nominal increments.  Where the weights are exactly (1, 0, 0), P == 1.0
 and Q is the margin rate's own RK4 increment, which depends on the grid
-alone.  ``ReachMargin.increments`` computes those once per grid and keeps
-them, and ``RasTask.lower_margin`` hands out one margin per task, so every
+alone.  ``ReachMargin.increments`` computes those once per grid, as far as
+the integrations so far have reached, and keeps them, and
+``RasTask.lower_margin`` hands out one margin per task, so every
 candidate check and the corridor of a task share one set.
 
 Windows.  A plan's weights differ from (1, 0, 0) only near t = 0, where
@@ -266,7 +267,7 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
     if not 0 <= n_steps <= per:
         raise ValueError(f"n_steps={n_steps} outside the grid of {per} steps")
     packed = pack_plans(plans, margin, dims)
-    nominal = margin.increments(per)
+    nominal = margin.increments(per, n_steps)
     switches = np.array(sorted({p[3] for p in packed if 0.0 < p[3] < t_c}))
     pad = _SATURATED * params.blend_scale
     grid = np.empty((n_steps + 1, len(dims)))

@@ -32,6 +32,13 @@ def case_tube(case_scenario, case_plans):
 
 
 @pytest.fixture(scope="session")
+def case_trace(case_scenario, case_plans, case_tube):
+    """The bundled closed loop with disturbance seed 3."""
+    from rastube.cli import _run_simulation
+    return _run_simulation(case_scenario, case_tube, case_plans, seed=3)
+
+
+@pytest.fixture(scope="session")
 def wide_margin_task(case_scenario):
     """Case-study geometry with quarter-width margins, so the corridor boxes
     coincide with the raw initial/target sets."""

@@ -149,13 +149,6 @@ def integrator_setup(stay=0.0, disturbance=None, start=(0.25, 0.25), step=0.004)
     return task, frames, options, dist
 
 
-@pytest.fixture(scope="module")
-def case_trace(case_scenario, case_plans, case_tube):
-    """The bundled closed loop with disturbance seed 3."""
-    from rastube.cli import _run_simulation
-    return _run_simulation(case_scenario, case_tube, case_plans, seed=3)
-
-
 class CollapsingTube(Tube):
     """A corridor whose width drops to zero from time ``collapse`` on."""
 

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rastube import tube_core
+from rastube import tube as tube_mod, tube_core
 from rastube.avoidance import PASS_ABOVE, ObstaclePlan, _fraction, schedule
 from rastube.errors import InfeasibleScenarioError
 from rastube.geometry import Box
 from rastube.scenario import RasTask, TubeParams
 from rastube.plant import SimFlags, SimTrace
-from rastube.tube import Tube, _write_rows, evolve_tube, smoothness_check, verify_tube
+from rastube.tube import (_SLICE, Tube, _formatted, _write_rows, evolve_tube,
+                          smoothness_check, verify_tube)
 
 from conftest import assert_no_child_left, reference_csv
 
@@ -730,6 +731,34 @@ class TestSharedIncrements:
         assert second.task.lower_margin() is not first.task.lower_margin()
         assert late_reads(second) == 1
 
+    def test_increments_filled_only_as_far_as_asked(self, monkeypatch):
+        # each call fills the steps it needs past those already filled, with
+        # the bits of one fill of the whole grid
+        from rastube import reach
+        from rastube.reach import ReachMargin
+        monkeypatch.setattr(reach, "_BLOCK", 64)
+        start, end = np.array([0.0, 1.0]), np.array([11.0, -2.0])
+        full = ReachMargin(start, end, 80.0).increments(1000, 1000)
+        margin = ReachMargin(start, end, 80.0)
+        evaluated = []
+        rates = ReachMargin.rates
+
+        def counting(self, ts):
+            evaluated.append(np.asarray(ts))
+            return rates(self, ts)
+
+        monkeypatch.setattr(ReachMargin, "rates", counting)
+        for steps, blocks in ((100, 2), (37, 0), (700, 10), (1000, 5)):
+            before = len(evaluated)
+            got = margin.increments(1000, steps)
+            assert got.shape == (2, steps)
+            assert_same_bits(got, full[:, :steps])
+            assert len(evaluated) - before == blocks
+            if steps == 100:
+                assert max(ts.max() for ts in evaluated) <= 80.0 * 100 / 1000
+        # every step's start and midpoint once, and one end node per block
+        assert sum(ts.size for ts in evaluated) == 2 * 1000 + 17
+
 
 def scalar_bounds(tube, t):
     """The corridor interpolation written out for one time, on floats;
@@ -950,12 +979,131 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def percent_rows(values, ints=None):
+    """Rows of ``values`` (and a last ``ints`` column) through ``%``, value
+    by value: ``%.17g`` for the floats, ``%d`` for the integers."""
+    lines = []
+    for k, row in enumerate(values.tolist()):
+        fields = ["%.17g" % v for v in row]
+        if ints is not None:
+            fields.append("%d" % ints[k])
+        lines.append(",".join(fields) + "\n")
+    return "".join(lines).encode()
+
+
+def kernel_rows(values, ints=None):
+    """The same rows as ``_formatted`` writes them, in one process."""
+    return b"".join(_formatted(lambda a, b: values[a:b], ints, 0, values.shape[0]))
+
+
+@contextlib.contextmanager
+def counting_fallbacks():
+    """Count the values ``_formatted`` leaves to ``%``."""
+    counted = []
+    patch = tube_mod._patch
+
+    def counting(fields, at, texts):
+        counted.extend(texts)
+        patch(fields, at, texts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tube_mod, "_patch", counting)
+        yield counted
+
+
+def with_neighbours(values):
+    """Each value and the doubles either side of it."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.concatenate((values, np.nextafter(values, -np.inf),
+                               np.nextafter(values, np.inf)))
+
+
+# values where the kernel's exponent, notation, rounding or range is decided
+KERNEL_EDGES = [
+    0.0, 5e-324, 1e-323, 2.5e-320, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+    math.inf, math.nan, 1e-280, 1e280,
+    9.9999999999999995e-05, 1e-4, 0.0001, 0.00010000000000000001,
+    99999999999999999.0, 1e17, 1e16, 9999999999999998.0, 12345678901234567.0,
+    float(2 ** 53 - 1), float(2 ** 53), float(2 ** 53 + 2), float(2 ** 63 - 1),
+    0.5, 1.5, 2.5, 0.125, 0.1, 0.2, 0.3, 1 / 3, 2 / 3, 80.0, 0.01, 123.456,
+]
+# exact ties at the 17th digit: m / 4 for odd m near 1e15 and m / 8 near
+# 1e14 end in 25 and 125; 2**-25, 3 * 2**-24 and 5 * 2**-24 are ties on a
+# scale 10**23 or 10**24 that is not a double
+EXACT_TIES = [(2 ** 52 + 1) / 4, (2 ** 52 + 3) / 4, (8 * 10 ** 14 + 1) / 8, 1000000000000000.25,
+              2.0 ** -25, 3 * 2.0 ** -24, 5 * 2.0 ** -24]
+
+
+class TestFormatKernel:
+    """``_formatted`` writes the bytes of ``%.17g`` and ``%d`` applied value
+    by value, whichever values the kernel formats itself."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_floats_match_percent(self, xs):
+        values = np.array(xs).reshape(-1, 1)
+        assert kernel_rows(values) == percent_rows(values)
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=2, max_size=40))
+    def test_bit_patterns_match_percent(self, words):
+        values = np.array(words, dtype=np.uint64).view(np.float64)[:len(words) // 2 * 2]
+        values = values.reshape(-1, 2)
+        assert kernel_rows(values) == percent_rows(values)
+
+    def test_edges_match_percent(self):
+        powers = [10.0 ** p for p in range(-323, 309)]
+        values = with_neighbours(KERNEL_EDGES + powers + EXACT_TIES)
+        values = np.concatenate((values, -values)).reshape(-1, 1)
+        assert kernel_rows(values) == percent_rows(values)
+
+    def test_signed_zeros(self):
+        values = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0]])
+        assert kernel_rows(values) == b"0,-0,1\n-0,0,-1\n"
+
+    def test_int_column_matches_percent(self):
+        ints = np.array([-1, 0, 1, 9, 10, 99, 100, 10 ** 15 - 1, 10 ** 15,
+                         2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -2 ** 53 + 1, -2 ** 53, -2 ** 53 - 1,
+                         2 ** 63 - 1, -2 ** 63 + 1, -2 ** 63], dtype=np.int64)
+        values = np.linspace(-1.0, 1.0, ints.size).reshape(-1, 1)
+        with counting_fallbacks() as fallbacks:
+            assert kernel_rows(values, ints) == percent_rows(values, ints)
+        # |i| >= 2**53 goes through %d
+        assert sorted(fallbacks) == sorted(["%d" % i for i in ints.tolist() if abs(i) >= 2 ** 53])
+
+    def test_only_ties_non_finite_and_extremes_fall_back(self):
+        leave = EXACT_TIES + [math.inf, -math.inf, math.nan, 5e-324, -1e-300, 1e300]
+        keep = [0.0, -0.0, 1e-280, -9.9999999999999995e-05, 99999999999999999.0, 2.5, 80.0]
+        values = np.array(leave + keep).reshape(-1, 1)
+        with counting_fallbacks() as fallbacks:
+            assert kernel_rows(values) == percent_rows(values)
+        assert fallbacks == ["%.17g" % v for v in leave]
+
+    def test_bundled_csv_values_need_no_fallback(self, tmp_path, monkeypatch, case_tube,
+                                                 case_trace):
+        # a kernel that left every value to % would pass the byte tests
+        # above; the bundled tables have no tie, non-finite value or
+        # extreme magnitude, so none of their values falls back (all rows
+        # in this process, where the count sees them)
+        monkeypatch.delattr(os, "fork")
+        with counting_fallbacks() as fallbacks:
+            for table in (case_tube, case_trace):
+                table.to_csv(tmp_path / "out.csv")
+                assert (tmp_path / "out.csv").read_bytes() == reference_csv(table, tmp_path / "ref.csv")
+        assert fallbacks == []
+
+
+# tables on either side of one slice and of the fork threshold of
+# 2 * _SLICE rows, and smaller tables from one row up
+WRITER_ROWS = sorted({1, 255, 256, 257, 511, 512, 513, 1025, _SLICE - 1, _SLICE, _SLICE + 1,
+                      2 * _SLICE - 1, 2 * _SLICE, 2 * _SLICE + 1})
+
+
 class TestRowWriter:
     """``_write_rows`` writes the bytes of the serial reference writer,
     whether or not it splits the rows across two processes."""
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-line"])
-    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("rows", WRITER_ROWS)
     @pytest.mark.parametrize("make", [demo_tube, demo_trace], ids=["tube", "trace"])
     def test_bytes_match_serial_reference(self, tmp_path, monkeypatch, make, rows, fork):
         table = make(rows)
@@ -967,7 +1115,8 @@ class TestRowWriter:
         assert (tmp_path / "out.csv").read_bytes() == expected
 
     def test_failed_child_raises(self, tmp_path):
-        tube = demo_tube(1025)
+        rows = 2 * _SLICE + 1
+        tube = demo_tube(rows)
         parent = os.getpid()
 
         def block(a, b):
@@ -976,20 +1125,21 @@ class TestRowWriter:
             return tube.lower[a:b]
 
         with pytest.raises(OSError, match="failed in a child process"):
-            _write_rows(tmp_path / "out.csv", ["g1L", "g2L"], 1025, block)
+            _write_rows(tmp_path / "out.csv", ["g1L", "g2L"], rows, block)
         assert_no_child_left()
 
     def test_error_in_parent_half_leaves_no_child(self, tmp_path):
         # the child's half is far larger than a pipe holds, so the child
         # blocks on it until the parent closes the read end
-        tube = demo_tube(16384)
+        rows = 16 * _SLICE
+        tube = demo_tube(rows)
         parent = os.getpid()
 
         def block(a, b):
-            if os.getpid() == parent and a >= 256:
+            if os.getpid() == parent and a >= _SLICE:
                 raise ValueError("no rows in the parent")
             return tube.lower[a:b]
 
         with time_limit(60), pytest.raises(ValueError, match="no rows in the parent"):
-            _write_rows(tmp_path / "out.csv", ["g1L", "g2L"], 16384, block)
+            _write_rows(tmp_path / "out.csv", ["g1L", "g2L"], rows, block)
         assert_no_child_left()
