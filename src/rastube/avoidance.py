@@ -160,10 +160,34 @@ def detour_level(task: RasTask, j: int, dim: int, side: str) -> float:
     return u.lo - width - pad
 
 
-def _workspace_fits(task: RasTask, dim: int, level: float) -> bool:
-    width = 2.0 * task.band_halfwidth[dim]
+def _in_workspace(task: RasTask, dim: int, lower) -> bool:
+    """True iff corridor rows whose lower bound in ``dim`` is ``lower`` (a
+    value or an array of them) lie inside the workspace in that dimension."""
     ws = task.workspace.dims[dim]
-    return ws.lo <= level and level + width <= ws.hi
+    return bool(np.all(ws.lo <= lower) and np.all(lower + 2.0 * task.band_halfwidth[dim] <= ws.hi))
+
+
+def _rows_clear(task: RasTask, plan: ObstaclePlan, ts: np.ndarray, lower: np.ndarray,
+                pad: float, windows: dict) -> bool:
+    """The candidate check on corridor rows: lower bounds ``lower`` at times
+    ``ts``, shape (len(ts), n).
+
+    The rows must lie inside the workspace in the detour dimension and
+    clear every obstacle by more than ``pad`` (``Box.clearance``), except
+    inside the crossing windows that ``windows`` holds for obstacles other
+    than the plan's own: those detours are planned separately.
+    """
+    if not _in_workspace(task, plan.dim, lower[:, plan.dim]):
+        return False
+    upper = lower + 2.0 * task.band_halfwidth
+    for m, u in enumerate(task.unsafe_sets):
+        clearance = u.clearance(lower, upper)
+        if m != plan.index and m in windows:
+            w_lo, w_hi = windows[m]
+            clearance = clearance[(ts < w_lo) | (ts > w_hi)]
+        if clearance.size and clearance.min() <= pad:
+            return False
+    return True
 
 
 def _blend_path_clear(task: RasTask, plan: ObstaclePlan) -> bool:
@@ -177,30 +201,17 @@ def _blend_path_clear(task: RasTask, plan: ObstaclePlan) -> bool:
     are confirmed with the integrated check below.
     """
     lower = task.lower_margin()
-    width = 2.0 * task.band_halfwidth
-    k = plan.dim
-    anchor_in = lower.value(k, plan.prep_time)
-    anchor_out = lower.value(k, plan.release_time)
+    anchor_in = lower.value(plan.dim, plan.prep_time)
+    anchor_out = lower.value(plan.dim, plan.release_time)
     ts = np.linspace(plan.prep_time, plan.release_time, 400)
     approach = tube_core.approach_target(ts, plan.prep_time, plan.enter_time,
                                          plan.level, anchor_in)
     restore = tube_core.return_target(ts, plan.exit_time, plan.release_time,
                                       plan.level, anchor_out)
-    # the nominal cross-section, with the per-sample math.tanh of value_vec
-    blend = np.array([lower._blend(t) for t in ts.tolist()])
-    lo = lower.start + lower._span * blend[:, None]
-    lo[:, k] = np.where(ts < plan.enter_time, approach,
-                        np.where(ts <= plan.exit_time, plan.level, restore))
-    hi = lo + width
-    ws = task.workspace.dims[k]
-    if not (np.all(ws.lo <= lo[:, k]) and np.all(hi[:, k] <= ws.hi)):
-        return False
-    for u in task.unsafe_sets:
-        # Interval.intersects negated: a positive gap in some dimension
-        apart = (np.maximum(lo, u.lower) > np.minimum(hi, u.upper)).any(axis=1)
-        if not apart.all():
-            return False
-    return True
+    rows = lower.value_grid(ts)
+    rows[:, plan.dim] = np.where(ts < plan.enter_time, approach,
+                                 np.where(ts <= plan.exit_time, plan.level, restore))
+    return _rows_clear(task, plan, ts, rows, 0.0, {})
 
 
 def _integrated_dim_path(task: RasTask, plan: ObstaclePlan, params: TubeParams,
@@ -208,12 +219,10 @@ def _integrated_dim_path(task: RasTask, plan: ObstaclePlan, params: TubeParams,
     """Integrate the candidate's detour dimension alone from 0 to the last
     corridor grid row at or before ``until``; the rows keep the bits of the
     full-horizon grid."""
-    t_c = task.deadline
-    n_steps = max(8, int(round(t_c / params.step)))
-    ts = np.linspace(0.0, t_c, n_steps + 1)
+    ts = params.grid(task.deadline)
     last = int(np.searchsorted(ts, until, side="right")) - 1
     grid, bad = tube_core.integrate_lower(task.lower_margin(), last, [plan], params,
-                                         dims=[plan.dim], grid_steps=n_steps)
+                                         dims=[plan.dim], grid_steps=ts.size - 1)
     if bad >= 0:
         return None, None
     return ts[:last + 1], grid[:, 0]
@@ -228,36 +237,19 @@ def _integrated_path_clear(task: RasTask, plan: ObstaclePlan, params: TubeParams
                            windows: dict) -> bool:
     """Confirm a candidate by integrating its corridor bound and box-checking.
 
-    Checks the window neighbourhood of the candidate against every
-    obstacle, skipping other obstacles' own crossing windows (their
-    detours are planned separately) and requiring a small positive
-    clearance everywhere else, plus workspace containment.
+    Checks the grid rows of the window neighbourhood of the candidate with
+    ``_rows_clear``, requiring a clearance above ``_PLAN_CLEARANCE_PAD``
+    outside the other obstacles' crossing windows ``windows``.
     """
     lead = 2.0 * params.edge_buffer + 8.0 * params.blend_scale
     ts, path = _integrated_dim_path(task, plan, params, plan.release_time + lead)
     if ts is None:
         return False
-    k = plan.dim
     sel = ts >= plan.prep_time - lead
     ts = ts[sel]
-    lower = task.lower_margin().value_grid(ts)
-    lower[:, k] = path[sel]
-    width = 2.0 * task.band_halfwidth
-    upper = lower + width[None, :]
-
-    ws = task.workspace
-    if np.any(lower[:, k] < ws.dims[k].lo) or np.any(upper[:, k] > ws.dims[k].hi):
-        return False
-    for m, u in enumerate(task.unsafe_sets):
-        gaps = np.maximum(u.lower[None, :] - upper, lower - u.upper[None, :])
-        clearance = gaps.max(axis=1)
-        if m != plan.index and m in windows:
-            w_lo, w_hi = windows[m]
-            outside = (ts < w_lo) | (ts > w_hi)
-            clearance = clearance[outside]
-        if clearance.size and clearance.min() <= _PLAN_CLEARANCE_PAD:
-            return False
-    return True
+    rows = task.lower_margin().value_grid(ts)
+    rows[:, plan.dim] = path[sel]
+    return _rows_clear(task, plan, ts, rows, _PLAN_CLEARANCE_PAD, windows)
 
 
 def _candidate_windows(task: RasTask) -> dict:
@@ -285,7 +277,7 @@ def select_side(task: RasTask, j: int, dim: int, window: Tuple[float, float],
         options.append((abs(level - ref), side, level))
     options.sort()
     for _, side, level in options:
-        if not _workspace_fits(task, dim, level):
+        if not _in_workspace(task, dim, level):
             continue
         plan = ObstaclePlan(index=j, enter_time=t_in, exit_time=t_out,
                             prep_time=t_in - params.window_margin,
@@ -332,22 +324,17 @@ def schedule(task: RasTask, params: TubeParams) -> List[ObstaclePlan]:
     admits no safe detour.  At simulation time t the active plan is the
     first whose release time still lies ahead.
     """
-    windows = []
-    for j in range(task.n_obstacles):
-        w = intersection_interval(task, j)
-        if w is not None:
-            windows.append((j, w))
-    windows.sort(key=lambda item: item[1][0])
+    windows = _candidate_windows(task)
+    order = sorted(windows.items(), key=lambda item: item[1][0])
 
-    for a in range(len(windows)):
-        for b in range(a + 1, len(windows)):
-            (ja, wa), (jb, wb) = windows[a], windows[b]
+    for a in range(len(order)):
+        for b in range(a + 1, len(order)):
+            (ja, wa), (jb, wb) = order[a], order[b]
             sep = window_separation(wa, wb)
             if sep <= 2.0 * params.window_margin:
                 raise InfeasibleScenarioError(
                     f"obstacles {ja} and {jb}: crossing windows separated by "
                     f"{sep:.6g}, need more than {2.0 * params.window_margin:.6g}")
 
-    window_map = dict(windows)
-    return [plan_obstacle(task, j, w, params, window_map) for j, w in windows]
+    return [plan_obstacle(task, j, w, params, windows) for j, w in order]
 

@@ -92,5 +92,16 @@ class Box:
         self._check_dims(other)
         return any(not a.intersects(b) for a, b in zip(self.dims, other.dims))
 
+    def clearance(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Each row's largest per-dimension gap to this box, for rows of
+        boxes given by ``lower`` and ``upper`` of shape (m, n): positive
+        iff the row's box is disjoint from this one, the row-wise form of
+        ``disjoint_from``."""
+        # in place, to allocate one (m, n) temporary fewer: a corridor
+        # holds up to 1e6 rows
+        gaps = self.lower - upper
+        np.maximum(gaps, lower - self.upper, out=gaps)
+        return gaps.max(axis=1)
+
     def as_pairs(self) -> list:
         return [[d.lo, d.hi] for d in self.dims]

@@ -57,11 +57,8 @@ def baseline_tube(task: RasTask, plans: Sequence[ObstaclePlan], params: TubePara
     each window the bound sits at the plan level, entered and left through
     steep tanh ramps at the window edges.
     """
-    margin = task.lower_margin()
-    t_c = task.deadline
-    n_steps = max(8, int(round(t_c / params.step)))
-    ts = np.linspace(0.0, t_c, n_steps + 1)
-    lower = margin.value_grid(ts)
+    ts = params.grid(task.deadline)
+    lower = task.lower_margin().value_grid(ts)
     # tanh time constant of the ramps: a small fraction of the window
     # margin, so ramps are an order of magnitude steeper than any
     # smooth-corridor transient while still trackable at a reduced step

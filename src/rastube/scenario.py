@@ -198,6 +198,11 @@ class TubeParams:
         return cls(window_margin=wm, edge_buffer=edge, blend_scale=edge / 4.0,
                    time_floor=5e-4 * wm, step=1e-3 * wm)
 
+    def grid(self, deadline: float) -> np.ndarray:
+        """The corridor's time grid: uniform over [0, deadline], with steps
+        of about ``step`` and at least 8 of them."""
+        return np.linspace(0.0, deadline, max(8, int(round(deadline / self.step))) + 1)
+
 
 @dataclass(frozen=True)
 class AssumptionCheck:

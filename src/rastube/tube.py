@@ -106,7 +106,8 @@ class Tube:
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] < 3 or (data.shape[1] - 1) % 2:
             raise ValueError("tube CSV needs columns t,g1L,g1U,...")
-        n = (data.shape[1] - 1) // 2
+        if not np.isfinite(data).all():
+            raise ValueError("tube CSV holds a non-finite value")
         ts = data[:, 0]
         lower = data[:, 1::2]
         upper = data[:, 2::2]
@@ -481,14 +482,12 @@ def evolve_tube(task: RasTask, plans: Sequence[ObstaclePlan], params: TubeParams
             raise InfeasibleScenarioError(
                 f"plans for obstacles {ja} and {jb} overlap in time")
 
-    margin = task.lower_margin()
-    t_c = task.deadline
-    n_steps = max(8, int(round(t_c / params.step)))
-    grid, bad = tube_core.integrate_lower(margin, n_steps, plans, params)
+    ts = params.grid(task.deadline)
+    n_steps = ts.size - 1
+    grid, bad = tube_core.integrate_lower(task.lower_margin(), n_steps, plans, params)
     if bad >= 0:
-        t_bad = t_c * bad / n_steps
+        t_bad = task.deadline * bad / n_steps
         raise SynthesisError(f"corridor integration diverged at t={t_bad:.6g}", time=t_bad)
-    ts = np.linspace(0.0, t_c, n_steps + 1)
     return Tube(ts=ts, lower=grid, width=2.0 * task.band_halfwidth)
 
 
@@ -561,8 +560,7 @@ def verify_tube(tube: Tube, task: RasTask) -> VerificationReport:
     worst = math.inf
     witnesses: List[float] = []
     for u in task.unsafe_sets:
-        gaps = np.maximum(u.lower[None, :] - upper, lower - u.upper[None, :])
-        clearance = gaps.max(axis=1)
+        clearance = u.clearance(lower, upper)
         worst = min(worst, float(clearance.min()))
         bad = np.nonzero(clearance <= 0.0)[0]
         witnesses.extend(tube.ts[bad[:_MAX_WITNESSES]].tolist())

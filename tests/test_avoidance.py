@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rastube import tube_core
-from rastube.avoidance import (PASS_ABOVE, PASS_BELOW, ObstaclePlan, _blend_path_clear,
+from rastube.avoidance import (_PLAN_CLEARANCE_PAD, PASS_ABOVE, PASS_BELOW, ObstaclePlan,
+                               _blend_path_clear, _candidate_windows,
+                               _integrated_dim_path, _integrated_path_clear, _rows_clear,
                                crossing_fractions, detour_level, intersection_interval,
                                plan_obstacle, schedule, select_dimension,
                                select_side)
@@ -329,6 +331,36 @@ def blend_path_clear_by_box(task, plan, samples=400):
     return True
 
 
+def integrated_path_clear_reference(task, plan, params, windows):
+    """The confirm step with its own workspace test and clearance formula,
+    one obstacle at a time."""
+    lead = 2.0 * params.edge_buffer + 8.0 * params.blend_scale
+    ts, path = _integrated_dim_path(task, plan, params, plan.release_time + lead)
+    if ts is None:
+        return False
+    k = plan.dim
+    sel = ts >= plan.prep_time - lead
+    ts = ts[sel]
+    lower = task.lower_margin().value_grid(ts)
+    lower[:, k] = path[sel]
+    width = 2.0 * task.band_halfwidth
+    upper = lower + width[None, :]
+
+    ws = task.workspace
+    if np.any(lower[:, k] < ws.dims[k].lo) or np.any(upper[:, k] > ws.dims[k].hi):
+        return False
+    for m, u in enumerate(task.unsafe_sets):
+        gaps = np.maximum(u.lower[None, :] - upper, lower - u.upper[None, :])
+        clearance = gaps.max(axis=1)
+        if m != plan.index and m in windows:
+            w_lo, w_hi = windows[m]
+            outside = (ts < w_lo) | (ts > w_hi)
+            clearance = clearance[outside]
+        if clearance.size and clearance.min() <= _PLAN_CLEARANCE_PAD:
+            return False
+    return True
+
+
 def every_candidate(task, params, edges=False):
     """Each (obstacle, dimension, side) detour select_side could try; with
     ``edges``, also levels that touch the obstacle or sit on or just past a
@@ -374,3 +406,46 @@ class TestBlendPathClear:
                          for plan in every_candidate(scn.task, scn.tube)]
         assert [v for v in verdicts if v[2] != v[3]] == []
         assert {v[2] for v in verdicts} == {True, False}
+
+
+class TestIntegratedPathClear:
+    def verdicts(self, task, params, edges=False):
+        windows = _candidate_windows(task)
+        return [(plan, _integrated_path_clear(task, plan, params, windows),
+                 integrated_path_clear_reference(task, plan, params, windows))
+                for plan in every_candidate(task, params, edges)]
+
+    def test_same_verdicts_as_reference_on_bundled_candidates(self, case_scenario):
+        verdicts = self.verdicts(case_scenario.task, case_scenario.tube, edges=True)
+        assert [v for v in verdicts if v[1] != v[2]] == []
+        assert {v[1] for v in verdicts} == {True, False}
+
+    def test_same_verdicts_as_reference_on_benchmark_inputs(self):
+        assert len(BENCH_INPUTS) == 36
+        verdicts = []
+        for path in BENCH_INPUTS:
+            scn = parse_scenario(path)
+            verdicts += [(path.name, *v) for v in self.verdicts(scn.task, scn.tube)]
+        assert [v for v in verdicts if v[2] != v[3]] == []
+        assert {v[2] for v in verdicts} == {True, False}
+
+
+class TestRowsClear:
+    # rows at t = 10 and 12 clear every obstacle of arena_task(); the row at
+    # t = 11 sits inside obstacle 1
+    ts = np.array([10.0, 11.0, 12.0])
+    rows = np.array([[3.0, 5.0], [5.5, 3.3], [3.0, 5.0]])
+
+    def plan(self, index):
+        return ObstaclePlan(index=index, enter_time=10.0, exit_time=12.0, prep_time=9.0,
+                            release_time=13.0, dim=0, side=PASS_ABOVE, level=3.0)
+
+    def test_rows_inside_another_obstacles_window_are_skipped(self):
+        task = arena_task()
+        assert _rows_clear(task, self.plan(0), self.ts, self.rows, 0.0, {1: (11.0, 11.0)})
+        assert not _rows_clear(task, self.plan(0), self.ts, self.rows, 0.0, {1: (11.5, 12.0)})
+        assert not _rows_clear(task, self.plan(0), self.ts, self.rows, 0.0, {})
+
+    def test_own_window_is_not_skipped(self):
+        assert not _rows_clear(arena_task(), self.plan(1), self.ts, self.rows, 0.0,
+                               {1: (10.0, 12.0)})

@@ -364,8 +364,10 @@ class TestOverrides:
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [None, "t,g1L,g1U,g2L,g2U\n",
-                                         "t,g1L,g1U,g2L,g2U\n0,0,0.3,x,0.3\n"],
-                             ids=["missing", "header-only", "non-numeric"])
+                                         "t,g1L,g1U,g2L,g2U\n0,0,0.3,x,0.3\n",
+                                         "t,g1L,g1U,g2L,g2U\n0,0,0.3,nan,0.3\n",
+                                         "t,g1L,g1U,g2L,g2U\n0,0,0.3,0,inf\n"],
+                             ids=["missing", "header-only", "non-numeric", "nan", "inf"])
     def test_unreadable_tube_exits_two(self, tmp_path, capsys, content):
         tube = tmp_path / "tube.csv"
         if content is not None:

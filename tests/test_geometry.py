@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,6 +56,46 @@ class TestBox:
             Box.from_pairs([[1, 2], [5, 6]]))
 
 
+def clearance_rows(box, rows):
+    """Box.clearance of ``rows``, each a Box, as a list."""
+    lower = np.array([r.lower for r in rows])
+    upper = np.array([r.upper for r in rows])
+    return box.clearance(lower, upper).tolist()
+
+
+class TestClearance:
+    obstacle = Box.from_pairs([[1.0, 2.0], [1.0, 3.0]])
+
+    def assert_matches_disjoint_from(self, rows):
+        for row, gap in zip(rows, clearance_rows(self.obstacle, rows)):
+            assert (gap > 0.0) == row.disjoint_from(self.obstacle)
+
+    def test_separated_in_one_dimension_only(self):
+        rows = [Box.from_pairs([[2.5, 3.0], [1.5, 2.5]]),    # right, overlapping in y
+                Box.from_pairs([[1.2, 1.8], [-1.0, 0.75]]),  # below, overlapping in x
+                Box.from_pairs([[0.0, 0.5], [0.0, 4.0]])]    # left, spanning y
+        assert clearance_rows(self.obstacle, rows) == [0.5, 0.25, 0.5]
+        self.assert_matches_disjoint_from(rows)
+
+    def test_largest_gap_wins_when_separated_in_two_dimensions(self):
+        rows = [Box.from_pairs([[3.0, 4.0], [3.5, 4.0]])]
+        assert clearance_rows(self.obstacle, rows) == [1.0]
+        self.assert_matches_disjoint_from(rows)
+
+    def test_touching_rows_are_not_clear(self):
+        rows = [Box.from_pairs([[2.0, 2.5], [1.5, 2.5]]),   # shares the face x = 2
+                Box.from_pairs([[0.0, 1.0], [3.0, 4.0]])]   # shares the corner (1, 3)
+        assert clearance_rows(self.obstacle, rows) == [0.0, 0.0]
+        self.assert_matches_disjoint_from(rows)
+
+    def test_overlapping_and_nested_rows_are_not_clear(self):
+        rows = [Box.from_pairs([[1.5, 2.5], [2.0, 4.0]]),   # overlap
+                Box.from_pairs([[1.2, 1.8], [1.5, 2.5]]),   # inside the obstacle
+                Box.from_pairs([[0.0, 3.0], [0.0, 4.0]])]   # around the obstacle
+        assert clearance_rows(self.obstacle, rows) == pytest.approx([-0.5, -0.8, -2.0])
+        self.assert_matches_disjoint_from(rows)
+
+
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
@@ -87,3 +128,9 @@ def test_contains_is_transitive_on_shrunk_chain(a, f1, f2):
     b = shrink(a, f1)
     c = shrink(b, f2)
     assert a.contains(b) and b.contains(c) and a.contains(c)
+
+
+@given(boxes(), st.lists(boxes(), min_size=1, max_size=8))
+def test_clearance_agrees_with_disjoint_from_row_by_row(a, rows):
+    gaps = clearance_rows(a, rows)
+    assert [g > 0.0 for g in gaps] == [r.disjoint_from(a) for r in rows]
