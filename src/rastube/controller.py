@@ -8,9 +8,11 @@ corridor boundary.  No plant model enters anywhere.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from math import log1p
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -82,22 +84,70 @@ def _float_list(values) -> Optional[list]:
     return arr.tolist() if arr.ndim == 1 else None
 
 
-# The law works on lists of floats, which is far faster than numpy on
-# three-element vectors.  The logarithms go through math.log1p (the
-# platform's libm), never np.log1p: numpy picks its log1p kernel by the
-# CPU's SIMD level at run time, and its AVX-512 kernel rounds differently,
-# so a trace would depend on the machine that wrote it.
+# The law is written once, below, as Python source for one component.
+# Everything that evaluates it is compiled from that text: control_input
+# through compiled_law, the helpers normalized_error, transformed_error and
+# gain_diagonal through their one-line functions, and the closed loop's
+# RK4 step (plant._stepper), which inlines it at every stage.  The
+# logarithms go through math.log1p (the platform's libm), never np.log1p:
+# numpy picks its log1p kernel by the CPU's SIMD level at run time, and its
+# AVX-512 kernel rounds differently, so a trace would depend on the
+# machine that wrote it.
+_NORMALIZED = "(2.0 * {x} - {s}) / {w}"
+_GAIN = "(4.0 / ({w} * (1.0 - {e} * {e})))"
+_BARRIER = "(log1p({e}) - log1p(-{e}))"
+
+
+def law_lines(i: int, x: str, s: str, w: str, reject: str, clamped: bool) -> List[str]:
+    """Source lines that set ``u{i}``, component ``i`` of the law, from the
+    state ``x``, bound sum ``s`` and width ``w`` (names of float locals).
+    They run the statement ``reject`` when |e| >= 1; written as two
+    comparisons, a NaN passes as it does ``abs(e) >= 1.0``.  The code that
+    runs them binds ``scale`` (-gain_sign * gain) and, when ``clamped``,
+    the input limit ``lim``."""
+    e = f"e{i}"
+    lines = [f"{e} = " + _NORMALIZED.format(x=x, s=s, w=w),
+             f"if {e} >= 1.0 or {e} <= -1.0: {reject}",
+             f"u{i} = scale * " + _GAIN.format(w=w, e=e) + " * " + _BARRIER.format(e=e)]
+    if clamped:
+        lines.append(f"u{i} = min(max(u{i}, -lim), lim)")
+    return lines
+
+
+def compiled(source: str, name: str):
+    """The function ``name`` that ``source`` defines, executed with the
+    law's names (``log1p``, ``inf``) bound."""
+    scope = {"log1p": log1p, "inf": math.inf}
+    exec(compile(source, f"<rastube {name}>", "exec"), scope)
+    return scope[name]
+
+
+def _one_line(params: str, expr: str):
+    return compiled(f"def f({params}):\n    return {expr}\n", "f")
+
+
+_normalized_1 = _one_line("x, s, w", _NORMALIZED.format(x="x", s="s", w="w"))
+_barrier_1 = _one_line("e", _BARRIER.format(e="e"))
+_gain_1 = _one_line("e, w", _GAIN.format(e="e", w="w"))
+
+
+@functools.cache
+def compiled_law(n: int, clamped: bool):
+    """The law for ``n`` components, compiled from ``law_lines``:
+    ``law(x, sums, ws, scale, lim)`` returns ``u`` as a list of floats, or
+    None when some |e_i| >= 1.  ``sums`` and ``ws`` are the frame's bound
+    sums and widths; ``x``, ``sums`` and ``ws`` must hold ``n`` values."""
+    names = [f"[{', '.join(f'{p}{i}' for i in range(n))}]" for p in "xswu"]
+    body = [f"{names[0]} = x", f"{names[1]} = sums", f"{names[2]} = ws"]
+    for i in range(n):
+        body += law_lines(i, f"x{i}", f"s{i}", f"w{i}", "return None", clamped)
+    body.append(f"return {names[3]}")
+    return compiled("def law(x, sums, ws, scale, lim):\n"
+                    + "".join(f"    {line}\n" for line in body), "law")
+
 
 def _normalized(x, sums, widths) -> list:
-    return [(2.0 * xi - si) / wi for xi, si, wi in zip(x, sums, widths)]
-
-
-def _barrier(e) -> list:
-    return [log1p(v) - log1p(-v) for v in e]
-
-
-def _gain(e, widths) -> list:
-    return [4.0 / (wi * (1.0 - v * v)) for v, wi in zip(e, widths)]
+    return list(map(_normalized_1, x, sums, widths))
 
 
 def _check_inside(e, frame: TubeFrame, t: Optional[float]):
@@ -125,29 +175,14 @@ def transformed_error(e: np.ndarray, frame: Optional[TubeFrame] = None,
     for d, v in enumerate(e):
         if abs(v) >= 1.0:
             raise TubeViolationError(dim=d, value=v, lower=-1.0, upper=1.0, time=t)
-    return np.array(_barrier(e))
+    return np.array(list(map(_barrier_1, e)))
 
 
 def gain_diagonal(e: np.ndarray, frame: TubeFrame, t: Optional[float] = None) -> np.ndarray:
     """Diagonal of the barrier gain matrix, 4 / (width * (1 - e^2))."""
     e = np.asarray(e, dtype=float).tolist()
     _check_inside(e, frame, t)
-    return np.array(_gain(e, frame.ws))
-
-
-def _law(x, sums, ws, scale, lim) -> Optional[list]:
-    """The feedback on float lists, in one pass: ``u``, or None when some
-    |e_i| >= 1.  ``sums`` and ``ws`` are the frame's bound sums and widths,
-    ``scale`` is -gain_sign * gain and ``lim`` the input limit or None."""
-    u = []
-    for xi, si, wi in zip(x, sums, ws):
-        v = (2.0 * xi - si) / wi
-        if abs(v) >= 1.0:
-            return None
-        # gain times barrier, in the operand order of _gain and _barrier
-        ui = scale * (4.0 / (wi * (1.0 - v * v))) * (log1p(v) - log1p(-v))
-        u.append(ui if lim is None else min(max(ui, -lim), lim))
-    return u
+    return np.array(list(map(_gain_1, e, frame.ws)))
 
 
 def control_input(x, frame: TubeFrame, cfg: ControllerConfig,
@@ -157,12 +192,13 @@ def control_input(x, frame: TubeFrame, cfg: ControllerConfig,
 
     A state given as a list of floats gets a list back, anything else a
     float array.  Raises TubeViolationError when the state is not strictly
-    inside.
+    inside, and ValueError when it has not one value per frame dimension.
     """
     as_list = isinstance(x, list)
     if not as_list:
         x = np.asarray(x, dtype=float).tolist()
-    u = _law(x, frame.sums, frame.ws, -cfg.gain_sign * cfg.gain, cfg.input_limit)
+    law = compiled_law(len(x), cfg.input_limit is not None)
+    u = law(x, frame.sums, frame.ws, -cfg.gain_sign * cfg.gain, cfg.input_limit)
     if u is None:
         _check_inside(_normalized(x, frame.sums, frame.ws), frame, t)
     return u if as_list else np.array(u)

@@ -5,16 +5,18 @@ over each macro step, re-evaluates the feedback at every stage against the
 corridor bounds at the stage time (the two midpoint stages share them,
 and a step's end bounds are the next row's), and records state, corridor
 bounds, input, and the active detour per step.  The stage bounds are
-built in bulk, one block of steps at a time; the state and input are
-stepped as lists of floats, which Python updates faster than
-three-element arrays.  Flags summarise the run:
+built in bulk, one block of steps at a time.  Each step is one call of a
+function compiled once per state count: it holds the state and the stage
+bounds in scalar locals, runs the law inline from its one source in
+``controller``, and calls the plant's ``derivative`` four times.
+Flags summarise the run:
 reached (target hit by the deadline), safe (never inside an unsafe set),
 contained (always strictly inside the corridor), stayed (inside the target
-through the stay horizon).
-"""
+through the stay horizon)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, Tuple
@@ -22,7 +24,8 @@ from typing import Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .avoidance import ObstaclePlan
-from .controller import ControllerConfig, TubeFrame, _law, control_input
+from .controller import (ControllerConfig, TubeFrame, compiled, compiled_law,
+                         control_input, law_lines)
 from .errors import ConfigurationError, TubeViolationError
 from .geometry import Box
 from .scenario import RasTask
@@ -256,109 +259,150 @@ def _rows_in_box(states: np.ndarray, box: Box, dims: Sequence[int]) -> np.ndarra
 _BLOCK = 512
 
 
-def _violation(time: float, err: TubeViolationError):
-    """(failure time, reason, record) for a state that left the corridor at
-    stage time ``err.time`` of the step starting at ``time``."""
-    return time, str(err), {"time": err.time, "dim": err.dim, "value": err.value,
-                            "lower": err.lower, "upper": err.upper}
+@functools.cache
+def _stepper(n: int, clamped: bool):
+    """The closed loop's RK4 step for ``n`` states, compiled once per
+    ``(n, clamped)`` with the law inlined from ``controller.law_lines``.
+
+    ``_stepper(n, clamped)(rate, scale, lim)`` returns
+    ``step(x, u, w, h, ms, mw, es, ew)``.  From the row state ``x`` and its
+    input ``u`` (float lists), the disturbance ``w`` held over the step and
+    the step ``h``, it evaluates the two midpoint stages against the bound
+    sums and widths ``ms``, ``mw`` and the end stage against ``es``,
+    ``ew``, calling ``rate`` (the plant derivative) four times, with every
+    operation in the order of the written-out RK4 step.  The end bounds are
+    the next row's, so it also evaluates the law at the next state.  It
+    returns ``(x_next, u_next)``, or ``(None, (stage, state))`` for the
+    first stage it rejects: ``"mid"`` or ``"end"`` when the state leaves
+    the corridor or the stage's widths are empty (a width <= 0), ``"next"``
+    when the next state leaves it, ``"nonfinite"`` when the next state is
+    not finite.  A derivative of the wrong length raises ValueError.
+    """
+    def vec(p):
+        return f"[{', '.join(f'{p}{i}' for i in range(n))}]"
+
+    def stage(k, coeff):
+        return [f"a{i} = x{i} + {coeff} * {k}{i}" for i in range(n)]
+
+    def law(s, w, name):
+        reject = f"return None, ({name!r}, {vec('a')})"
+        return [line for i in range(n)
+                for line in law_lines(i, f"a{i}", f"{s}{i}", f"{w}{i}", reject, clamped)]
+
+    body = [f"{vec('x')} = x",
+            "hh = 0.5 * h",
+            f"{vec('ka')} = rate(x, u, w)", *stage("ka", "hh"),
+            f"if not mw: return None, ('mid', {vec('a')})",
+            f"{vec('ms')} = ms", f"{vec('mw')} = mw", *law("ms", "mw", "mid"),
+            f"{vec('kb')} = rate({vec('a')}, {vec('u')}, w)", *stage("kb", "hh"),
+            *law("ms", "mw", "mid"),
+            f"{vec('kc')} = rate({vec('a')}, {vec('u')}, w)", *stage("kc", "h"),
+            f"if not ew: return None, ('end', {vec('a')})",
+            f"{vec('es')} = es", f"{vec('ew')} = ew", *law("es", "ew", "end"),
+            f"{vec('kd')} = rate({vec('a')}, {vec('u')}, w)",
+            "sixth = h / 6.0",
+            *[f"a{i} = x{i} + sixth * (ka{i} + 2.0 * kb{i} + 2.0 * kc{i} + kd{i})"
+              for i in range(n)],
+            "if not (" + " and ".join(f"-inf < a{i} < inf" for i in range(n))
+            + f"): return None, ('nonfinite', {vec('a')})",
+            *law("es", "ew", "next"),
+            f"return {vec('a')}, {vec('u')}"]
+    return compiled("def make(rate, scale, lim):\n"
+                    "    def step(x, u, w, h, ms, mw, es, ew):\n"
+                    + "".join(f"        {line}\n" for line in body)
+                    + "    return step\n", "make")
+
+
+def _rejected(x, lo, hi, cfg: ControllerConfig, t_stage: float, t_fail: float):
+    """(failure time ``t_fail``, reason, record) for a stage the step
+    rejected at ``t_stage``: ``control_input`` on its state raises the
+    violation, or ConfigurationError (key ``frame``) for a width <= 0."""
+    try:
+        control_input(x, TubeFrame(lo, hi), cfg, t=t_stage)
+    except TubeViolationError as err:
+        return t_fail, str(err), {"time": err.time, "dim": err.dim, "value": err.value,
+                                  "lower": err.lower, "upper": err.upper}
+    raise RuntimeError(f"the closed-loop step rejected a state inside the corridor "
+                       f"at t={t_stage!r}")
 
 
 def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, uppers,
                inputs):
     """RK4 closed loop over the time grid, filling the preallocated rows.
 
-    ``frame`` is the corridor frame at the first grid time.  The stage
-    bounds are built ``_BLOCK`` steps at a time: each step's midpoint
-    (shared by the two midpoint stages) and its end, which is also the next
-    row's bounds: with t = t_end*k/n and t_next = t_end*(k+1)/n,
-    t_next - t is exact (Sterbenz), so the end stage time t + h is t_next
-    itself.  The state, input and disturbance are stepped as lists of
-    floats, and a block's rows are stored together.
+    ``frame`` is the corridor frame at the first grid time, where the state
+    ``x`` lies strictly inside.  The stage bounds are built ``_BLOCK``
+    steps at a time: each step's midpoint (shared by the two midpoint
+    stages) and its end, which is also the next row's bounds: with
+    t = t_end*k/n and t_next = t_end*(k+1)/n, t_next - t is exact
+    (Sterbenz), so the end stage time t + h is t_next itself.  Each step is
+    one call of the compiled ``_stepper``; a block's rows are stored
+    together.  ``control_input`` runs only on a stage the step rejected,
+    to raise the violation that becomes the failure record.
     Returns (rows filled, min input floor, failure); failure is None when
     the run completes, else (failure time, reason, failure record).
     """
     floor_fn = dynamics.symmetric_input_floor
-    rate = dynamics.derivative
     scale = -cfg.gain_sign * cfg.gain
     lim = cfg.input_limit
+    clamped = lim is not None
+    step = _stepper(len(x), clamped)(dynamics.derivative, scale, lim)
     ts = grid_ts.tolist()
     n_steps = len(ts) - 1
     min_floor = float("inf")
     lowers[0] = frame.lo
     uppers[0] = frame.hi
-    # the current row's bounds: sums and widths for the law, lower and
-    # upper for control_input, which builds the failure record
-    row_s, row_w, row_lo, row_hi = frame.sums, frame.ws, frame.lo, frame.hi
+    u = compiled_law(len(x), clamped)(x, frame.sums, frame.ws, scale, lim)
     for first in range(0, n_steps + 1, _BLOCK):
         stop = min(first + _BLOCK, n_steps + 1)     # rows first..stop-1
         last = min(stop, n_steps)                   # steps first..last-1
+        xs = []
+        us = []
         if last > first:
             t0, t1 = grid_ts[first:last], grid_ts[first + 1:last + 1]
+            hs = t1 - t0
             # stage 2j is the midpoint of step first+j, stage 2j+1 its end
-            stage_ts = np.column_stack((t0 + 0.5 * (t1 - t0), t1)).ravel()
+            stage_ts = np.column_stack((t0 + 0.5 * hs, t1)).ravel()
             lo, hi, sums_arr, ws_arr = frames.block(stage_ts)
             lowers[first + 1:last + 1] = lo[1::2]
             uppers[first + 1:last + 1] = hi[1::2]
             sums = sums_arr.tolist()
             ws = ws_arr.tolist()
-            # a stage whose width is <= 0 gets empty bounds: the law returns
-            # [] for it, so control_input runs and its TubeFrame raises
-            # ConfigurationError when the loop reaches that stage
+            # a stage whose width is <= 0 gets empty widths: the step rejects
+            # it, and its TubeFrame raises ConfigurationError
             for j in np.flatnonzero((ws_arr <= 0.0).any(axis=1)).tolist():
-                sums[j] = ws[j] = []
-            block_w = dists[first:last].tolist()
-        xs = []
-        us = []
+                ws[j] = []
+            for w, h, ms, mw, es, ew in zip(dists[first:last].tolist(), hs.tolist(),
+                                            sums[0::2], ws[0::2], sums[1::2], ws[1::2]):
+                xs.append(x)
+                us.append(u)
+                x, u = step(x, u, w, h, ms, mw, es, ew)
+                if x is None:
+                    break
         failure = None
-        # _law returns None outside the corridor (or [] on an empty bounds
-        # row); control_input then raises with the stage's full record
-        for r in range(first, stop):
-            t = ts[r]
-            try:
-                u = _law(x, row_s, row_w, scale, lim) or \
-                    control_input(x, TubeFrame(row_lo, row_hi), cfg, t=t)
-            except TubeViolationError as err:
-                failure = _violation(t, err)
-                break
-            xs.append(x)
-            us.append(u)
-            min_floor = min(min_floor, floor_fn(x))
-            if r == n_steps:
-                break
+        if x is None:
+            where, sx = u
+            r = first + len(xs) - 1
             j = 2 * (r - first)
-            w = block_w[r - first]
-            t_next = ts[r + 1]
-            h = t_next - t
-            mid_s, mid_w = sums[j], ws[j]
-            end_s, end_w = sums[j + 1], ws[j + 1]
-            try:
-                # strict: a derivative of the wrong length must not be cut short
-                k1 = rate(x, u, w)
-                x2 = [v + 0.5 * h * k for v, k in zip(x, k1, strict=True)]
-                k2 = rate(x2, _law(x2, mid_s, mid_w, scale, lim) or control_input(
-                    x2, TubeFrame(lo[j], hi[j]), cfg, t=t + 0.5 * h), w)
-                x3 = [v + 0.5 * h * k for v, k in zip(x, k2, strict=True)]
-                k3 = rate(x3, _law(x3, mid_s, mid_w, scale, lim) or control_input(
-                    x3, TubeFrame(lo[j], hi[j]), cfg, t=t + 0.5 * h), w)
-                x4 = [v + h * k for v, k in zip(x, k3, strict=True)]
-                k4 = rate(x4, _law(x4, end_s, end_w, scale, lim) or control_input(
-                    x4, TubeFrame(lo[j + 1], hi[j + 1]), cfg, t=t_next), w)
-            except TubeViolationError as err:
-                failure = _violation(t, err)
-                break
-            sixth = h / 6.0
-            x = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
-                 for v, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True)]
-            if not all(map(math.isfinite, x)):
-                dim = next(d for d, v in enumerate(x) if not math.isfinite(v))
+            t, t_next = ts[r], ts[r + 1]
+            if where == "nonfinite":
+                dim = next(d for d, v in enumerate(sx) if not math.isfinite(v))
                 failure = (t_next, "non-finite state",
                            {"time": t_next, "dim": dim, "value": None,
                             "lower": None, "upper": None})
-                break
-            row_s, row_w, row_lo, row_hi = end_s, end_w, lo[j + 1], hi[j + 1]
+            elif where == "mid":
+                failure = _rejected(sx, lo[j], hi[j], cfg, t + 0.5 * (t_next - t), t)
+            else:
+                # the end stage fails its own step; the next row fails at t_next
+                failure = _rejected(sx, lo[j + 1], hi[j + 1], cfg, t_next,
+                                    t if where == "end" else t_next)
+        elif stop > last:
+            xs.append(x)                            # the last row of the grid
+            us.append(u)
         if xs:
             states[first:first + len(xs)] = xs
             inputs[first:first + len(us)] = us
+            min_floor = min([min_floor, *map(floor_fn, xs)])
         if failure is not None:
             return first + len(xs), min_floor, failure
     return n_steps + 1, min_floor, None

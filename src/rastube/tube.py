@@ -515,10 +515,14 @@ class VerificationReport:
         raise KeyError(name)
 
     def as_dict(self) -> dict:
+        """The report as JSON values; a margin that is not finite (the
+        vacuous clearance of a task without unsafe sets) becomes None, so
+        the written file holds no ``Infinity`` literal."""
         return {
             "passed": self.passed,
             "conditions": [
-                {"name": c.name, "passed": c.passed, "margin": c.margin,
+                {"name": c.name, "passed": c.passed,
+                 "margin": c.margin if math.isfinite(c.margin) else None,
                  "detail": c.detail, "witness_times": list(c.witness_times)}
                 for c in self.conditions
             ],
@@ -564,11 +568,8 @@ def verify_tube(tube: Tube, task: RasTask) -> VerificationReport:
         worst = min(worst, float(clearance.min()))
         bad = np.nonzero(clearance <= 0.0)[0]
         witnesses.extend(tube.ts[bad[:_MAX_WITNESSES]].tolist())
-    if not task.unsafe_sets:
-        worst = math.inf
     conditions.append(ConditionResult(
-        name="avoids_unsafe", passed=not witnesses,
-        margin=worst if math.isfinite(worst) else float("inf"),
+        name="avoids_unsafe", passed=not witnesses, margin=worst,
         detail="strictly positive clearance from every unsafe set",
         witness_times=tuple(sorted(witnesses)[:_MAX_WITNESSES])))
 

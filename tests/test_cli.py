@@ -205,6 +205,28 @@ class TestPipeline:
         assert len(plans["plans"]) == 3
         assert plans["assumptions"]["passed"] is True
 
+    def test_no_unsafe_sets_writes_standard_json(self, tmp_path):
+        # without unsafe sets the clearance margin is vacuous (infinite);
+        # every written file must parse as standard JSON, which has no
+        # NaN or Infinity literal
+        doc = load_bundled()
+        doc["task"]["unsafe_sets"] = []
+        out = tmp_path / "syn"
+        assert run_cli(["synthesize", "--scenario", str(write_scenario(tmp_path, doc)),
+                        "--out", str(out)]) == 0
+
+        def reject(literal):
+            raise ValueError(f"non-standard JSON literal {literal}")
+
+        names = sorted(p.name for p in out.glob("*.json"))
+        assert names == ["plans.json", "smoothness.json", "verify.json"]
+        for name in names:
+            json.loads((out / name).read_text(), parse_constant=reject)
+        verdict = json.loads((out / "verify.json").read_text())
+        clear = [c for c in verdict["conditions"] if c["name"] == "avoids_unsafe"]
+        assert clear == [{"name": "avoids_unsafe", "passed": True, "margin": None,
+                          "detail": clear[0]["detail"], "witness_times": []}]
+
     def test_simulate_exit_zero_and_flags(self, tmp_path):
         scenario = fast_scenario(tmp_path)
         out = tmp_path / "sim"

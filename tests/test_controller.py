@@ -128,6 +128,13 @@ class TestControlInput:
         assert type(got) is list
         assert got == control_input(np.array(x), f, cfg).tolist()
 
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 0.5]])
+    def test_state_length_must_match_frame(self, x):
+        # one state value per frame dimension; no component is dropped
+        f = frame([0.0, 1.0], [2.0, 3.0])
+        with pytest.raises(ValueError):
+            control_input(x, f, ControllerConfig())
+
     def test_model_free_signature(self):
         import inspect
         names = list(inspect.signature(control_input).parameters)

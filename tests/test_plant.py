@@ -6,6 +6,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 try:
     from numpy._core import _multiarray_umath as np_umath
@@ -13,8 +15,8 @@ except ImportError:     # numpy < 2
     from numpy.core import _multiarray_umath as np_umath
 
 import rastube.plant as plant_mod
-from rastube.controller import ControllerConfig, control_input
-from rastube.errors import ConfigurationError
+from rastube.controller import ControllerConfig, TubeFrame, compiled_law, control_input
+from rastube.errors import ConfigurationError, TubeViolationError
 from rastube.plant import (DisturbanceModel, FrameProvider, IntegratorPlant,
                            OmniRobot, SimOptions, simulate)
 from rastube.tube import Tube, evolve_tube
@@ -172,6 +174,307 @@ def leaving_setup():
     from rastube.scenario import TubeParams
     tube = evolve_tube(task, [], TubeParams.defaults(task.deadline))
     return task, FrameProvider(tube, 2, [0, 1], [])
+
+
+def reference_law(x, sums, ws, scale, lim):
+    """The feedback on float lists, in one pass: ``u``, or None when some
+    |e_i| >= 1.  ``sums`` and ``ws`` are the frame's bound sums and widths,
+    ``scale`` is -gain_sign * gain and ``lim`` the input limit or None."""
+    u = []
+    for xi, si, wi in zip(x, sums, ws):
+        v = (2.0 * xi - si) / wi
+        if abs(v) >= 1.0:
+            return None
+        ui = scale * (4.0 / (wi * (1.0 - v * v))) * (math.log1p(v) - math.log1p(-v))
+        u.append(ui if lim is None else min(max(ui, -lim), lim))
+    return u
+
+
+def reference_step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers,
+                        uppers, inputs):
+    """The closed loop written on float lists, stage by stage: the law per
+    stage through ``reference_law``, and ``control_input`` on the stage's
+    TubeFrame wherever the law rejects, to raise the failure record (or
+    ConfigurationError for a width <= 0).  ``plant._step_loop`` must fill
+    the same rows with the same bits and return the same floor and failure."""
+    floor_fn = dynamics.symmetric_input_floor
+    rate = dynamics.derivative
+    scale = -cfg.gain_sign * cfg.gain
+    lim = cfg.input_limit
+    block = plant_mod._BLOCK
+    ts = grid_ts.tolist()
+    n_steps = len(ts) - 1
+    min_floor = float("inf")
+    lowers[0] = frame.lo
+    uppers[0] = frame.hi
+
+    def violation(time, err):
+        return time, str(err), {"time": err.time, "dim": err.dim, "value": err.value,
+                                "lower": err.lower, "upper": err.upper}
+
+    row_s, row_w, row_lo, row_hi = frame.sums, frame.ws, frame.lo, frame.hi
+    for first in range(0, n_steps + 1, block):
+        stop = min(first + block, n_steps + 1)
+        last = min(stop, n_steps)
+        if last > first:
+            t0, t1 = grid_ts[first:last], grid_ts[first + 1:last + 1]
+            stage_ts = np.column_stack((t0 + 0.5 * (t1 - t0), t1)).ravel()
+            lo, hi, sums_arr, ws_arr = frames.block(stage_ts)
+            lowers[first + 1:last + 1] = lo[1::2]
+            uppers[first + 1:last + 1] = hi[1::2]
+            sums = sums_arr.tolist()
+            ws = ws_arr.tolist()
+            for j in np.flatnonzero((ws_arr <= 0.0).any(axis=1)).tolist():
+                sums[j] = ws[j] = []
+            block_w = dists[first:last].tolist()
+        xs = []
+        us = []
+        failure = None
+        for r in range(first, stop):
+            t = ts[r]
+            try:
+                u = reference_law(x, row_s, row_w, scale, lim) or \
+                    control_input(x, TubeFrame(row_lo, row_hi), cfg, t=t)
+            except TubeViolationError as err:
+                failure = violation(t, err)
+                break
+            xs.append(x)
+            us.append(u)
+            min_floor = min(min_floor, floor_fn(x))
+            if r == n_steps:
+                break
+            j = 2 * (r - first)
+            w = block_w[r - first]
+            t_next = ts[r + 1]
+            h = t_next - t
+            mid_s, mid_w = sums[j], ws[j]
+            end_s, end_w = sums[j + 1], ws[j + 1]
+            try:
+                k1 = rate(x, u, w)
+                x2 = [v + 0.5 * h * k for v, k in zip(x, k1, strict=True)]
+                k2 = rate(x2, reference_law(x2, mid_s, mid_w, scale, lim) or control_input(
+                    x2, TubeFrame(lo[j], hi[j]), cfg, t=t + 0.5 * h), w)
+                x3 = [v + 0.5 * h * k for v, k in zip(x, k2, strict=True)]
+                k3 = rate(x3, reference_law(x3, mid_s, mid_w, scale, lim) or control_input(
+                    x3, TubeFrame(lo[j], hi[j]), cfg, t=t + 0.5 * h), w)
+                x4 = [v + h * k for v, k in zip(x, k3, strict=True)]
+                k4 = rate(x4, reference_law(x4, end_s, end_w, scale, lim) or control_input(
+                    x4, TubeFrame(lo[j + 1], hi[j + 1]), cfg, t=t_next), w)
+            except TubeViolationError as err:
+                failure = violation(t, err)
+                break
+            sixth = h / 6.0
+            x = [v + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for v, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True)]
+            if not all(map(math.isfinite, x)):
+                dim = next(d for d, v in enumerate(x) if not math.isfinite(v))
+                failure = (t_next, "non-finite state",
+                           {"time": t_next, "dim": dim, "value": None,
+                            "lower": None, "upper": None})
+                break
+            row_s, row_w, row_lo, row_hi = end_s, end_w, lo[j + 1], hi[j + 1]
+        if xs:
+            states[first:first + len(xs)] = xs
+            inputs[first:first + len(us)] = us
+        if failure is not None:
+            return first + len(xs), min_floor, failure
+    return n_steps + 1, min_floor, None
+
+
+def assert_matches_reference(run):
+    """Run ``run()`` with the program's stepper and with
+    ``reference_step_loop``; every recorded value must have the same bits.
+    Returns the program's trace."""
+    got = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plant_mod, "_step_loop", reference_step_loop)
+        want = run()
+    for key in ("states", "inputs", "lower", "upper"):
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
+    assert float(got.min_input_floor).hex() == float(want.min_input_floor).hex()
+    assert (got.failure_time, got.failure_reason, got.failure) == \
+        (want.failure_time, want.failure_reason, want.failure)
+    return got
+
+
+def failed_stage(trace):
+    """Where the failed step of ``trace`` stopped: at its midpoint, at its
+    end, or at the next row (failure_time names that row)."""
+    offset = (trace.failure["time"] - trace.failure_time) / (trace.ts[1] - trace.ts[0])
+    return {0.0: "next", 0.5: "mid", 1.0: "end"}[round(offset, 6)]
+
+
+class NegatedIntegrator(IntegratorPlant):
+    """xdot = -u + w: the symmetric input map is -I, so the law needs
+    ``gain_sign=-1``."""
+
+    def derivative(self, x, u, w):
+        return [b - a for a, b in zip(u, w)]
+
+    def symmetric_input_floor(self, x):
+        return -1.0
+
+
+class FloorCountingIntegrator(IntegratorPlant):
+    """An integrator whose reported input floor falls by one at each call,
+    so that a run's minimum floor is minus the number of rows whose floor
+    was taken: one per recorded row."""
+
+    def __init__(self, n_states):
+        super().__init__(n_states)
+        self.floor_calls = 0
+
+    def symmetric_input_floor(self, x):
+        self.floor_calls += 1
+        return -float(self.floor_calls)
+
+
+def cube_task(n):
+    """An n-dimensional integrator task without obstacles."""
+    return make_task(initial=[[0, 0.5]] * n, target=[[4.0, 4.5]] * n, unsafe=[],
+                     deadline=20.0, start=[0.25] * n, target_point=[4.25] * n,
+                     start_margin=[0.2] * n, target_margin=[0.2] * n,
+                     obstacle_margin=[1.0], workspace=[[-1, 6]] * n)
+
+
+class TestCompiledStep:
+    """The compiled RK4 step against ``reference_step_loop``, bit for bit."""
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+               *[st.lists(st.floats(width=64), min_size=n, max_size=n)] * 3)),
+           st.floats(min_value=-20.0, max_value=20.0),
+           st.one_of(st.none(), st.floats(min_value=1e-3, max_value=50.0)))
+    def test_compiled_law_matches_reference_law(self, rows, scale, lim):
+        # NaN and infinities included: a NaN passes the corridor check,
+        # as it passes abs(e) >= 1.0
+        x, sums, ws = rows
+
+        def outcome(law):
+            try:
+                u = law(x, sums, ws, scale, lim)
+            except ZeroDivisionError:       # a zero width
+                return "ZeroDivisionError"
+            return u if u is None else np.array(u).tobytes()
+
+        assert outcome(compiled_law(len(x), lim is not None)) == outcome(reference_law)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_bundled_seeds(self, case_scenario, case_plans, case_tube, seed):
+        from rastube.cli import _run_simulation
+        trace = assert_matches_reference(
+            lambda: _run_simulation(case_scenario, case_tube, case_plans, seed=seed))
+        assert trace.completed and trace.flags.all_ok
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_integrator_dimensions(self, n):
+        from rastube.scenario import TubeParams
+        task = cube_task(n)
+        frames = FrameProvider(evolve_tube(task, [], TubeParams.defaults(task.deadline)),
+                               n, list(range(n)), [])
+        dist = DisturbanceModel(kind="uniform", bound=0.05, seed=n)
+        trace = assert_matches_reference(
+            lambda: simulate(task, frames, ControllerConfig(gain=2.0),
+                             FloorCountingIntegrator(n), dist,
+                             SimOptions(step=0.01, stay_horizon=2.0)))
+        assert trace.completed and trace.flags.all_ok
+        assert trace.states.shape == (2201, n)
+        assert trace.min_input_floor == -2201.0
+
+    @pytest.mark.parametrize("limit, completed", [(0.35, True), (0.3, False)])
+    def test_input_limit(self, limit, completed):
+        task, frames, options, _ = integrator_setup()
+        dist = DisturbanceModel(kind="sinusoidal", bound=0.05, frequency=0.3)
+        cfg = ControllerConfig(gain=2.0, input_limit=limit)
+        trace = assert_matches_reference(
+            lambda: simulate(task, frames, cfg, IntegratorPlant(2), dist, options))
+        assert trace.completed is completed
+        # the clamp is active on some rows, not on all
+        assert 0 < np.count_nonzero(np.abs(trace.inputs) == limit) < trace.inputs.size
+
+    def test_negative_gain_sign(self):
+        task, frames, options, _ = integrator_setup()
+        dist = DisturbanceModel(kind="uniform", bound=0.05, seed=5)
+        trace = assert_matches_reference(
+            lambda: simulate(task, frames, ControllerConfig(gain=2.0, gain_sign=-1),
+                             NegatedIntegrator(2), dist, options))
+        assert trace.completed and trace.flags.all_ok
+        assert trace.min_input_floor == -1.0
+
+    def test_random_11_leaves_the_corridor(self):
+        from rastube.cli import _run_simulation, parse_scenario
+        from rastube.avoidance import schedule
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs",
+                            "random_11.json")
+        scn = parse_scenario(path)
+        plans = schedule(scn.task, scn.tube)
+        tube = evolve_tube(scn.task, plans, scn.tube)
+        assert scn.run.sim_step == 0.01
+        trace = assert_matches_reference(lambda: _run_simulation(scn, tube, plans))
+        assert not trace.completed
+        assert trace.failure["value"] is not None
+
+    @pytest.mark.parametrize("step, stage", [(0.015, "mid"), (0.008, "end"), (0.01, "next")])
+    def test_leaving_runs(self, step, stage):
+        task, frames = leaving_setup()
+        trace = assert_matches_reference(
+            lambda: simulate(task, frames, ControllerConfig(gain=2.0), IntegratorPlant(2),
+                             DisturbanceModel(), SimOptions(step=step)))
+        assert failed_stage(trace) == stage
+
+    def test_non_finite_state(self):
+        class NanPlant(IntegratorPlant):
+            def derivative(self, x, u, w):
+                return [u[0] + w[0], math.nan if x[0] > 0.3 else u[1] + w[1]]
+
+        task, frames, options, dist = integrator_setup()
+        trace = assert_matches_reference(
+            lambda: simulate(task, frames, ControllerConfig(gain=2.0), NanPlant(2),
+                             dist, options))
+        assert trace.failure_reason == "non-finite state"
+
+    @pytest.mark.parametrize("collapse", [0.015, 0.02])
+    def test_width_collapse(self, monkeypatch, collapse):
+        # the corridor closes at the midpoint (0.015) or the end (0.02) of
+        # the second step, before the state leaves it
+        with pytest.raises(ConfigurationError) as got:
+            TestSimulate.leaving_run(collapse=collapse)
+        monkeypatch.setattr(plant_mod, "_step_loop", reference_step_loop)
+        with pytest.raises(ConfigurationError) as want:
+            TestSimulate.leaving_run(collapse=collapse)
+        assert got.value.issues == want.value.issues == [
+            ("frame", "upper bound must exceed lower bound")]
+
+
+def assert_same_without_avx512(tmp_path, command, names):
+    """Run CLI ``command`` on the bundled scenario in this process and in a
+    child with numpy's AVX-512 kernels switched off; both must write
+    exactly the files ``names``, with the same bytes."""
+    features = np_umath.__cpu_features__
+    off = [f for f in np_umath.__cpu_dispatch__ if f == "X86_V4" or f.startswith("AVX512")]
+    if not (features.get("AVX512F") and off):
+        pytest.skip("numpy runs no AVX-512 kernels on this CPU")
+    from rastube import bundled_scenario_path
+    from rastube.cli import run_cli
+    assert run_cli([command, "--scenario", str(bundled_scenario_path()),
+                    "--out", str(tmp_path / "default")]) == 0
+    child = textwrap.dedent(f"""
+        import importlib, sys
+        from rastube import bundled_scenario_path
+        from rastube.cli import run_cli
+        features = importlib.import_module({np_umath.__name__!r}).__cpu_features__
+        assert not any(features[f] for f in {off!r})
+        sys.exit(run_cli([{command!r}, "--scenario", str(bundled_scenario_path()),
+                          "--out", {str(tmp_path / "child")!r}]))
+        """)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert sorted(f.name for f in (tmp_path / "child").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "child" / name).read_bytes() == \
+            (tmp_path / "default" / name).read_bytes(), name
 
 
 class TestSimulate:
@@ -358,34 +661,14 @@ class TestSimulate:
         # numpy picks its elementwise kernels by the CPU's SIMD level at run
         # time; every file of a bundled simulate must have the same bytes
         # with numpy's AVX-512 kernels switched off
-        features = np_umath.__cpu_features__
-        off = [f for f in np_umath.__cpu_dispatch__ if f == "X86_V4" or f.startswith("AVX512")]
-        if not (features.get("AVX512F") and off):
-            pytest.skip("numpy runs no AVX-512 kernels on this CPU")
-        from rastube import bundled_scenario_path
-        from rastube.cli import run_cli
-        assert run_cli(["simulate", "--scenario", str(bundled_scenario_path()),
-                        "--out", str(tmp_path / "default")]) == 0
-        child = textwrap.dedent(f"""
-            import importlib, sys
-            from rastube import bundled_scenario_path
-            from rastube.cli import run_cli
-            features = importlib.import_module({np_umath.__name__!r}).__cpu_features__
-            assert not any(features[f] for f in {off!r})
-            sys.exit(run_cli(["simulate", "--scenario", str(bundled_scenario_path()),
-                              "--out", {str(tmp_path / "child")!r}]))
-            """)
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off),
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
         names = ["plans.json", "run.json", "smoothness.json", "trace.csv", "tube.csv",
                  "verify.json"]
-        assert sorted(f.name for f in (tmp_path / "child").iterdir()) == names
-        for name in names:
-            assert (tmp_path / "child" / name).read_bytes() == \
-                (tmp_path / "default" / name).read_bytes(), name
+        assert_same_without_avx512(tmp_path, "simulate", names)
+
+    def test_comparison_json_independent_of_avx512(self, tmp_path):
+        # the two closed loops of a bundled compare, and the report built
+        # from them, must not depend on numpy's SIMD kernels either
+        assert_same_without_avx512(tmp_path, "compare", ["comparison.json"])
 
     def test_frames_built_once_per_stage_time(self, monkeypatch):
         # the corridor is read once per distinct stage time: t = 0 for the
