@@ -251,7 +251,7 @@ def parse_scenario(path) -> Scenario:
              f"must list dimensions 1..{n} (constrained dimensions come first in the state)")
 
     model = plant_sec.get("model")
-    if model is not None and model not in PLANT_MODELS:
+    if model is not None and not (isinstance(model, str) and model in PLANT_MODELS):
         _err(issues, "plant.model", f"unknown model {model!r}; known: {sorted(PLANT_MODELS)}")
     heading_init = _number(plant_sec, "heading_init", "plant", issues, default=0.0)
     heading_halfwidth = _number(plant_sec, "heading_halfwidth", "plant", issues,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from math import log1p
 from typing import List, Optional
 
 import numpy as np
@@ -88,7 +87,7 @@ def _float_list(values) -> Optional[list]:
 # Everything that evaluates it is compiled from that text: control_input
 # through compiled_law, the helpers normalized_error, transformed_error and
 # gain_diagonal through their one-line functions, and the closed loop's
-# RK4 step (plant._stepper), which inlines it at every stage.  The
+# block runner (plant._runner), which inlines it at every stage.  The
 # logarithms go through math.log1p (the platform's libm), never np.log1p:
 # numpy picks its log1p kernel by the CPU's SIMD level at run time, and its
 # AVX-512 kernel rounds differently, so a trace would depend on the
@@ -114,16 +113,26 @@ def law_lines(i: int, x: str, s: str, w: str, reject: str, clamped: bool) -> Lis
     return lines
 
 
-def compiled(source: str, name: str):
-    """The function ``name`` that ``source`` defines, executed with the
-    law's names (``log1p``, ``inf``) bound."""
-    scope = {"log1p": log1p, "inf": math.inf}
+def local_names(p: str, n: int) -> List[str]:
+    return [f"{p}{i}" for i in range(n)]
+
+
+def vec(names: List[str]) -> str:
+    return f"[{', '.join(names)}]"
+
+
+def compiled(name: str, params: str, body: List[str]):
+    """The function ``def name(params)`` whose lines are ``body``, compiled
+    with the public names of ``math`` (``log1p``, ``inf``, ``cos``, ...)
+    bound."""
+    scope = {k: v for k, v in vars(math).items() if not k.startswith("_")}
+    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, f"<rastube {name}>", "exec"), scope)
     return scope[name]
 
 
 def _one_line(params: str, expr: str):
-    return compiled(f"def f({params}):\n    return {expr}\n", "f")
+    return compiled("f", params, [f"return {expr}"])
 
 
 _normalized_1 = _one_line("x, s, w", _NORMALIZED.format(x="x", s="s", w="w"))
@@ -137,13 +146,12 @@ def compiled_law(n: int, clamped: bool):
     ``law(x, sums, ws, scale, lim)`` returns ``u`` as a list of floats, or
     None when some |e_i| >= 1.  ``sums`` and ``ws`` are the frame's bound
     sums and widths; ``x``, ``sums`` and ``ws`` must hold ``n`` values."""
-    names = [f"[{', '.join(f'{p}{i}' for i in range(n))}]" for p in "xswu"]
-    body = [f"{names[0]} = x", f"{names[1]} = sums", f"{names[2]} = ws"]
+    x, s, w, u = (local_names(p, n) for p in "xswu")
+    body = [f"{vec(x)} = x", f"{vec(s)} = sums", f"{vec(w)} = ws"]
     for i in range(n):
-        body += law_lines(i, f"x{i}", f"s{i}", f"w{i}", "return None", clamped)
-    body.append(f"return {names[3]}")
-    return compiled("def law(x, sums, ws, scale, lim):\n"
-                    + "".join(f"    {line}\n" for line in body), "law")
+        body += law_lines(i, x[i], s[i], w[i], "return None", clamped)
+    body.append(f"return {vec(u)}")
+    return compiled("law", "x, sums, ws, scale, lim", body)
 
 
 def _normalized(x, sums, widths) -> list:

@@ -5,10 +5,12 @@ over each macro step, re-evaluates the feedback at every stage against the
 corridor bounds at the stage time (the two midpoint stages share them,
 and a step's end bounds are the next row's), and records state, corridor
 bounds, input, and the active detour per step.  The stage bounds are
-built in bulk, one block of steps at a time.  Each step is one call of a
-function compiled once per state count: it holds the state and the stage
-bounds in scalar locals, runs the law inline from its one source in
-``controller``, and calls the plant's ``derivative`` four times.
+built in bulk, one block of steps at a time, and each block is one call
+of a function compiled once per state count and plant source.  It holds
+the state and the stage bounds in scalar locals and runs the law inline
+from its one source in ``controller``.  The bundled plants write their
+derivative and input floor once, as source lines (``from_lines``), which
+it inlines too; a plant without them is called, four times per step.
 Flags summarise the run:
 reached (target hit by the deadline), safe (never inside an unsafe set),
 contained (always strictly inside the corridor), stayed (inside the target
@@ -17,6 +19,7 @@ through the stay horizon)."""
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, Tuple
@@ -25,7 +28,7 @@ import numpy as np
 
 from .avoidance import ObstaclePlan
 from .controller import (ControllerConfig, TubeFrame, compiled, compiled_law,
-                         control_input, law_lines)
+                         control_input, law_lines, local_names, vec)
 from .errors import ConfigurationError, TubeViolationError
 from .geometry import Box
 from .scenario import RasTask
@@ -39,7 +42,10 @@ class Dynamics(Protocol):
     floats and returns ``n_states`` floats (a list or a 1-d array); the
     closed loop raises ValueError on any other length.
     ``symmetric_input_floor`` is the smallest eigenvalue of the symmetric
-    part of the input map at state ``x``, which the run records.
+    part of the input map at state ``x``, which the run records.  The
+    closed loop calls ``derivative`` four times per step and
+    ``symmetric_input_floor`` once per row, unless the method carries
+    ``source_lines`` (see ``from_lines``): then it inlines those lines.
     """
 
     n_states: int
@@ -48,6 +54,31 @@ class Dynamics(Protocol):
 
     def derivative(self, x: Sequence[float], u: Sequence[float],
                    w: Sequence[float]) -> Sequence[float]: ...
+
+
+def from_lines(lines):
+    """Decorator: a plant method written once, as source text.
+
+    ``lines`` gets one list of ``n_states`` local names per argument of
+    the method and returns (statements, result): the result is one
+    expression or a list of them, temporaries are named ``_...`` and the
+    names of ``math`` are bound.  The method is compiled from that text
+    once per state count and keeps ``lines`` as its ``source_lines``,
+    which the closed loop inlines instead of calling the method."""
+    params = list(inspect.signature(lines).parameters)
+
+    @functools.cache
+    def method_for(n):
+        names = [local_names(p, n) for p in params]
+        body, result = lines(*names)
+        ret = result if isinstance(result, str) else vec(result)
+        head = [f"{vec(v)} = {p}" for p, v in zip(params, names)]
+        return compiled(lines.__name__, ", ".join(params), head + body + [f"return {ret}"])
+
+    def method(self, *args):
+        return method_for(self.n_states)(*args)
+    method.source_lines = lines
+    return method
 
 
 class OmniRobot:
@@ -60,16 +91,17 @@ class OmniRobot:
 
     n_states = 3
 
-    def derivative(self, x, u, w):
-        c = math.cos(x[2])
-        s = math.sin(x[2])
-        return [u[0] * c - u[1] * s + w[0],
-                u[0] * s + u[1] * c + w[1],
-                u[2] + w[2]]
+    @from_lines
+    def derivative(x, u, w):
+        return ([f"_c = cos({x[2]})", f"_s = sin({x[2]})"],
+                [f"{u[0]} * _c - {u[1]} * _s + {w[0]}",
+                 f"{u[0]} * _s + {u[1]} * _c + {w[1]}",
+                 f"{u[2]} + {w[2]}"])
 
-    def symmetric_input_floor(self, x):
+    @from_lines
+    def symmetric_input_floor(x):
         # closed form: eigenvalues of the symmetric part are {cos h, cos h, 1}
-        return min(math.cos(x[2]), 1.0)
+        return [], f"min(cos({x[2]}), 1.0)"
 
 
 class IntegratorPlant:
@@ -78,11 +110,13 @@ class IntegratorPlant:
     def __init__(self, n_states: int):
         self.n_states = n_states
 
-    def derivative(self, x, u, w):
-        return [a + b for a, b in zip(u, w)]
+    @from_lines
+    def derivative(x, u, w):
+        return [], [f"{a} + {b}" for a, b in zip(u, w)]
 
-    def symmetric_input_floor(self, x):
-        return 1.0
+    @from_lines
+    def symmetric_input_floor(x):
+        return [], "1.0"
 
 
 PLANT_MODELS = {
@@ -259,58 +293,80 @@ def _rows_in_box(states: np.ndarray, box: Box, dims: Sequence[int]) -> np.ndarra
 _BLOCK = 512
 
 
-@functools.cache
-def _stepper(n: int, clamped: bool):
-    """The closed loop's RK4 step for ``n`` states, compiled once per
-    ``(n, clamped)`` with the law inlined from ``controller.law_lines``.
+# the source lines of a plant method written without them: a call of it
+def _call_rate(x, u, w):
+    return [], f"rate({vec(x)}, {vec(u)}, {vec(w)})"
 
-    ``_stepper(n, clamped)(rate, scale, lim)`` returns
-    ``step(x, u, w, h, ms, mw, es, ew)``.  From the row state ``x`` and its
-    input ``u`` (float lists), the disturbance ``w`` held over the step and
-    the step ``h``, it evaluates the two midpoint stages against the bound
-    sums and widths ``ms``, ``mw`` and the end stage against ``es``,
-    ``ew``, calling ``rate`` (the plant derivative) four times, with every
-    operation in the order of the written-out RK4 step.  The end bounds are
-    the next row's, so it also evaluates the law at the next state.  It
-    returns ``(x_next, u_next)``, or ``(None, (stage, state))`` for the
-    first stage it rejects: ``"mid"`` or ``"end"`` when the state leaves
-    the corridor or the stage's widths are empty (a width <= 0), ``"next"``
-    when the next state leaves it, ``"nonfinite"`` when the next state is
-    not finite.  A derivative of the wrong length raises ValueError.
+
+def _call_floor(x):
+    return [], f"floor({vec(x)})"
+
+
+@functools.cache
+def _runner(n: int, clamped: bool, rate_lines, floor_lines):
+    """The closed loop over one block of steps for ``n`` states, compiled
+    once per plant source: the law inlined from ``controller.law_lines``,
+    the plant's derivative and input floor from their source lines.
+
+    ``_runner(...)(rate, floor, scale, lim)`` returns
+    ``run(x, u, mf, dist, hs, sums, ws, xs, us, final)``.  From the row
+    state ``x`` and its input ``u`` (float lists), it takes one RK4 step
+    per disturbance row of ``dist`` (held over the step) and step of
+    ``hs``.  It records each step's start row, and when ``final`` the row
+    it ends in: it extends the flat lists ``xs`` and ``us`` by the row's
+    state and input, and lowers the running minimum input floor ``mf`` by
+    the state's floor.  Bounds 2j of ``sums`` and ``ws`` (bound sums and
+    widths) serve step j's two midpoint stages, 2j + 1 its end and the
+    next row.  Every operation is in the order of the written-out RK4
+    step.  It returns ``(x, u, mf)`` after the block, or
+    ``(None, (stage, state), mf)`` at the first stage it rejects: ``"mid"``
+    or ``"end"`` when the state leaves the corridor or the stage's widths
+    are empty (a width <= 0), ``"next"`` when the next state leaves it,
+    ``"nonfinite"`` when the next state is not finite.  A called
+    derivative of the wrong length raises ValueError.
     """
-    def vec(p):
-        return f"[{', '.join(f'{p}{i}' for i in range(n))}]"
+    x, u, w, a, ms, mw, es, ew = (local_names(p, n) for p in
+                                  ("x", "u", "w", "a", "ms", "mw", "es", "ew"))
+
+    def law(state, sums, widths, name):
+        reject = f"return None, ({name!r}, {vec(state)}), mf"
+        return [line for i in range(n)
+                for line in law_lines(i, state[i], sums[i], widths[i], reject, clamped)]
+
+    def rate(k, state):
+        body, result = rate_lines(state, u, w)
+        k = local_names(k, n)
+        return body + ([f"{vec(k)} = {result}"] if isinstance(result, str) else
+                       [f"{ki} = {r}" for ki, r in zip(k, result)])
 
     def stage(k, coeff):
-        return [f"a{i} = x{i} + {coeff} * {k}{i}" for i in range(n)]
+        return [f"{a[i]} = {x[i]} + {coeff} * {k}{i}" for i in range(n)]
 
-    def law(s, w, name):
-        reject = f"return None, ({name!r}, {vec('a')})"
-        return [line for i in range(n)
-                for line in law_lines(i, f"a{i}", f"{s}{i}", f"{w}{i}", reject, clamped)]
-
-    body = [f"{vec('x')} = x",
-            "hh = 0.5 * h",
-            f"{vec('ka')} = rate(x, u, w)", *stage("ka", "hh"),
-            f"if not mw: return None, ('mid', {vec('a')})",
-            f"{vec('ms')} = ms", f"{vec('mw')} = mw", *law("ms", "mw", "mid"),
-            f"{vec('kb')} = rate({vec('a')}, {vec('u')}, w)", *stage("kb", "hh"),
-            *law("ms", "mw", "mid"),
-            f"{vec('kc')} = rate({vec('a')}, {vec('u')}, w)", *stage("kc", "h"),
-            f"if not ew: return None, ('end', {vec('a')})",
-            f"{vec('es')} = es", f"{vec('ew')} = ew", *law("es", "ew", "end"),
-            f"{vec('kd')} = rate({vec('a')}, {vec('u')}, w)",
+    body, result = floor_lines(x)
+    record = [f"xs += {', '.join(x)},", f"us += {', '.join(u)},",
+              *body, f"f = {result}", "if f < mf: mf = f"]
+    step = [*record, f"{vec(w)} = w", "hh = 0.5 * h",
+            *rate("ka", x), *stage("ka", "hh"),
+            f"if not mw: return None, ('mid', {vec(a)}), mf",
+            f"{vec(ms)} = ms", f"{vec(mw)} = mw", *law(a, ms, mw, "mid"),
+            *rate("kb", a), *stage("kb", "hh"), *law(a, ms, mw, "mid"),
+            *rate("kc", a), *stage("kc", "h"),
+            f"if not ew: return None, ('end', {vec(a)}), mf",
+            f"{vec(es)} = es", f"{vec(ew)} = ew", *law(a, es, ew, "end"),
+            *rate("kd", a),
             "sixth = h / 6.0",
-            *[f"a{i} = x{i} + sixth * (ka{i} + 2.0 * kb{i} + 2.0 * kc{i} + kd{i})"
+            *[f"x{i} = x{i} + sixth * (ka{i} + 2.0 * kb{i} + 2.0 * kc{i} + kd{i})"
               for i in range(n)],
-            "if not (" + " and ".join(f"-inf < a{i} < inf" for i in range(n))
-            + f"): return None, ('nonfinite', {vec('a')})",
-            *law("es", "ew", "next"),
-            f"return {vec('a')}, {vec('u')}"]
-    return compiled("def make(rate, scale, lim):\n"
-                    "    def step(x, u, w, h, ms, mw, es, ew):\n"
-                    + "".join(f"        {line}\n" for line in body)
-                    + "    return step\n", "make")
+            "if not (" + " and ".join(f"-inf < x{i} < inf" for i in range(n))
+            + f"): return None, ('nonfinite', {vec(x)}), mf",
+            *law(x, es, ew, "next")]
+    run = ["def run(x, u, mf, dist, hs, sums, ws, xs, us, final):",
+           f"    {vec(x)} = x", f"    {vec(u)} = u",
+           "    for w, h, ms, mw, es, ew in zip(dist, hs, sums[0::2], ws[0::2], "
+           "sums[1::2], ws[1::2]):", *[f"        {line}" for line in step],
+           "    if final:", *[f"        {line}" for line in record],
+           f"    return {vec(x)}, {vec(u)}, mf"]
+    return compiled("make", "rate, floor, scale, lim", run + ["return run"])
 
 
 def _rejected(x, lo, hi, cfg: ControllerConfig, t_stage: float, t_fail: float):
@@ -328,36 +384,44 @@ def _rejected(x, lo, hi, cfg: ControllerConfig, t_stage: float, t_fail: float):
 
 def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, uppers,
                inputs):
-    """RK4 closed loop over the time grid, filling the preallocated rows.
+    """RK4 closed loop over the time grid, filling the preallocated
+    C-contiguous rows.
 
     ``frame`` is the corridor frame at the first grid time, where the state
     ``x`` lies strictly inside.  The stage bounds are built ``_BLOCK``
     steps at a time: each step's midpoint (shared by the two midpoint
     stages) and its end, which is also the next row's bounds: with
     t = t_end*k/n and t_next = t_end*(k+1)/n, t_next - t is exact
-    (Sterbenz), so the end stage time t + h is t_next itself.  Each step is
-    one call of the compiled ``_stepper``; a block's rows are stored
-    together.  ``control_input`` runs only on a stage the step rejected,
+    (Sterbenz), so the end stage time t + h is t_next itself.  Each block
+    of steps is one call of the compiled ``_runner``; its rows are stored
+    together.  ``control_input`` runs only on a stage the runner rejected,
     to raise the violation that becomes the failure record.
     Returns (rows filled, min input floor, failure); failure is None when
     the run completes, else (failure time, reason, failure record).
     """
+    rate_fn = dynamics.derivative
     floor_fn = dynamics.symmetric_input_floor
     scale = -cfg.gain_sign * cfg.gain
     lim = cfg.input_limit
     clamped = lim is not None
-    step = _stepper(len(x), clamped)(dynamics.derivative, scale, lim)
+    n = len(x)
+    flat_states = states.reshape(-1)
+    flat_inputs = inputs.reshape(-1)
+    make = _runner(n, clamped, getattr(rate_fn, "source_lines", _call_rate),
+                   getattr(floor_fn, "source_lines", _call_floor))
+    run = make(rate_fn, floor_fn, scale, lim)
     ts = grid_ts.tolist()
     n_steps = len(ts) - 1
     min_floor = float("inf")
     lowers[0] = frame.lo
     uppers[0] = frame.hi
-    u = compiled_law(len(x), clamped)(x, frame.sums, frame.ws, scale, lim)
+    u = compiled_law(n, clamped)(x, frame.sums, frame.ws, scale, lim)
     for first in range(0, n_steps + 1, _BLOCK):
         stop = min(first + _BLOCK, n_steps + 1)     # rows first..stop-1
         last = min(stop, n_steps)                   # steps first..last-1
         xs = []
         us = []
+        steps = [], [], [], []
         if last > first:
             t0, t1 = grid_ts[first:last], grid_ts[first + 1:last + 1]
             hs = t1 - t0
@@ -372,17 +436,13 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
             # it, and its TubeFrame raises ConfigurationError
             for j in np.flatnonzero((ws_arr <= 0.0).any(axis=1)).tolist():
                 ws[j] = []
-            for w, h, ms, mw, es, ew in zip(dists[first:last].tolist(), hs.tolist(),
-                                            sums[0::2], ws[0::2], sums[1::2], ws[1::2]):
-                xs.append(x)
-                us.append(u)
-                x, u = step(x, u, w, h, ms, mw, es, ew)
-                if x is None:
-                    break
+            steps = dists[first:last].tolist(), hs.tolist(), sums, ws
+        x, u, min_floor = run(x, u, min_floor, *steps, xs, us, stop > last)
+        rows = first + len(xs) // n
         failure = None
         if x is None:
             where, sx = u
-            r = first + len(xs) - 1
+            r = rows - 1
             j = 2 * (r - first)
             t, t_next = ts[r], ts[r + 1]
             if where == "nonfinite":
@@ -396,15 +456,10 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
                 # the end stage fails its own step; the next row fails at t_next
                 failure = _rejected(sx, lo[j + 1], hi[j + 1], cfg, t_next,
                                     t if where == "end" else t_next)
-        elif stop > last:
-            xs.append(x)                            # the last row of the grid
-            us.append(u)
-        if xs:
-            states[first:first + len(xs)] = xs
-            inputs[first:first + len(us)] = us
-            min_floor = min([min_floor, *map(floor_fn, xs)])
+        flat_states[first * n:rows * n] = xs
+        flat_inputs[first * n:rows * n] = us
         if failure is not None:
-            return first + len(xs), min_floor, failure
+            return rows, min_floor, failure
     return n_steps + 1, min_floor, None
 
 
@@ -429,7 +484,7 @@ def simulate(task: RasTask, frames: FrameProvider, cfg: ControllerConfig,
 
     frame0 = frames.frame(0.0)
     e0 = (2.0 * x - frame0.sum_bounds) / frame0.widths
-    if np.any(np.abs(e0) >= 1.0):
+    if not np.all(np.abs(e0) < 1.0):
         raise ConfigurationError(
             [("task.start_state", "initial state not strictly inside the corridor")])
 

@@ -353,6 +353,18 @@ class TestOverrides:
         assert "error: plant.disturbance.seed:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", [[], {}, ["omni_robot"]])
+    def test_unhashable_plant_model_exits_two(self, tmp_path, capsys, model):
+        doc = load_bundled()
+        doc["plant"]["model"] = model
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--scenario", str(write_scenario(tmp_path, doc)),
+                        "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: plant.model:" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_dt_exits_two(self, tmp_path, capsys):
         out = tmp_path / "syn"
         code = run_cli(["synthesize", "--scenario", str(fast_scenario(tmp_path)),

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -445,6 +446,114 @@ class TestCompiledStep:
             ("frame", "upper bound must exceed lower bound")]
 
 
+def omni_rate(x, u, w):
+    """The omni robot's derivative, written out by hand."""
+    c = math.cos(x[2])
+    s = math.sin(x[2])
+    return [u[0] * c - u[1] * s + w[0], u[0] * s + u[1] * c + w[1], u[2] + w[2]]
+
+
+def bits(fn, *args):
+    """The bits of ``fn(*args)``, or the name of the exception it raises."""
+    try:
+        return np.array(fn(*args), dtype=float).tobytes()
+    except ValueError as err:
+        return type(err).__name__
+
+
+def counted(calls, method):
+    """``method`` wrapped as a tracer wraps it: the wrapper counts its calls
+    in ``calls`` and keeps the method's attributes."""
+    @functools.wraps(method)
+    def wrapper(*args):
+        calls.append(args)
+        return method(*args)
+    return wrapper
+
+
+class HalfSpeedOmni(OmniRobot):
+    """An omni robot whose derivative is half the written one: an override
+    of a method written as source lines, which the loop must call."""
+
+    def derivative(self, x, u, w):
+        return [0.5 * k for k in super().derivative(x, u, w)]
+
+
+class TestWrittenPlants:
+    """The plants written as source lines: their compiled methods against
+    the expressions written out by hand, and the closed loop that inlines
+    them against ``reference_step_loop``, bit for bit (the bundled omni
+    robot in ``TestCompiledStep.test_bundled_seeds``)."""
+
+    @given(st.lists(st.floats(width=64), min_size=9, max_size=9))
+    def test_omni_robot_methods(self, v):
+        # NaN and infinities included; cos of an infinite heading raises
+        # ValueError in both
+        x, u, w = v[0:3], v[3:6], v[6:9]
+        robot = OmniRobot()
+        assert bits(robot.derivative, x, u, w) == bits(omni_rate, x, u, w)
+        assert bits(robot.symmetric_input_floor, x) == \
+            bits(lambda x: min(math.cos(x[2]), 1.0), x)
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+        *[st.lists(st.floats(width=64), min_size=n, max_size=n)] * 3)))
+    def test_integrator_methods(self, rows):
+        x, u, w = rows
+        plant = IntegratorPlant(len(x))
+        assert bits(plant.derivative, x, u, w) == \
+            bits(lambda: [a + b for a, b in zip(u, w)])
+        assert plant.symmetric_input_floor(x) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_integrator_dimensions(self, n):
+        from rastube.scenario import TubeParams
+        task = cube_task(n)
+        frames = FrameProvider(evolve_tube(task, [], TubeParams.defaults(task.deadline)),
+                               n, list(range(n)), [])
+        dist = DisturbanceModel(kind="sinusoidal", bound=0.05, frequency=0.2)
+        trace = assert_matches_reference(
+            lambda: simulate(task, frames, ControllerConfig(gain=2.0), IntegratorPlant(n),
+                             dist, SimOptions(step=0.01, stay_horizon=2.0)))
+        assert trace.completed and trace.flags.all_ok
+        assert trace.min_input_floor == 1.0
+
+    def test_methods_inlined_not_called(self, monkeypatch):
+        # a wrapper that keeps the method's attributes keeps its source
+        # lines, so the loop inlines them and never calls it
+        calls = []
+        for name in ("derivative", "symmetric_input_floor"):
+            monkeypatch.setattr(IntegratorPlant, name,
+                                counted(calls, getattr(IntegratorPlant, name)))
+        task, frames, options, dist = integrator_setup()
+        trace = simulate(task, frames, ControllerConfig(gain=2.0), IntegratorPlant(2), dist,
+                         options)
+        assert trace.completed and trace.ts.shape[0] > 1
+        assert calls == []
+
+    def test_override_gets_its_own_dynamics(self, case_scenario, case_plans, case_tube,
+                                            case_trace):
+        # the override inherits the written floor but not the written
+        # derivative: the loop calls it four times per step, and the floor
+        # never
+        from rastube.cli import _run_simulation
+        calls = []
+        floor_calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(HalfSpeedOmni, "derivative",
+                       counted(calls, HalfSpeedOmni.derivative))
+            mp.setattr(OmniRobot, "symmetric_input_floor",
+                       counted(floor_calls, OmniRobot.symmetric_input_floor))
+            mp.setattr(case_scenario, "dynamics", HalfSpeedOmni)
+            trace = _run_simulation(case_scenario, case_tube, case_plans, seed=3)
+        assert len(calls) == 4 * (trace.ts.shape[0] - 1)
+        assert floor_calls == []
+        assert trace.states.tobytes() != case_trace.states.tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(case_scenario, "dynamics", HalfSpeedOmni)
+            assert_matches_reference(
+                lambda: _run_simulation(case_scenario, case_tube, case_plans, seed=3))
+
+
 def assert_same_without_avx512(tmp_path, command, names):
     """Run CLI ``command`` on the bundled scenario in this process and in a
     child with numpy's AVX-512 kernels switched off; both must write
@@ -516,6 +625,20 @@ class TestSimulate:
         with pytest.raises(ConfigurationError):
             simulate(bad_task, frames, ControllerConfig(), IntegratorPlant(2),
                      dist, options)
+
+    @pytest.mark.parametrize("heading", [math.nan, math.inf, 2.0])
+    def test_extra_state_outside_corridor_rejected(self, case_scenario, case_plans,
+                                                   case_tube, heading):
+        # a NaN heading is not strictly inside its bounds either
+        scn = case_scenario
+        task_dims, extra_bounds, _ = scn.frame_layout()
+        frames = FrameProvider(case_tube, 3, task_dims, extra_bounds)
+        options = SimOptions(step=scn.run.sim_step, extra_state=[heading],
+                             extra_bounds=extra_bounds)
+        with pytest.raises(ConfigurationError) as err:
+            simulate(scn.task, frames, scn.controller, OmniRobot(), scn.plant.disturbance,
+                     options, case_plans)
+        assert [path for path, _ in err.value.issues] == ["task.start_state"]
 
     def test_rk4_order_on_closed_loop(self):
         # closed-form corridor frames keep the loop smooth, so halving the
