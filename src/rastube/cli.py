@@ -32,7 +32,8 @@ from .metrics import baseline_tube, comparison_report, control_effort
 from .plant import (PLANT_MODELS, DisturbanceModel, FrameProvider, SimOptions,
                     simulate)
 from .scenario import RasTask, TubeParams, validate_assumptions
-from .tube import Tube, evolve_tube, in_child, smoothness_check, verify_tube
+from .tube import (Tube, VerificationReport, evolve_tube, in_child, smoothness_check,
+                   verify_tube)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -379,6 +380,7 @@ def _plans_payload(scn: Scenario, plans, report) -> dict:
 
 
 def _synthesize(scn: Scenario, out: Path):
+    """Plans, validated, and the corridor they shape; writes plans.json."""
     plans = schedule(scn.task, scn.tube)
     report = validate_assumptions(scn.task, plans, scn.tube)
     if not report.passed:
@@ -386,21 +388,33 @@ def _synthesize(scn: Scenario, out: Path):
             "assumption validation failed: "
             + "; ".join(f"{c.subject}: {c.detail}" for c in report.failures()))
     tube = evolve_tube(scn.task, plans, scn.tube)
-    verdict = verify_tube(tube, scn.task)
-    smooth = smoothness_check(tube)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "plans.json", _plans_payload(scn, plans, report))
+    return plans, tube
+
+
+def _check(scn: Scenario, tube: Tube, out: Path) -> VerificationReport:
+    """Verify the corridor and check its smoothness; writes verify.json
+    and smoothness.json."""
+    verdict = verify_tube(tube, scn.task)
     _write_json(out / "verify.json", verdict.as_dict())
-    _write_json(out / "smoothness.json", smooth.as_dict())
-    return plans, tube, verdict, smooth
+    _write_json(out / "smoothness.json", smoothness_check(tube).as_dict())
+    return verdict
+
+
+def _certify(scn: Scenario, tube: Tube, out: Path) -> bool:
+    """``_check``, then tube.csv; whether the corridor is verified."""
+    passed = _check(scn, tube, out).passed
+    tube.to_csv(out / "tube.csv")
+    return passed
 
 
 def cmd_synthesize(scn: Scenario, out: Path) -> int:
-    plans, tube, verdict, smooth = _synthesize(scn, out)
-    tube.to_csv(out / "tube.csv")
+    plans, tube = _synthesize(scn, out)
+    passed = _certify(scn, tube, out)
     print(f"synthesized corridor with {len(plans)} detour(s); "
-          f"verification {'passed' if verdict.passed else 'FAILED'}")
-    return EXIT_OK if verdict.passed else EXIT_GUARANTEE
+          f"verification {'passed' if passed else 'FAILED'}")
+    return EXIT_OK if passed else EXIT_GUARANTEE
 
 
 def _run_simulation(scn: Scenario, tube, plans, seed: Optional[int] = None,
@@ -441,33 +455,34 @@ def _sim_options(scn: Scenario, sim_step: Optional[float] = None,
 
 def cmd_simulate(scn: Scenario, out: Path, seed: Optional[int],
                  sim_step: Optional[float], stay: Optional[float]) -> int:
-    plans, tube, verdict, smooth = _synthesize(scn, out)
-    # the corridor CSV is written on another core while the closed loop
-    # runs; that child writes it in one piece, leaving this core to the loop
-    tube_csv = out / "tube.csv"
-    with in_child(lambda: tube.to_csv(tube_csv), f"writing {tube_csv}"):
+    plans, tube = _synthesize(scn, out)
+    # the corridor is verified and written on another core while the closed
+    # loop runs; that child writes tube.csv in one piece, leaving this core
+    # to the loop
+    with in_child(lambda: _certify(scn, tube, out),
+                  f"certifying the corridor in {out}") as verified:
         trace = _run_simulation(scn, tube, plans, seed=seed, sim_step=sim_step, stay=stay)
         trace.to_csv(out / "trace.csv")
         effort = control_effort(trace)
-        used_seed = seed if seed is not None else scn.plant.disturbance.seed
-        _write_json(out / "run.json", {
-            "scenario": scn.name,
-            "seed": used_seed,
-            "sim_step": sim_step if sim_step is not None else scn.run.sim_step,
-            "stay_horizon": stay if stay is not None else scn.run.stay_horizon,
-            "flags": trace.flags.as_dict(),
-            "reach_time": trace.reach_time,
-            "failure_time": trace.failure_time,
-            "failure_reason": trace.failure_reason,
-            "failure": trace.failure,
-            "effort": effort.as_dict(),
-            "min_input_floor": trace.min_input_floor,
-            "corridor_verified": verdict.passed,
-        })
-        status = "ok" if (verdict.passed and trace.flags.all_ok) else "FAILED"
-        print(f"simulate: reached={trace.flags.reached} safe={trace.flags.safe} "
-              f"contained={trace.flags.contained} stayed={trace.flags.stayed} [{status}]")
-        return EXIT_OK if (verdict.passed and trace.flags.all_ok) else EXIT_GUARANTEE
+    ok = verified.value and trace.flags.all_ok
+    _write_json(out / "run.json", {
+        "scenario": scn.name,
+        "seed": seed if seed is not None else scn.plant.disturbance.seed,
+        "sim_step": sim_step if sim_step is not None else scn.run.sim_step,
+        "stay_horizon": stay if stay is not None else scn.run.stay_horizon,
+        "flags": trace.flags.as_dict(),
+        "reach_time": trace.reach_time,
+        "failure_time": trace.failure_time,
+        "failure_reason": trace.failure_reason,
+        "failure": trace.failure,
+        "effort": effort.as_dict(),
+        "min_input_floor": trace.min_input_floor,
+        "corridor_verified": verified.value,
+    })
+    print(f"simulate: reached={trace.flags.reached} safe={trace.flags.safe} "
+          f"contained={trace.flags.contained} stayed={trace.flags.stayed} "
+          f"[{'ok' if ok else 'FAILED'}]")
+    return EXIT_OK if ok else EXIT_GUARANTEE
 
 
 def cmd_verify(scn: Scenario, tube_path: Path, out: Path) -> int:
@@ -478,11 +493,8 @@ def cmd_verify(scn: Scenario, tube_path: Path, out: Path) -> int:
     if tube.n != scn.task.n:
         raise ConfigurationError([(str(tube_path),
                                    f"tube has {tube.n} dimensions, task has {scn.task.n}")])
-    verdict = verify_tube(tube, scn.task)
-    smooth = smoothness_check(tube)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "verify.json", verdict.as_dict())
-    _write_json(out / "smoothness.json", smooth.as_dict())
+    verdict = _check(scn, tube, out)
     failed = [c.name for c in verdict.conditions if not c.passed]
     print("verify: " + ("all conditions passed" if not failed
                         else "failed " + ", ".join(failed)))
@@ -498,21 +510,24 @@ def _compare_step(scn: Scenario, sim_step: Optional[float]) -> float:
 def cmd_compare(scn: Scenario, out: Path, seed: Optional[int],
                 sim_step: Optional[float]) -> int:
     plans = schedule(scn.task, scn.tube)
-    smooth_tube = evolve_tube(scn.task, plans, scn.tube)
-    abrupt_tube = baseline_tube(scn.task, plans, scn.tube)
     sim_step = _compare_step(scn, sim_step)
     used_seed = seed if seed is not None else scn.plant.disturbance.seed
-    smooth_trace = _run_simulation(scn, smooth_tube, plans, seed=used_seed,
-                                   sim_step=sim_step, stay=0.0)
-    abrupt_trace = _run_simulation(scn, abrupt_tube, plans, seed=used_seed,
-                                   sim_step=sim_step, stay=0.0)
-    report = comparison_report(
-        scn.name, used_seed,
-        control_effort(smooth_trace), control_effort(abrupt_trace),
-        smooth_trace.flags.as_dict(), abrupt_trace.flags.as_dict())
+
+    def effort(tube):
+        trace = _run_simulation(scn, tube, plans, seed=used_seed, sim_step=sim_step,
+                                stay=0.0)
+        return control_effort(trace), trace.flags.as_dict()
+
+    # the baseline's closed loop runs on another core
+    with in_child(lambda: effort(baseline_tube(scn.task, plans, scn.tube)),
+                  "the baseline closed loop") as baseline:
+        smooth_effort, smooth_flags = effort(evolve_tube(scn.task, plans, scn.tube))
+    baseline_effort, baseline_flags = baseline.value
+    report = comparison_report(scn.name, used_seed, smooth_effort, baseline_effort,
+                               smooth_flags, baseline_flags)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "comparison.json", report)
-    ok = smooth_trace.flags.contained and abrupt_trace.flags.contained
+    ok = smooth_flags["contained"] and baseline_flags["contained"]
     print(f"compare: energy ratio {report['energy_ratio']:.4g}, "
           f"peak ratio {report['peak_ratio']:.4g} "
           f"({'ok' if ok else 'FAILED'})")

@@ -10,6 +10,18 @@ from __future__ import annotations
 class RastubeError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):
+        # rebuilt from its message and fields without calling __init__, whose
+        # arguments differ per subclass, so that an error pickled in a forked
+        # child (``tube.in_child``) is raised again with its type and fields
+        return _rebuilt, (type(self), self.args, self.__dict__)
+
+
+def _rebuilt(cls, args, state):
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    return error
+
 
 class ConfigurationError(RastubeError):
     """Invalid scenario data or invalid arguments to a public operation."""

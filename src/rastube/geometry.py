@@ -13,6 +13,23 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` for a 2-d ``a`` of few columns, as one
+    call per column, left to right: numpy's row reduction costs about 50
+    times as much.
+
+    A non-NaN result has the reduction's bits, the sign of a zero
+    included, with numpy's AVX2 and AVX-512 kernels.  Which NaN a row
+    gives, and with older kernels the sign of a zero among three
+    mixed-sign zeros, follow the reduction's internal order and may
+    differ; a NaN stays a NaN.
+    """
+    out = a[:, 0].copy()
+    for c in range(1, a.shape[1]):
+        ufunc(out, a[:, c], out=out)
+    return out
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] with lo <= hi enforced at construction."""
@@ -101,7 +118,7 @@ class Box:
         # holds up to 1e6 rows
         gaps = self.lower - upper
         np.maximum(gaps, lower - self.upper, out=gaps)
-        return gaps.max(axis=1)
+        return fold_columns(np.maximum, gaps)
 
     def as_pairs(self) -> list:
         return [[d.lo, d.hi] for d in self.dims]

@@ -30,7 +30,7 @@ from .avoidance import ObstaclePlan
 from .controller import (ControllerConfig, TubeFrame, compiled, compiled_law,
                          control_input, law_lines, local_names, vec)
 from .errors import ConfigurationError, TubeViolationError
-from .geometry import Box
+from .geometry import Box, fold_columns
 from .scenario import RasTask
 from .tube import _pairs, _write_rows
 
@@ -100,8 +100,10 @@ class OmniRobot:
 
     @from_lines
     def symmetric_input_floor(x):
-        # closed form: eigenvalues of the symmetric part are {cos h, cos h, 1}
-        return [], f"min(cos({x[2]}), 1.0)"
+        # closed form: eigenvalues of the symmetric part are {cos h, cos h, 1};
+        # min(cos h, 1.0) written as its comparison, a NaN kept, with the
+        # first statement of ``derivative``, which the closed loop shares
+        return [f"_c = cos({x[2]})"], "1.0 if 1.0 < _c else _c"
 
 
 class IntegratorPlant:
@@ -286,11 +288,22 @@ class SimTrace:
 def _rows_in_box(states: np.ndarray, box: Box, dims: Sequence[int]) -> np.ndarray:
     """Per row of ``states``: whether its ``dims`` lie in the closed box."""
     x = states[:, dims]
-    return np.all((x >= box.lower) & (x <= box.upper), axis=1)
+    return fold_columns(np.logical_and, (x >= box.lower) & (x <= box.upper))
 
 
 # grid steps whose stage bounds are built together
 _BLOCK = 512
+
+
+def _shared(first, then) -> int:
+    """How many leading statements ``then`` may skip when it runs right
+    after ``first``: those it shares with ``first`` word for word, up to
+    the first whose name a later statement of ``first`` assigns again."""
+    k = 0
+    while k < min(len(first), len(then)) and first[k] == then[k]:
+        k += 1
+    later = {line.split(" = ", 1)[0] for line in first[k:]}
+    return next((j for j in range(k) if then[j].split(" = ", 1)[0] in later), k)
 
 
 # the source lines of a plant method written without them: a call of it
@@ -342,11 +355,16 @@ def _runner(n: int, clamped: bool, rate_lines, floor_lines):
     def stage(k, coeff):
         return [f"{a[i]} = {x[i]} + {coeff} * {k}{i}" for i in range(n)]
 
-    body, result = floor_lines(x)
-    record = [f"xs += {', '.join(x)},", f"us += {', '.join(u)},",
-              *body, f"f = {result}", "if f < mf: mf = f"]
-    step = [*record, f"{vec(w)} = w", "hh = 0.5 * h",
-            *rate("ka", x), *stage("ka", "hh"),
+    def floor(body):
+        return [*body, f"f = {floor_result}", "if f < mf: mf = f"]
+
+    # a step records its row's floor after the first stage's derivative,
+    # whose leading statements the floor's lines need not repeat
+    floor_body, floor_result = floor_lines(x)
+    first_rate = rate("ka", x)
+    record = [f"xs += {', '.join(x)},", f"us += {', '.join(u)},"]
+    step = [*record, f"{vec(w)} = w", "hh = 0.5 * h", *first_rate,
+            *floor(floor_body[_shared(first_rate, floor_body):]), *stage("ka", "hh"),
             f"if not mw: return None, ('mid', {vec(a)}), mf",
             f"{vec(ms)} = ms", f"{vec(mw)} = mw", *law(a, ms, mw, "mid"),
             *rate("kb", a), *stage("kb", "hh"), *law(a, ms, mw, "mid"),
@@ -364,7 +382,7 @@ def _runner(n: int, clamped: bool, rate_lines, floor_lines):
            f"    {vec(x)} = x", f"    {vec(u)} = u",
            "    for w, h, ms, mw, es, ew in zip(dist, hs, sums[0::2], ws[0::2], "
            "sums[1::2], ws[1::2]):", *[f"        {line}" for line in step],
-           "    if final:", *[f"        {line}" for line in record],
+           "    if final:", *[f"        {line}" for line in record + floor(floor_body)],
            f"    return {vec(x)}, {vec(u)}, mf"]
     return compiled("make", "rate, floor, scale, lim", run + ["return run"])
 
@@ -434,8 +452,10 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
             ws = ws_arr.tolist()
             # a stage whose width is <= 0 gets empty widths: the step rejects
             # it, and its TubeFrame raises ConfigurationError
-            for j in np.flatnonzero((ws_arr <= 0.0).any(axis=1)).tolist():
-                ws[j] = []
+            empty = ws_arr <= 0.0
+            if empty.any():
+                for j in np.flatnonzero(empty.any(axis=1)).tolist():
+                    ws[j] = []
             steps = dists[first:last].tolist(), hs.tolist(), sums, ws
         x, u, min_floor = run(x, u, min_floor, *steps, xs, us, stop > last)
         rows = first + len(xs) // n

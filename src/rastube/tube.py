@@ -15,6 +15,13 @@ product and leaves to ``%`` only what it cannot decide: non-finite values,
 magnitudes outside [1e-280, 1e280) other than zero, roundings within 1e-12
 of a tie, and integers of magnitude 2**53 and up.  The bytes are those of
 ``%.17g`` and ``%d`` applied value by value, in one process or two.
+
+``in_child`` is the program's one fork helper: it runs a function in a
+forked child while the caller's block runs, then hands back the
+function's value, or raises its exception with its own type.  Besides
+the CSV writer, the command line uses it to verify the corridor and
+write ``tube.csv`` beside ``simulate``'s closed loop, and to run
+``compare``'s baseline loop beside the smooth one.
 """
 
 from __future__ import annotations
@@ -23,8 +30,10 @@ import contextlib
 import functools
 import math
 import os
+import pickle
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +41,7 @@ import numpy as np
 from . import tube_core
 from .avoidance import ObstaclePlan
 from .errors import InfeasibleScenarioError, SynthesisError
-from .geometry import Box
+from .geometry import Box, fold_columns
 from .scenario import RasTask, TubeParams
 
 
@@ -146,37 +155,64 @@ def _can_fork() -> bool:
 
 @contextlib.contextmanager
 def in_child(work, what: str):
-    """Run ``work()`` in a forked child while the body runs.
+    """Run ``work()`` in a forked child while the body runs, and hand back
+    its return value as the ``value`` of the object the body gets, set
+    once the body is done.
 
-    The child leaves through ``os._exit``, so it flushes no inherited
+    The child pickles ``work()``'s value, or the exception it raised, into
+    a pipe and leaves through ``os._exit``, so it flushes no inherited
     buffers and runs no exit handlers.  It is waited for on the way out,
-    and a failed child raises OSError naming ``what`` unless the body is
-    raising already.  Where ``os.fork`` is missing, and inside such a
-    child, ``work()`` runs in-line before the body instead.
+    also when the body raises.  After the body, the child's exception is
+    raised again here with its own type, and a child that sends nothing
+    back (its outcome does not pickle, or it was killed) raises OSError
+    naming ``what``; an exception of the body wins over either.  Where
+    ``os.fork`` is missing, and inside such a child, ``work()`` runs
+    in-line after the body, also when the body raises, so that the same
+    files are written and the same exception leaves either way.
     """
     global _forked
+    result = SimpleNamespace(value=None)
     if not _can_fork():
-        work()
-        yield
+        try:
+            yield result
+        except Exception:
+            with contextlib.suppress(Exception):
+                work()
+            raise
+        result.value = work()
         return
+    read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         _forked = True
         code = 1
         try:
-            work()
+            os.close(read_end)
+            try:
+                outcome = True, work()
+            except Exception as exc:
+                outcome = False, exc
+            with open(write_end, "wb") as sink:
+                pickle.dump(outcome, sink)
             code = 0
         except Exception as exc:
             os.write(2, f"error: {exc}\n".encode())
         finally:
             os._exit(code)
+    os.close(write_end)
     try:
-        yield
+        yield result
     finally:
+        with open(read_end, "rb") as source:
+            sent = source.read()
         _, status = os.waitpid(pid, 0)
-    if status:
+    if status or not sent:
         raise OSError(f"{what} failed in a child process "
                       f"(exit code {os.waitstatus_to_exitcode(status)})")
+    done, value = pickle.loads(sent)
+    if not done:
+        raise value
+    result.value = value
 
 
 # -- ``%.17g`` and ``%d`` as array operations -------------------------------
@@ -441,7 +477,8 @@ def _write_rows(path, header: Sequence[str], n_rows: int, block, ints=None) -> N
     formats the second half (from a slice boundary) into a pipe while
     this process writes the header and the first half; the pipe is then
     copied into the file ``_COPY_CHUNK`` bytes at a time.  The file's
-    bytes are the same either way.
+    bytes are the same either way; a failure in the child's half raises
+    OSError naming the file.
     """
     head = n_rows // (2 * _SLICE) * _SLICE if _can_fork() else 0
     with open(path, "wb") as fh:
@@ -454,9 +491,14 @@ def _write_rows(path, header: Sequence[str], n_rows: int, block, ints=None) -> N
 
             def tail():
                 source.close()
-                # formatted in full before writing, so that a full pipe does
-                # not hold the child back while the parent formats its half
-                sink.writelines(list(_formatted(block, ints, head, n_rows)))
+                try:
+                    # formatted in full before writing, so that a full pipe
+                    # does not hold the child back while the parent formats
+                    # its half
+                    sink.writelines(list(_formatted(block, ints, head, n_rows)))
+                except Exception as exc:
+                    raise OSError(f"writing {path} failed in a child process: "
+                                  f"{exc}") from exc
                 sink.close()
 
             with in_child(tail, f"writing {path}"):
@@ -575,7 +617,7 @@ def verify_tube(tube: Tube, task: RasTask) -> VerificationReport:
 
     gap = upper - lower
     min_gap = float(gap.min())
-    bad_rows = np.nonzero(gap.min(axis=1) <= 0.0)[0]
+    bad_rows = np.nonzero(fold_columns(np.minimum, gap) <= 0.0)[0]
     conditions.append(ConditionResult(
         name="ordered_bounds", passed=min_gap > 0.0, margin=min_gap,
         detail="lower bound strictly below upper bound",

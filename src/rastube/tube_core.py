@@ -286,5 +286,14 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
                                                per, g0, g1)
                     column[g0 + 1:g1 + 1] = _scan(column[g0], P, Q)[rows - 1]
                 done = j1
-    finite = np.isfinite(grid[1:]).all(axis=1)
-    return grid, -1 if finite.all() else int(1 + np.flatnonzero(~finite)[0])
+    return grid, first_nonfinite_row(grid)
+
+
+def first_nonfinite_row(grid: np.ndarray) -> int:
+    """The first row index after row 0 holding a non-finite value, -1 when
+    there is none; the row-wise test runs only when some value is not
+    finite."""
+    finite = np.isfinite(grid[1:])
+    if finite.all():
+        return -1
+    return int(1 + np.flatnonzero(~finite.all(axis=1))[0])

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
@@ -11,8 +14,9 @@ import rastube
 import rastube.cli as cli
 from rastube.avoidance import schedule
 from rastube.cli import parse_scenario, run_cli
-from rastube.errors import ConfigurationError
-from rastube.tube import evolve_tube
+from rastube.errors import ConfigurationError, SynthesisError
+from rastube.geometry import Box
+from rastube.tube import evolve_tube, verify_tube
 
 from conftest import assert_no_child_left, reference_csv
 
@@ -437,8 +441,9 @@ class TestOverrides:
 
 
 class TestTubeWriter:
-    """``simulate`` writes tube.csv from a forked child during the closed
-    loop, and splits trace.csv across itself and a second child."""
+    """``simulate`` verifies the corridor and writes tube.csv from a forked
+    child during the closed loop, and splits trace.csv across itself and a
+    second child."""
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-line"])
     def test_tube_csv_matches_in_process_write(self, tmp_path, monkeypatch, fork):
@@ -493,3 +498,79 @@ class TestTubeWriter:
         assert (out / "tube.csv").read_bytes() == \
             in_process_tube_csv(scenario, tmp_path / "ref.csv")
         assert not (out / "trace.csv").exists()
+
+
+def run_both_ways(tmp_path, *argv):
+    """Exit code, stderr and output files of ``run_cli(argv + --out)`` run
+    with ``os.fork`` and with it deleted; both runs must agree byte for
+    byte."""
+    runs = []
+    for fork in (True, False):
+        out = tmp_path / ("forked" if fork else "in-line")
+        with pytest.MonkeyPatch.context() as mp:
+            if not fork:
+                mp.delattr(os, "fork")
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = run_cli([*argv, "--out", str(out)])
+        assert_no_child_left()
+        runs.append((code, err.getvalue(),
+                     {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+class TestForkedAndInLine:
+    """A command gives the same exit code, message and files whether its
+    second process is forked or its work runs in-line."""
+
+    def test_verification_error_exits_four(self, tmp_path, monkeypatch):
+        def diverged(tube, task):
+            raise SynthesisError("verification diverged", time=1.0)
+
+        monkeypatch.setattr(cli, "verify_tube", diverged)
+        code, err, files = run_both_ways(tmp_path, "simulate", "--scenario",
+                                         str(fast_scenario(tmp_path)))
+        assert code == 4
+        assert err == "error: verification diverged\n"
+        assert sorted(files) == ["plans.json", "trace.csv"]
+
+    def test_failed_verification_exits_three(self, tmp_path, monkeypatch):
+        # verified against one more unsafe set, which the corridor crosses
+        # and the closed loop is not told of
+        def stricter(tube, task):
+            crossed = Box.from_pairs([[-1.0, 1.0], [-1.0, 1.0]])
+            return verify_tube(tube, dataclasses.replace(
+                task, unsafe_sets=task.unsafe_sets + (crossed,)))
+
+        monkeypatch.setattr(cli, "verify_tube", stricter)
+        code, err, files = run_both_ways(tmp_path, "simulate", "--scenario",
+                                         str(fast_scenario(tmp_path)))
+        assert code == 3
+        run = json.loads(files["run.json"])
+        assert run["corridor_verified"] is False
+        assert run["flags"] == {"reached": True, "safe": True, "contained": True,
+                                "stayed": True}
+        assert json.loads(files["verify.json"])["passed"] is False
+
+    def test_closed_loop_configuration_error_exits_two(self, tmp_path, monkeypatch):
+        def collapsed(*args, **kwargs):
+            raise ConfigurationError([("frame", "upper bound must exceed lower bound")])
+
+        monkeypatch.setattr(cli, "_run_simulation", collapsed)
+        scenario = fast_scenario(tmp_path)
+        code, err, files = run_both_ways(tmp_path, "simulate", "--scenario", str(scenario))
+        assert code == 2
+        assert err == "error: frame: upper bound must exceed lower bound\n"
+        assert sorted(files) == ["plans.json", "smoothness.json", "tube.csv", "verify.json"]
+        assert files["tube.csv"] == in_process_tube_csv(scenario, tmp_path / "ref.csv")
+
+    def test_compare_report_matches(self, tmp_path):
+        # at this coarse step the baseline, run by the child, leaves its
+        # corridor: its flags come back and decide the exit code
+        code, err, files = run_both_ways(tmp_path, "compare", "--scenario",
+                                         str(fast_scenario(tmp_path)), "--sim-step", "0.005")
+        assert code == 3
+        assert list(files) == ["comparison.json"]
+        report = json.loads(files["comparison.json"])
+        assert report["smooth_flags"]["contained"] is True
+        assert report["baseline_flags"]["contained"] is False

@@ -1,8 +1,14 @@
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rastube.geometry import Box, Interval
+from rastube.geometry import Box, Interval, fold_columns
+from rastube.plant import _rows_in_box
+from rastube.tube import Tube, verify_tube
+from rastube.tube_core import first_nonfinite_row
 
 
 def iv(lo, hi):
@@ -134,3 +140,80 @@ def test_contains_is_transitive_on_shrunk_chain(a, f1, f2):
 def test_clearance_agrees_with_disjoint_from_row_by_row(a, rows):
     gaps = clearance_rows(a, rows)
     assert [g > 0.0 for g in gaps] == [r.disjoint_from(a) for r in rows]
+
+
+# entries of the folded arrays: the special values that decide a fold's
+# bits (NaN of either sign, infinities, zeros of either sign) among
+# ordinary floats
+special = st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+entries = st.one_of(special, st.floats(allow_nan=True, allow_infinity=True, width=64))
+
+
+@st.composite
+def tables(draw, n=None, m=None):
+    """An (m, n) float table, n in 1..3 and m in 1..12 unless given."""
+    n = draw(st.integers(1, 3)) if n is None else n
+    m = draw(st.integers(1, 12)) if m is None else m
+    return np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=m, max_size=m)), dtype=float).reshape(m, n)
+
+
+def assert_same_values(got, want):
+    """Bit for bit, the sign of a zero included; a NaN must stay a NaN,
+    whichever sign and payload it has, which numpy's row reductions leave
+    to their SIMD kernels."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestColumnFolds:
+    """Each column fold gives the values of the ``axis=1`` reduction it
+    replaced."""
+
+    # np.minimum is verify_tube's ordered_bounds row minimum
+    @given(tables(), st.sampled_from([np.maximum, np.minimum]))
+    def test_fold_matches_row_reduction(self, a, ufunc):
+        assert_same_values(fold_columns(ufunc, a), ufunc.reduce(a, axis=1))
+
+    @given(tables(), st.lists(st.tuples(finite, finite), min_size=3, max_size=3),
+           st.data())
+    def test_clearance_matches_row_maximum(self, lower, pairs, data):
+        upper = data.draw(tables(*lower.shape[::-1]))
+        box = Box.from_pairs([sorted(p) for p in pairs[:lower.shape[1]]])
+        with np.errstate(invalid="ignore"):
+            want = np.maximum(box.lower - upper, lower - box.upper).max(axis=1)
+            got = box.clearance(lower, upper)
+        assert_same_values(got, want)
+
+    @given(tables(), st.lists(st.tuples(finite, finite), min_size=3, max_size=3),
+           st.data())
+    def test_rows_in_box_matches_row_all(self, states, pairs, data):
+        dims = data.draw(st.lists(st.integers(0, states.shape[1] - 1), min_size=1,
+                                  max_size=states.shape[1], unique=True))
+        box = Box.from_pairs([sorted(p) for p in pairs[:len(dims)]])
+        x = states[:, dims]
+        want = np.all((x >= box.lower) & (x <= box.upper), axis=1)
+        assert_same_values(_rows_in_box(states, box, dims), want)
+
+    @given(tables())
+    def test_first_nonfinite_row_matches_row_all(self, grid):
+        finite = np.isfinite(grid[1:]).all(axis=1)
+        want = -1 if finite.all() else int(1 + np.flatnonzero(~finite)[0])
+        assert first_nonfinite_row(grid) == want
+
+    @pytest.mark.parametrize("edge", [0.0, -0.0])
+    def test_verify_margin_keeps_the_sign_of_zero(self, edge):
+        # row 1 touches the unsafe box at g1 = 0: the gap edge - 0.0 is a
+        # zero whose sign the box's lower edge decides, and it is the
+        # smallest clearance of the corridor
+        lower = np.array([[-1.0, 0.0], [-0.3, 0.0], [-1.0, 0.0]])
+        tube = Tube(ts=[0.0, 1.0, 2.0], lower=lower, width=[0.3, 0.3])
+        unsafe = Box.from_pairs([[edge, 1.0], [-5.0, 5.0]])
+        wide = Box.from_pairs([[-10.0, 10.0], [-10.0, 10.0]])
+        task = SimpleNamespace(initial_set=wide, target_set=wide, unsafe_sets=(unsafe,))
+        margin = verify_tube(tube, task).by_name("avoids_unsafe").margin
+        want = float(np.maximum(unsafe.lower - tube.upper, lower - unsafe.upper)
+                     .max(axis=1).min())
+        assert json.dumps(margin) == json.dumps(want) == json.dumps(edge)

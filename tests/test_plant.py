@@ -495,6 +495,17 @@ class TestWrittenPlants:
         assert bits(robot.symmetric_input_floor, x) == \
             bits(lambda x: min(math.cos(x[2]), 1.0), x)
 
+    def test_floor_skips_what_the_first_stage_ran(self):
+        # the omni floor's cos(heading) opens the derivative, which the
+        # step runs just before it; a statement whose name the derivative
+        # assigns again later is run anew
+        rate = OmniRobot.derivative.source_lines(["x0", "x1", "x2"], ["u0"] * 3, ["w0"] * 3)[0]
+        floor = OmniRobot.symmetric_input_floor.source_lines(["x0", "x1", "x2"])[0]
+        assert plant_mod._shared(rate, floor) == len(floor) == 1
+        assert plant_mod._shared(["_c = cos(x2)", "_c = _c * 2.0"], ["_c = cos(x2)"]) == 0
+        assert plant_mod._shared(["_s = sin(x2)"], ["_c = cos(x2)"]) == 0
+        assert plant_mod._shared(["_c = cos(x2)"], ["_c = cos(x2)", "_s = sin(x2)"]) == 1
+
     @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
         *[st.lists(st.floats(width=64), min_size=n, max_size=n)] * 3)))
     def test_integrator_methods(self, rows):

@@ -10,11 +10,12 @@ from hypothesis import given, strategies as st
 
 from rastube import tube as tube_mod, tube_core
 from rastube.avoidance import PASS_ABOVE, ObstaclePlan, _fraction, schedule
-from rastube.errors import InfeasibleScenarioError
+from rastube.errors import (ConfigurationError, InfeasibleScenarioError, SynthesisError,
+                            TubeViolationError)
 from rastube.geometry import Box
 from rastube.scenario import RasTask, TubeParams
 from rastube.plant import SimFlags, SimTrace
-from rastube.tube import (_SLICE, Tube, _formatted, _write_rows, evolve_tube,
+from rastube.tube import (_SLICE, Tube, _formatted, _write_rows, evolve_tube, in_child,
                           smoothness_check, verify_tube)
 
 from conftest import assert_no_child_left, reference_csv
@@ -1143,3 +1144,92 @@ class TestRowWriter:
         with time_limit(60), pytest.raises(ValueError, match="no rows in the parent"):
             _write_rows(tmp_path / "out.csv", ["g1L", "g2L"], rows, block)
         assert_no_child_left()
+
+
+def raising(error):
+    def work():
+        raise error
+    return work
+
+
+FORK_PATHS = pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-line"])
+
+
+class TestInChild:
+    """``in_child`` hands back ``work()``'s value, or raises its exception
+    with its own type, the same way forked and in-line."""
+
+    @FORK_PATHS
+    def test_returns_the_value_of_work(self, monkeypatch, fork):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        parent = os.getpid()
+        with in_child(lambda: (os.getpid() != parent, [1.5, -0.0]), "work") as result:
+            assert result.value is None
+        assert_no_child_left()
+        assert result.value == (fork, [1.5, -0.0])
+        assert math.copysign(1.0, result.value[1][1]) == -1.0
+
+    @FORK_PATHS
+    @pytest.mark.parametrize("error", [
+        SynthesisError("corridor integration diverged at t=1.5", time=1.5),
+        ConfigurationError([("frame", "upper bound must exceed lower bound"),
+                            ("run.sim_step", "too coarse")]),
+        InfeasibleScenarioError("no side clears obstacle 2", obstacle=2),
+        TubeViolationError(1, 0.75, 0.0, 0.5, time=2.0),
+        IsADirectoryError(21, "Is a directory", "out/tube.csv"),
+    ], ids=lambda e: type(e).__name__)
+    def test_raises_the_exception_of_work_with_its_type(self, monkeypatch, fork, error):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        ran = []
+        with pytest.raises(type(error)) as caught:
+            with in_child(raising(error), "work"):
+                ran.append("body")
+        assert_no_child_left()
+        assert ran == ["body"]
+        assert str(caught.value) == str(error)
+        assert vars(caught.value) == vars(error)
+
+    @FORK_PATHS
+    def test_exception_of_the_body_wins(self, tmp_path, monkeypatch, fork):
+        # the work still runs to its end, forked or in-line
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        done = tmp_path / "done"
+
+        def work():
+            done.write_text("work")
+            raise SynthesisError("lost to the body's error")
+
+        with pytest.raises(ValueError, match="body"):
+            with in_child(work, "work"):
+                raise ValueError("body")
+        assert_no_child_left()
+        assert done.read_text() == "work"
+
+    def test_in_line_work_runs_after_the_body(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        order = []
+        with in_child(lambda: order.append("work"), "work"):
+            order.append("body")
+        assert order == ["body", "work"]
+
+    @pytest.mark.parametrize("work", [lambda: os._exit(3), lambda: (lambda: None)],
+                             ids=["exits", "unpicklable"])
+    def test_child_that_sends_nothing_raises_oserror(self, work):
+        with pytest.raises(OSError, match="work failed in a child process"):
+            with in_child(work, "work"):
+                pass
+        assert_no_child_left()
+
+    def test_a_child_does_not_fork_again(self):
+        def nested():
+            with in_child(os.getpid, "nested") as inner:
+                pass
+            return inner.value == os.getpid()
+
+        with in_child(nested, "outer") as outer:
+            pass
+        assert_no_child_left()
+        assert outer.value is True
