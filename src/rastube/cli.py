@@ -15,12 +15,16 @@ guarantee or feasibility check failed, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import pickle
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 from .avoidance import schedule
@@ -32,8 +36,7 @@ from .metrics import baseline_tube, comparison_report, control_effort
 from .plant import (PLANT_MODELS, DisturbanceModel, FrameProvider, SimOptions,
                     simulate)
 from .scenario import RasTask, TubeParams, validate_assumptions
-from .tube import (Tube, VerificationReport, evolve_tube, in_child, smoothness_check,
-                   verify_tube)
+from .tube import Tube, VerificationReport, evolve_tube, smoothness_check, verify_tube
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -335,11 +338,16 @@ def parse_scenario(path) -> Scenario:
         issues.extend(exc.issues)
         controller = ControllerConfig()
 
+    output_dir = run_sec.get("output_dir")
+    if output_dir is None:
+        output_dir = "out"
+    elif not isinstance(output_dir, str):
+        _err(issues, "run.output_dir", "must be a string")
     run = RunConfig(
         stay_horizon=_number(run_sec, "stay_horizon", "run", issues,
                              default=0.25 * task.deadline),
         sim_step=_number(run_sec, "sim_step", "run", issues, default=0.01, positive=True),
-        output_dir=str(run_sec.get("output_dir", "out")))
+        output_dir=output_dir)
     if run.stay_horizon is None or run.stay_horizon < 0:
         _err(issues, "run.stay_horizon", "must be >= 0")
     else:
@@ -377,6 +385,66 @@ def _plans_payload(scn: Scenario, plans, report) -> dict:
             "notes": list(report.notes),
         },
     }
+
+
+@contextlib.contextmanager
+def in_child(work, what: str):
+    """Run ``work()`` in a forked child while the body runs, and hand back
+    its return value as the ``value`` of the object the body gets, set
+    once the body is done.
+
+    The child pickles ``work()``'s value, or the exception it raised, into
+    a pipe and leaves through ``os._exit``, so it flushes no inherited
+    buffers and runs no exit handlers.  It is waited for on the way out,
+    also when the body raises.  After the body, the child's exception is
+    raised again here with its own type, and a child that sends nothing
+    back (its outcome does not pickle, or it was killed) raises OSError
+    naming ``what``; an exception of the body wins over either.  Where
+    ``os.fork`` is missing, ``work()`` runs in-line after the body, also
+    when the body raises, so that the same files are written and the same
+    exception leaves either way.
+    """
+    result = SimpleNamespace(value=None)
+    if not hasattr(os, "fork"):
+        try:
+            yield result
+        except Exception:
+            with contextlib.suppress(Exception):
+                work()
+            raise
+        result.value = work()
+        return
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                outcome = True, work()
+            except Exception as exc:
+                outcome = False, exc
+            with open(write_end, "wb") as sink:
+                pickle.dump(outcome, sink)
+            code = 0
+        except Exception as exc:
+            os.write(2, f"error: {exc}\n".encode())
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        yield result
+    finally:
+        with open(read_end, "rb") as source:
+            sent = source.read()
+        _, status = os.waitpid(pid, 0)
+    if status or not sent:
+        raise OSError(f"{what} failed in a child process "
+                      f"(exit code {os.waitstatus_to_exitcode(status)})")
+    done, value = pickle.loads(sent)
+    if not done:
+        raise value
+    result.value = value
 
 
 def _synthesize(scn: Scenario, out: Path):
@@ -456,9 +524,8 @@ def _sim_options(scn: Scenario, sim_step: Optional[float] = None,
 def cmd_simulate(scn: Scenario, out: Path, seed: Optional[int],
                  sim_step: Optional[float], stay: Optional[float]) -> int:
     plans, tube = _synthesize(scn, out)
-    # the corridor is verified and written on another core while the closed
-    # loop runs; that child writes tube.csv in one piece, leaving this core
-    # to the loop
+    # the corridor is verified and tube.csv written on another core while
+    # the closed loop runs
     with in_child(lambda: _certify(scn, tube, out),
                   f"certifying the corridor in {out}") as verified:
         trace = _run_simulation(scn, tube, plans, seed=seed, sim_step=sim_step, stay=stay)

@@ -13,7 +13,7 @@ class RastubeError(Exception):
     def __reduce__(self):
         # rebuilt from its message and fields without calling __init__, whose
         # arguments differ per subclass, so that an error pickled in a forked
-        # child (``tube.in_child``) is raised again with its type and fields
+        # child (``cli.in_child``) is raised again with its type and fields
         return _rebuilt, (type(self), self.args, self.__dict__)
 
 

@@ -8,7 +8,8 @@ when the configured extents would not fit inside the start/target sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import List, Optional
 
@@ -171,7 +172,11 @@ class TubeParams:
     step: float
 
     def __post_init__(self):
-        issues = []
+        # an infinite value would pass the order checks below
+        issues = [(f"tube.{f.name}", "must be finite")
+                  for f in fields(self) if math.isinf(getattr(self, f.name))]
+        if issues:
+            raise ConfigurationError(issues)
         if not self.window_margin > 0:
             issues.append(("tube.window_margin", "must be positive"))
         if not (0 < self.edge_buffer < self.window_margin):

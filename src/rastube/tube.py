@@ -7,33 +7,21 @@ the corridor width.  Synthesis integrates the blended derivative with
 fixed-step RK4; verification and smoothness checks run on the stored grid.
 
 ``Tube.to_csv`` and ``plant.SimTrace.to_csv`` write every grid row through
-``_write_rows``: each value as ``%.17g`` (``%d`` for an integer column),
-formatted ``_SLICE`` rows at a time by array operations, with the second
-half of a large table formatted by a forked child (``in_child``).  The
-kernel finds each value's 17 correctly rounded digits with a double-double
-product and leaves to ``%`` only what it cannot decide: non-finite values,
-magnitudes outside [1e-280, 1e280) other than zero, roundings within 1e-12
-of a tie, and integers of magnitude 2**53 and up.  The bytes are those of
-``%.17g`` and ``%d`` applied value by value, in one process or two.
-
-``in_child`` is the program's one fork helper: it runs a function in a
-forked child while the caller's block runs, then hands back the
-function's value, or raises its exception with its own type.  Besides
-the CSV writer, the command line uses it to verify the corridor and
-write ``tube.csv`` beside ``simulate``'s closed loop, and to run
-``compare``'s baseline loop beside the smooth one.
+``_write_rows``, in one process: each value as ``%.17g`` (``%d`` for an
+integer column), formatted ``_SLICE`` rows at a time by array operations.
+The kernel finds each value's 17 correctly rounded digits with a
+double-double product and leaves to ``%`` only what it cannot decide:
+non-finite values, magnitudes outside [1e-280, 1e280) other than zero,
+roundings within 1e-12 of a tie, and integers of magnitude 2**53 and up.
+The bytes are those of ``%.17g`` and ``%d`` applied value by value.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
-import pickle
 import warnings
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,77 +130,6 @@ def _pairs(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 # rows formatted together
 _SLICE = 1024
-# bytes copied from a writer child's pipe at a time
-_COPY_CHUNK = 1 << 20
-# set in a child forked by ``in_child``: it does its work in-line and
-# forks no child of its own
-_forked = False
-
-
-def _can_fork() -> bool:
-    return hasattr(os, "fork") and not _forked
-
-
-@contextlib.contextmanager
-def in_child(work, what: str):
-    """Run ``work()`` in a forked child while the body runs, and hand back
-    its return value as the ``value`` of the object the body gets, set
-    once the body is done.
-
-    The child pickles ``work()``'s value, or the exception it raised, into
-    a pipe and leaves through ``os._exit``, so it flushes no inherited
-    buffers and runs no exit handlers.  It is waited for on the way out,
-    also when the body raises.  After the body, the child's exception is
-    raised again here with its own type, and a child that sends nothing
-    back (its outcome does not pickle, or it was killed) raises OSError
-    naming ``what``; an exception of the body wins over either.  Where
-    ``os.fork`` is missing, and inside such a child, ``work()`` runs
-    in-line after the body, also when the body raises, so that the same
-    files are written and the same exception leaves either way.
-    """
-    global _forked
-    result = SimpleNamespace(value=None)
-    if not _can_fork():
-        try:
-            yield result
-        except Exception:
-            with contextlib.suppress(Exception):
-                work()
-            raise
-        result.value = work()
-        return
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        _forked = True
-        code = 1
-        try:
-            os.close(read_end)
-            try:
-                outcome = True, work()
-            except Exception as exc:
-                outcome = False, exc
-            with open(write_end, "wb") as sink:
-                pickle.dump(outcome, sink)
-            code = 0
-        except Exception as exc:
-            os.write(2, f"error: {exc}\n".encode())
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    try:
-        yield result
-    finally:
-        with open(read_end, "rb") as source:
-            sent = source.read()
-        _, status = os.waitpid(pid, 0)
-    if status or not sent:
-        raise OSError(f"{what} failed in a child process "
-                      f"(exit code {os.waitstatus_to_exitcode(status)})")
-    done, value = pickle.loads(sent)
-    if not done:
-        raise value
-    result.value = value
 
 
 # -- ``%.17g`` and ``%d`` as array operations -------------------------------
@@ -442,14 +359,14 @@ def _patch(fields, at, texts) -> None:
         raw[k, :len(text)] = np.frombuffer(text.encode(), np.uint8)
 
 
-def _formatted(block, ints, a: int, b: int):
-    """Rows a..b-1 as CSV bytes, ``_SLICE`` rows at a time: each value's
-    field from ``_float_fields`` (``_int_fields`` for the ``ints`` entry
-    after a row's floats), the row's last separator a newline, NULs
+def _formatted(block, ints, n_rows: int):
+    """Rows 0..n_rows-1 as CSV bytes, ``_SLICE`` rows at a time: each
+    value's field from ``_float_fields`` (``_int_fields`` for the ``ints``
+    entry after a row's floats), the row's last separator a newline, NULs
     dropped."""
     t = _tables()
-    for lo in range(a, b, _SLICE):
-        values = np.asarray(block(lo, min(lo + _SLICE, b)), dtype=float)
+    for lo in range(0, n_rows, _SLICE):
+        values = np.asarray(block(lo, min(lo + _SLICE, n_rows)), dtype=float)
         rows, cols = values.shape
         x = values.ravel()
         fields, rest = _float_fields(x, t)
@@ -471,44 +388,10 @@ def _write_rows(path, header: Sequence[str], n_rows: int, block, ints=None) -> N
     returns rows a..b-1 as a 2-d array; ``ints`` adds a last integer
     column, written with the bytes of ``%d``.  Rows are built and
     formatted ``_SLICE`` at a time by ``_formatted``, which keeps memory
-    flat: a slice's fields take 32 bytes per value.
-
-    From ``2 * _SLICE`` rows on, and where ``in_child`` can fork, a child
-    formats the second half (from a slice boundary) into a pipe while
-    this process writes the header and the first half; the pipe is then
-    copied into the file ``_COPY_CHUNK`` bytes at a time.  The file's
-    bytes are the same either way; a failure in the child's half raises
-    OSError naming the file.
-    """
-    head = n_rows // (2 * _SLICE) * _SLICE if _can_fork() else 0
+    flat: a slice's fields take 32 bytes per value."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        if not head:
-            fh.writelines(_formatted(block, ints, 0, n_rows))
-            return
-        read_end, write_end = os.pipe()
-        with open(read_end, "rb", buffering=0) as source, open(write_end, "wb") as sink:
-
-            def tail():
-                source.close()
-                try:
-                    # formatted in full before writing, so that a full pipe
-                    # does not hold the child back while the parent formats
-                    # its half
-                    sink.writelines(list(_formatted(block, ints, head, n_rows)))
-                except Exception as exc:
-                    raise OSError(f"writing {path} failed in a child process: "
-                                  f"{exc}") from exc
-                sink.close()
-
-            with in_child(tail, f"writing {path}"):
-                sink.close()
-                # the read end closes before the child is waited for, so an
-                # error in this half leaves no child blocked on a full pipe
-                with source:
-                    fh.writelines(_formatted(block, ints, 0, head))
-                    while chunk := source.read(_COPY_CHUNK):
-                        fh.write(chunk)
+        fh.writelines(_formatted(block, ints, n_rows))
 
 
 def evolve_tube(task: RasTask, plans: Sequence[ObstaclePlan], params: TubeParams) -> Tube:

@@ -337,7 +337,10 @@ class TestOverrides:
         ("--sim-step", "0", "run.sim_step"),
         ("--sim-step", "-0.01", "run.sim_step"),
         ("--stay-horizon", "-1", "run.stay_horizon"),
-        ("--seed", "-1", "plant.disturbance.seed")])
+        ("--seed", "-1", "plant.disturbance.seed"),
+        ("--dt", "inf", "tube.step"),
+        ("--dt", "nan", "tube.step"),
+        ("--dt", "-1", "tube.step")])
     def test_invalid_simulation_override_exits_two(self, tmp_path, capsys, flag, value, key):
         out = tmp_path / "sim"
         code = run_cli(["simulate", "--scenario", str(fast_scenario(tmp_path)),
@@ -368,6 +371,24 @@ class TestOverrides:
         err = capsys.readouterr().err
         assert "error: plant.model:" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("output_dir", [None, ["a"], 5, {"x": 1}],
+                             ids=["null", "list", "number", "object"])
+    def test_output_dir_must_be_a_string(self, tmp_path, capsys, monkeypatch, output_dir):
+        # null takes the default directory; any other non-string exits 2
+        # and writes nothing
+        scenario = fast_scenario(tmp_path, run={"output_dir": output_dir})
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code = run_cli(["synthesize", "--scenario", str(scenario)])
+        if output_dir is None:
+            assert code == 0
+            assert [p.name for p in work.iterdir()] == ["out"]
+        else:
+            assert code == 2
+            assert "error: run.output_dir:" in capsys.readouterr().err
+            assert not list(work.iterdir())
 
     def test_zero_dt_exits_two(self, tmp_path, capsys):
         out = tmp_path / "syn"
@@ -442,8 +463,7 @@ class TestOverrides:
 
 class TestTubeWriter:
     """``simulate`` verifies the corridor and writes tube.csv from a forked
-    child during the closed loop, and splits trace.csv across itself and a
-    second child."""
+    child during the closed loop; each CSV is written by one process."""
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-line"])
     def test_tube_csv_matches_in_process_write(self, tmp_path, monkeypatch, fork):
@@ -456,25 +476,32 @@ class TestTubeWriter:
         assert (out / "tube.csv").read_bytes() == \
             in_process_tube_csv(scenario, tmp_path / "ref.csv")
 
-    def test_forked_writer_does_not_fork_again(self, tmp_path, monkeypatch):
-        # the tube.csv child writes its 20001 rows in one piece; only
-        # trace.csv is split, by this process
-        forks = tmp_path / "forks"
+    @pytest.mark.parametrize("command, forks", [
+        ("synthesize", 0), ("verify", 0), ("simulate", 1), ("compare", 1)])
+    def test_forks_per_command(self, tmp_path, monkeypatch, command, forks):
+        # simulate forks for its certify step and compare for its baseline
+        # loop; no command forks to write a CSV
+        scenario = fast_scenario(tmp_path)
+        argv = [command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+        if command == "verify":
+            assert run_cli(["synthesize", "--scenario", str(scenario),
+                            "--out", str(tmp_path / "syn")]) == 0
+            argv += ["--tube", str(tmp_path / "syn" / "tube.csv")]
+        if command == "compare":
+            argv += ["--sim-step", "0.005"]
+        log = tmp_path / "forks"
+        log.touch()
         fork = os.fork
 
         def logged_fork():
-            with open(forks, "a") as fh:
+            with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
             return fork()
 
         monkeypatch.setattr(os, "fork", logged_fork)
-        scenario = fast_scenario(tmp_path)
-        out = tmp_path / "sim"
-        assert run_cli(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        run_cli(argv)
         assert_no_child_left()
-        assert forks.read_text().split() == [str(os.getpid())] * 2
-        assert (out / "tube.csv").read_bytes() == \
-            in_process_tube_csv(scenario, tmp_path / "ref.csv")
+        assert log.read_text().split() == [str(os.getpid())] * forks
 
     def test_failed_write_raises_after_the_loop(self, tmp_path):
         out = tmp_path / "sim"

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from rastube.metrics import baseline_tube, comparison_report, control_effort
+from rastube.metrics import _trapezoid, baseline_tube, comparison_report, control_effort
 from rastube.plant import SimFlags, SimTrace
 from rastube.tube import smoothness_check, verify_tube
 
@@ -17,7 +20,39 @@ def synthetic_trace(ts, inputs, deadline):
                     flags=SimFlags(True, True, True, True), deadline=deadline)
 
 
+def same_float(a, b) -> bool:
+    """Equal bits, the sign of a zero included; any NaN equals any NaN."""
+    return (math.isnan(a) and math.isnan(b)) or \
+        np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# input components: any float, and more often a NaN, an infinity, a signed
+# zero, a subnormal or a magnitude whose square underflows or overflows
+COMPONENTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072009e-308, -1e-300, 1e-160, 1e154, -1e200]),
+    st.floats())
+
+
 class TestControlEffort:
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(COMPONENTS, min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_row_norms_have_the_bits_of_linalg_norm(self, rows):
+        inputs = np.array(rows)
+        ts = np.linspace(0.0, 1.0, inputs.shape[0])
+        with np.errstate(all="ignore"):
+            norms = np.linalg.norm(inputs, axis=1)
+            report = control_effort(synthetic_trace(ts, inputs, 1.0))
+            if ts.shape[0] == 1:
+                expected = (0.0, norms[0], 0.0)
+            else:
+                expected = (_trapezoid(norms ** 2, ts), norms.max(), _trapezoid(norms, ts))
+            peaks = [control_effort(synthetic_trace([0.0], row, 1.0)).peak
+                     for row in inputs[:, None, :]]
+        got = (report.energy, report.peak, report.l1)
+        assert all(map(same_float, got, expected)), (got, expected)
+        assert all(map(same_float, peaks, norms)), (peaks, norms)
+
     def test_zero_input(self):
         trace = synthetic_trace(np.linspace(0, 1, 11), np.zeros((11, 2)), 1.0)
         report = control_effort(trace)

@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import math
 import os
-import signal
 
 import numpy as np
 import pytest
@@ -10,13 +9,14 @@ from hypothesis import given, strategies as st
 
 from rastube import tube as tube_mod, tube_core
 from rastube.avoidance import PASS_ABOVE, ObstaclePlan, _fraction, schedule
+from rastube.cli import in_child
 from rastube.errors import (ConfigurationError, InfeasibleScenarioError, SynthesisError,
                             TubeViolationError)
 from rastube.geometry import Box
 from rastube.scenario import RasTask, TubeParams
 from rastube.plant import SimFlags, SimTrace
-from rastube.tube import (_SLICE, Tube, _formatted, _write_rows, evolve_tube, in_child,
-                          smoothness_check, verify_tube)
+from rastube.tube import (_SLICE, Tube, _formatted, evolve_tube, smoothness_check,
+                          verify_tube)
 
 from conftest import assert_no_child_left, reference_csv
 
@@ -965,21 +965,6 @@ def demo_trace(rows):
                     deadline=80.0)
 
 
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the body after ``seconds``, instead of hanging."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def percent_rows(values, ints=None):
     """Rows of ``values`` (and a last ``ints`` column) through ``%``, value
     by value: ``%.17g`` for the floats, ``%d`` for the integers."""
@@ -994,7 +979,7 @@ def percent_rows(values, ints=None):
 
 def kernel_rows(values, ints=None):
     """The same rows as ``_formatted`` writes them, in one process."""
-    return b"".join(_formatted(lambda a, b: values[a:b], ints, 0, values.shape[0]))
+    return b"".join(_formatted(lambda a, b: values[a:b], ints, values.shape[0]))
 
 
 @contextlib.contextmanager
@@ -1079,13 +1064,10 @@ class TestFormatKernel:
             assert kernel_rows(values) == percent_rows(values)
         assert fallbacks == ["%.17g" % v for v in leave]
 
-    def test_bundled_csv_values_need_no_fallback(self, tmp_path, monkeypatch, case_tube,
-                                                 case_trace):
+    def test_bundled_csv_values_need_no_fallback(self, tmp_path, case_tube, case_trace):
         # a kernel that left every value to % would pass the byte tests
         # above; the bundled tables have no tie, non-finite value or
-        # extreme magnitude, so none of their values falls back (all rows
-        # in this process, where the count sees them)
-        monkeypatch.delattr(os, "fork")
+        # extreme magnitude, so none of their values falls back
         with counting_fallbacks() as fallbacks:
             for table in (case_tube, case_trace):
                 table.to_csv(tmp_path / "out.csv")
@@ -1093,15 +1075,15 @@ class TestFormatKernel:
         assert fallbacks == []
 
 
-# tables on either side of one slice and of the fork threshold of
-# 2 * _SLICE rows, and smaller tables from one row up
+# tables on either side of one and two slices, and smaller tables from
+# one row up
 WRITER_ROWS = sorted({1, 255, 256, 257, 511, 512, 513, 1025, _SLICE - 1, _SLICE, _SLICE + 1,
                       2 * _SLICE - 1, 2 * _SLICE, 2 * _SLICE + 1})
 
 
 class TestRowWriter:
-    """``_write_rows`` writes the bytes of the serial reference writer,
-    whether or not it splits the rows across two processes."""
+    """``_write_rows`` writes the bytes of the serial reference writer in
+    this process, whether or not ``os.fork`` exists."""
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-line"])
     @pytest.mark.parametrize("rows", WRITER_ROWS)
@@ -1109,41 +1091,16 @@ class TestRowWriter:
     def test_bytes_match_serial_reference(self, tmp_path, monkeypatch, make, rows, fork):
         table = make(rows)
         expected = reference_csv(table, tmp_path / "ref.csv")
-        if not fork:
+        if fork:
+            monkeypatch.setattr(os, "fork", unreachable_fork)
+        else:
             monkeypatch.delattr(os, "fork")
         table.to_csv(tmp_path / "out.csv")
-        assert_no_child_left()
         assert (tmp_path / "out.csv").read_bytes() == expected
 
-    def test_failed_child_raises(self, tmp_path):
-        rows = 2 * _SLICE + 1
-        tube = demo_tube(rows)
-        parent = os.getpid()
 
-        def block(a, b):
-            if os.getpid() != parent:
-                raise ValueError("no rows in the child")
-            return tube.lower[a:b]
-
-        with pytest.raises(OSError, match="failed in a child process"):
-            _write_rows(tmp_path / "out.csv", ["g1L", "g2L"], rows, block)
-        assert_no_child_left()
-
-    def test_error_in_parent_half_leaves_no_child(self, tmp_path):
-        # the child's half is far larger than a pipe holds, so the child
-        # blocks on it until the parent closes the read end
-        rows = 16 * _SLICE
-        tube = demo_tube(rows)
-        parent = os.getpid()
-
-        def block(a, b):
-            if os.getpid() == parent and a >= _SLICE:
-                raise ValueError("no rows in the parent")
-            return tube.lower[a:b]
-
-        with time_limit(60), pytest.raises(ValueError, match="no rows in the parent"):
-            _write_rows(tmp_path / "out.csv", ["g1L", "g2L"], rows, block)
-        assert_no_child_left()
+def unreachable_fork():
+    raise AssertionError("the CSV writer forked")
 
 
 def raising(error):
@@ -1156,8 +1113,8 @@ FORK_PATHS = pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-l
 
 
 class TestInChild:
-    """``in_child`` hands back ``work()``'s value, or raises its exception
-    with its own type, the same way forked and in-line."""
+    """``cli.in_child`` hands back ``work()``'s value, or raises its
+    exception with its own type, the same way forked and in-line."""
 
     @FORK_PATHS
     def test_returns_the_value_of_work(self, monkeypatch, fork):
@@ -1222,14 +1179,3 @@ class TestInChild:
             with in_child(work, "work"):
                 pass
         assert_no_child_left()
-
-    def test_a_child_does_not_fork_again(self):
-        def nested():
-            with in_child(os.getpid, "nested") as inner:
-                pass
-            return inner.value == os.getpid()
-
-        with in_child(nested, "outer") as outer:
-            pass
-        assert_no_child_left()
-        assert outer.value is True
