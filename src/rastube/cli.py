@@ -2,8 +2,12 @@
 
 A scenario is a single JSON document with five sections (task, tube,
 controller, plant, run).  Parsing validates every invariant up front and
-reports all problems at once, each tagged with its key path.  Units are
-meters, seconds, and radians throughout.
+reports the problems it finds, each tagged with its key path.  The parser
+checks the document's shape and fills in defaults; each range is checked
+once, by the type that holds the value (RasTask, TubeParams,
+ControllerConfig, DisturbanceModel, SimOptions), and a command-line
+override goes through ``dataclasses.replace`` into the same check.  Units
+are meters, seconds, and radians throughout.
 
 Subcommands: ``synthesize`` (plans, corridor CSV, verification reports),
 ``simulate`` (closed-loop trace CSV plus run summary), ``verify``
@@ -22,7 +26,7 @@ import os
 import pickle
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
@@ -81,7 +85,19 @@ class Scenario:
 
 
 def _err(issues, path, msg):
-    issues.append((path, msg))
+    # a missing key is found by its section and by its reader
+    if (path, msg) not in issues:
+        issues.append((path, msg))
+
+
+def _checked(issues, build):
+    """``build()``, or None with the issues of the ConfigurationError it
+    raised added to ``issues``."""
+    try:
+        return build()
+    except ConfigurationError as exc:
+        issues.extend(exc.issues)
+        return None
 
 
 # rows a corridor or closed-loop grid may hold; each grid is a few
@@ -97,20 +113,39 @@ def _check_rows(issues, path, span: float, step: float) -> None:
                            f"than {MAX_GRID_ROWS} grid rows")
 
 
-def _get_section(doc, name, required_keys, optional_keys, issues):
-    section = doc.get(name)
+def _corridor(params: TubeParams, deadline: float) -> TubeParams:
+    """``params``, once its step is checked against its floor and the
+    deadline; raises ConfigurationError under tube.step otherwise.  The
+    scenario's step and ``--dt`` both pass through here."""
+    issues = []
+    if params.step > 2.0 * params.time_floor:
+        # a coarser step leaves the floored shaper feedback outside the RK4
+        # stability region and the corridor diverges
+        _err(issues, "tube.step",
+             f"must be <= 2 * tube.time_floor ({2.0 * params.time_floor:.6g})")
+    if deadline / params.step < 7.5:
+        # TubeParams.grid would take 8 steps, not this one
+        _err(issues, "tube.step", f"a step of {params.step:.6g} gives fewer than 8 steps "
+                                  f"over {deadline:.6g} s")
+    _check_rows(issues, "tube.step", deadline, params.step)
+    if issues:
+        raise ConfigurationError(issues)
+    return params
+
+
+def _get_section(section, path, required_keys, optional_keys, issues):
     if section is None:
-        _err(issues, name, "section missing")
+        _err(issues, path, "section missing")
         return {}
     if not isinstance(section, dict):
-        _err(issues, name, "must be an object")
+        _err(issues, path, "must be an object")
         return {}
     for key in section:
         if key not in required_keys and key not in optional_keys:
-            _err(issues, f"{name}.{key}", "unknown key")
+            _err(issues, f"{path}.{key}", "unknown key")
     for key in required_keys:
         if key not in section:
-            _err(issues, f"{name}.{key}", "missing")
+            _err(issues, f"{path}.{key}", "missing")
     return section
 
 
@@ -121,15 +156,6 @@ def _finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
-
-
-def _float(value) -> float:
-    """``float(value)``, with an integer too large for a float taken as the
-    infinity of its sign, which the range checks then report."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def _number(section, name, path, issues, default=None, required=False, positive=False):
@@ -145,6 +171,13 @@ def _number(section, name, path, issues, default=None, required=False, positive=
         _err(issues, f"{path}.{name}", "must be positive")
         return default
     return float(value)
+
+
+def _numbers(section, names, path, issues) -> dict:
+    """The numbers ``section`` sets among ``names``, by name; a name it
+    leaves unset or null is left out, so that its default applies."""
+    return {name: value for name in names
+            if (value := _number(section, name, path, issues)) is not None}
 
 
 def _vector(section, name, path, issues, length=None):
@@ -170,25 +203,30 @@ def _vector(section, name, path, issues, length=None):
     return [float(v) for v in value]
 
 
-def _box(section, name, path, issues, n=None) -> Optional[Box]:
-    value = section.get(name)
+def _box(value, key, issues, n=None) -> Optional[Box]:
     if value is None:
-        _err(issues, f"{path}.{name}", "missing")
+        _err(issues, key, "missing")
         return None
     try:
         box = Box.from_pairs(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        _err(issues, f"{path}.{name}", f"not a valid box: {exc}")
+        _err(issues, key, f"not a valid box: {exc}")
         return None
     if n is not None and box.n != n:
-        _err(issues, f"{path}.{name}", f"expected {n} dimensions")
+        _err(issues, key, f"expected {n} dimensions")
         return None
     return box
 
 
+# the TubeParams fields whose defaults derive from window_margin
+_TUBE_FIELDS = ("edge_buffer", "blend_scale", "time_floor", "step")
+
+
 def parse_scenario(path) -> Scenario:
     """Load and validate a scenario file; raises ConfigurationError listing
-    every problem with its key path."""
+    every problem with its key path.  This checks the document's shape
+    (objects, finite numbers, list lengths); the types built from it check
+    their ranges."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError([(str(path), "scenario file not found")])
@@ -204,163 +242,97 @@ def parse_scenario(path) -> Scenario:
         if key not in ("task", "tube", "controller", "plant", "run"):
             _err(issues, key, "unknown section")
 
-    task_sec = _get_section(doc, "task", (
+    task_sec = _get_section(doc.get("task"), "task", (
         "initial_set", "target_set", "unsafe_sets", "time_limit", "start_state",
         "target_point", "start_margin", "target_margin", "obstacle_margin",
         "constrained_dims", "workspace"), (), issues)
-    tube_sec = _get_section(doc, "tube", (), (
-        "window_margin", "edge_buffer", "blend_scale", "time_floor", "step"), issues) \
-        if "tube" in doc else {}
-    ctrl_sec = _get_section(doc, "controller", (), ("gain", "gain_sign", "input_limit"), issues) \
-        if "controller" in doc else {}
-    plant_sec = _get_section(doc, "plant", ("model",), (
+    tube_sec = _get_section(doc.get("tube", {}), "tube", (), ("window_margin",) + _TUBE_FIELDS,
+                            issues)
+    ctrl_sec = _get_section(doc.get("controller", {}), "controller", (),
+                            ("gain", "gain_sign", "input_limit"), issues)
+    plant_sec = _get_section(doc.get("plant"), "plant", ("model",), (
         "heading_init", "heading_halfwidth", "disturbance"), issues)
-    run_sec = _get_section(doc, "run", (), ("stay_horizon", "sim_step", "output_dir"), issues) \
-        if "run" in doc else {}
+    run_sec = _get_section(doc.get("run", {}), "run", (),
+                           ("stay_horizon", "sim_step", "output_dir"), issues)
+    # null, like a missing key, means no disturbance
+    dist_sec = plant_sec.get("disturbance")
+    dist_sec = _get_section({} if dist_sec is None else dist_sec, "plant.disturbance", (),
+                            ("kind", "bound", "seed", "frequency", "phase"), issues)
 
-    initial = _box(task_sec, "initial_set", "task", issues)
+    initial = _box(task_sec.get("initial_set"), "task.initial_set", issues)
     n = initial.n if initial is not None else None
-    target = _box(task_sec, "target_set", "task", issues, n)
-    workspace = _box(task_sec, "workspace", "task", issues, n)
+    target = _box(task_sec.get("target_set"), "task.target_set", issues, n)
+    workspace = _box(task_sec.get("workspace"), "task.workspace", issues, n)
     unsafe_raw = task_sec.get("unsafe_sets")
-    unsafe: List[Box] = []
     if not isinstance(unsafe_raw, list):
         _err(issues, "task.unsafe_sets", "must be a list of boxes")
-    else:
-        for j, entry in enumerate(unsafe_raw):
-            try:
-                u = Box.from_pairs(entry)
-                if n is not None and u.n != n:
-                    _err(issues, f"task.unsafe_sets[{j}]", f"expected {n} dimensions")
-                else:
-                    unsafe.append(u)
-            except (TypeError, ValueError, OverflowError) as exc:
-                _err(issues, f"task.unsafe_sets[{j}]", f"not a valid box: {exc}")
+        unsafe_raw = []
+    unsafe = [_box(entry, f"task.unsafe_sets[{j}]", issues, n)
+              for j, entry in enumerate(unsafe_raw)]
 
-    time_limit = _number(task_sec, "time_limit", "task", issues, required=True, positive=True)
+    time_limit = _number(task_sec, "time_limit", "task", issues, required=True)
     start_state = _vector(task_sec, "start_state", "task", issues, n)
     target_point = _vector(task_sec, "target_point", "task", issues, n)
     start_margin = _vector(task_sec, "start_margin", "task", issues, n)
     target_margin = _vector(task_sec, "target_margin", "task", issues, n)
-    obstacle_margin = _vector(task_sec, "obstacle_margin", "task", issues,
-                              len(unsafe) if unsafe_raw else 0) \
+    obstacle_margin = _vector(task_sec, "obstacle_margin", "task", issues, len(unsafe)) \
         if unsafe else [1.0]
 
     cdims = task_sec.get("constrained_dims")
     if not isinstance(cdims, list) or not all(isinstance(d, int) and not isinstance(d, bool) for d in cdims):
         _err(issues, "task.constrained_dims", "must be a list of 1-based dimension indices")
-        cdims = None
     elif n is not None and (len(cdims) != n or sorted(cdims) != list(range(1, n + 1))):
         _err(issues, "task.constrained_dims",
              f"must list dimensions 1..{n} (constrained dimensions come first in the state)")
 
     model = plant_sec.get("model")
-    if model is not None and not (isinstance(model, str) and model in PLANT_MODELS):
+    if "model" in plant_sec and not (isinstance(model, str) and model in PLANT_MODELS):
         _err(issues, "plant.model", f"unknown model {model!r}; known: {sorted(PLANT_MODELS)}")
     heading_init = _number(plant_sec, "heading_init", "plant", issues, default=0.0)
     heading_halfwidth = _number(plant_sec, "heading_halfwidth", "plant", issues,
                                 default=math.pi / 2, positive=True)
 
-    dist_sec = plant_sec.get("disturbance", {})
-    disturbance = DisturbanceModel()
-    if dist_sec:
-        if not isinstance(dist_sec, dict):
-            _err(issues, "plant.disturbance", "must be an object")
-        else:
-            for key in dist_sec:
-                if key not in ("kind", "bound", "seed", "frequency", "phase"):
-                    _err(issues, f"plant.disturbance.{key}", "unknown key")
-            try:
-                disturbance = DisturbanceModel(
-                    kind=dist_sec.get("kind", "none"),
-                    bound=_float(dist_sec.get("bound", 0.0)),
-                    seed=dist_sec.get("seed", 0),
-                    frequency=_float(dist_sec.get("frequency", 0.1)),
-                    phases=dist_sec.get("phase"))
-            except ConfigurationError as exc:
-                issues.extend(exc.issues)
-            except (TypeError, ValueError, OverflowError) as exc:
-                _err(issues, "plant.disturbance", str(exc))
+    phases = _vector(dist_sec, "phase", "plant.disturbance", issues) \
+        if dist_sec.get("phase") is not None else None
+    disturbance = _checked(issues, lambda: DisturbanceModel(
+        kind=dist_sec.get("kind", "none"), seed=dist_sec.get("seed", 0), phases=phases,
+        **_numbers(dist_sec, ("bound", "frequency"), "plant.disturbance", issues)))
 
     if issues:
         raise ConfigurationError(issues)
 
-    try:
-        task = RasTask.create(
-            initial_set=initial, target_set=target, unsafe_sets=unsafe,
-            deadline=time_limit, start=start_state, target=target_point,
-            start_margin=start_margin, target_margin=target_margin,
-            obstacle_margin=obstacle_margin, workspace=workspace)
-    except ConfigurationError as exc:
-        remap = {"start": "task.start_state", "target": "task.target_point",
-                 "start_margin": "task.start_margin", "target_margin": "task.target_margin",
-                 "obstacle_margin": "task.obstacle_margin", "workspace": "task.workspace",
-                 "deadline": "task.time_limit"}
-        raise ConfigurationError([
-            (remap.get(p, f"task.{p}" if p and not p.startswith("task.") else p), m)
-            for p, m in exc.issues])
+    task = RasTask.create(
+        initial_set=initial, target_set=target, unsafe_sets=unsafe,
+        deadline=time_limit, start=start_state, target=target_point,
+        start_margin=start_margin, target_margin=target_margin,
+        obstacle_margin=obstacle_margin, workspace=workspace)
 
-    defaults = TubeParams.defaults(task.deadline)
-    window_margin = _number(tube_sec, "window_margin", "tube", issues,
-                            default=defaults.window_margin, positive=True)
-    tube_defaults = TubeParams.defaults(task.deadline, window_margin)
-    try:
-        tube = TubeParams(
-            window_margin=window_margin,
-            edge_buffer=_number(tube_sec, "edge_buffer", "tube", issues,
-                                default=tube_defaults.edge_buffer, positive=True),
-            blend_scale=_number(tube_sec, "blend_scale", "tube", issues,
-                                default=tube_defaults.blend_scale, positive=True),
-            time_floor=_number(tube_sec, "time_floor", "tube", issues,
-                               default=tube_defaults.time_floor, positive=True),
-            step=_number(tube_sec, "step", "tube", issues,
-                         default=tube_defaults.step, positive=True))
-    except ConfigurationError as exc:
-        issues.extend(exc.issues)
-        tube = tube_defaults
-    if tube.step > 2.0 * tube.time_floor:
-        # a coarser step leaves the floored shaper feedback outside the RK4
-        # stability region and the corridor diverges
-        _err(issues, "tube.step",
-             f"must be <= 2 * tube.time_floor ({2.0 * tube.time_floor:.6g})")
-    _check_rows(issues, "tube.step", task.deadline, tube.step)
-
-    gain_sign = ctrl_sec.get("gain_sign", 1)
-    if not isinstance(gain_sign, int) or isinstance(gain_sign, bool) or gain_sign not in (1, -1):
-        _err(issues, "controller.gain_sign", "must be +1 or -1")
-        gain_sign = 1
-    try:
-        controller = ControllerConfig(
-            gain=_number(ctrl_sec, "gain", "controller", issues, default=2.0, positive=True),
-            gain_sign=gain_sign,
-            input_limit=_number(ctrl_sec, "input_limit", "controller", issues))
-    except ConfigurationError as exc:
-        issues.extend(exc.issues)
-        controller = ControllerConfig()
+    window_margin = _number(tube_sec, "window_margin", "tube", issues, positive=True)
+    tube = _checked(issues, lambda: _corridor(replace(
+        TubeParams.defaults(task.deadline, window_margin),
+        **_numbers(tube_sec, _TUBE_FIELDS, "tube", issues)), task.deadline))
+    controller = _checked(issues, lambda: ControllerConfig(
+        gain_sign=ctrl_sec.get("gain_sign", 1),
+        **_numbers(ctrl_sec, ("gain", "input_limit"), "controller", issues)))
 
     output_dir = run_sec.get("output_dir")
     if output_dir is None:
         output_dir = "out"
     elif not isinstance(output_dir, str):
         _err(issues, "run.output_dir", "must be a string")
-    run = RunConfig(
-        stay_horizon=_number(run_sec, "stay_horizon", "run", issues,
-                             default=0.25 * task.deadline),
-        sim_step=_number(run_sec, "sim_step", "run", issues, default=0.01, positive=True),
-        output_dir=output_dir)
-    if run.stay_horizon is None or run.stay_horizon < 0:
-        _err(issues, "run.stay_horizon", "must be >= 0")
-    else:
-        _check_rows(issues, "run.sim_step", task.deadline + run.stay_horizon, run.sim_step)
+    scn = Scenario(
+        name=path.stem, task=task, tube=tube, controller=controller,
+        plant=PlantConfig(model=model, heading_init=heading_init,
+                          heading_halfwidth=heading_halfwidth, disturbance=disturbance),
+        run=RunConfig(stay_horizon=_number(run_sec, "stay_horizon", "run", issues,
+                                           default=0.25 * task.deadline),
+                      sim_step=_number(run_sec, "sim_step", "run", issues, default=0.01),
+                      output_dir=output_dir))
+    _checked(issues, lambda: _sim_options(scn))
 
     if issues:
         raise ConfigurationError(issues)
-
-    return Scenario(name=path.stem, task=task, tube=tube, controller=controller,
-                    plant=PlantConfig(model=model, heading_init=heading_init,
-                                      heading_halfwidth=heading_halfwidth,
-                                      disturbance=disturbance),
-                    run=run)
+    return scn
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -499,10 +471,7 @@ def _disturbance(scn: Scenario, seed: Optional[int] = None) -> DisturbanceModel:
     """The scenario's disturbance with any seed override applied; raises
     ConfigurationError for an invalid seed."""
     base = scn.plant.disturbance
-    if seed is None:
-        return base
-    return DisturbanceModel(kind=base.kind, bound=base.bound, seed=seed,
-                            frequency=base.frequency, phases=base.phases)
+    return base if seed is None else replace(base, seed=seed)
 
 
 def _sim_options(scn: Scenario, sim_step: Optional[float] = None,
@@ -667,15 +636,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "dt", None) is not None:
             # raising the floor with the step keeps the shaper feedback
             # inside the integrator's stability region
-            scn.tube = TubeParams(window_margin=scn.tube.window_margin,
-                                  edge_buffer=scn.tube.edge_buffer,
-                                  blend_scale=scn.tube.blend_scale,
-                                  time_floor=max(scn.tube.time_floor, args.dt / 2.0),
-                                  step=args.dt)
-            issues = []
-            _check_rows(issues, "tube.step", scn.task.deadline, args.dt)
-            if issues:
-                raise ConfigurationError(issues)
+            scn.tube = _corridor(replace(
+                scn.tube, step=args.dt, time_floor=max(scn.tube.time_floor, args.dt / 2.0)),
+                scn.task.deadline)
         # reject invalid simulation overrides before any synthesis work
         if args.command == "simulate":
             _sim_options(scn, args.sim_step, args.stay_horizon)

@@ -25,12 +25,17 @@ class ControllerConfig:
     input_limit: Optional[float] = None   # optional actuator clamp, off by default
 
     def __post_init__(self):
+        issues = []
         if not self.gain > 0:
-            raise ConfigurationError([("controller.gain", "must be positive")])
-        if self.gain_sign not in (1, -1):
-            raise ConfigurationError([("controller.gain_sign", "must be +1 or -1")])
+            issues.append(("controller.gain", "must be positive"))
+        # an integer: 1.0 and True compare equal to 1
+        if not isinstance(self.gain_sign, int) or isinstance(self.gain_sign, bool) \
+                or self.gain_sign not in (1, -1):
+            issues.append(("controller.gain_sign", "must be +1 or -1"))
         if self.input_limit is not None and not self.input_limit > 0:
-            raise ConfigurationError([("controller.input_limit", "must be positive when set")])
+            issues.append(("controller.input_limit", "must be positive when set"))
+        if issues:
+            raise ConfigurationError(issues)
 
 
 class TubeFrame:

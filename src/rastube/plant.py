@@ -282,7 +282,7 @@ class SimTrace:
         header += [f"u{i + 1}" for i in range(n)] + ["active_obstacle"]
         _write_rows(path, header, self.ts.shape[0], lambda a, b: np.column_stack(
             (self.ts[a:b], self.states[a:b], _pairs(self.lower[a:b], self.upper[a:b]),
-             self.inputs[a:b])), ints=self.active)
+             self.inputs[a:b], self.active[a:b])))
 
 
 def _rows_in_box(states: np.ndarray, box: Box, dims: Sequence[int]) -> np.ndarray:

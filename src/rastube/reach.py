@@ -52,22 +52,15 @@ def rk4_increment(a0, am, a1, bm, b1, h):
     return h / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
 
 
-def _sech_sq(z):
-    """1 / cosh(z)^2 of a float, or elementwise of an array; zero for |z| > 300.
+def _sech_sq(z: np.ndarray) -> np.ndarray:
+    """1 / cosh(z)^2 elementwise; zero for |z| > 300.
 
-    Arrays go through ``math.cosh`` too (numpy's cosh rounds differently),
-    so both forms give the same bits.
+    The cosh goes through ``math.cosh`` (numpy's cosh rounds differently).
     """
-    if isinstance(z, np.ndarray):
-        z = np.abs(z)
-        c = np.fromiter(map(math.cosh, np.minimum(z, 300.0).ravel().tolist()),
-                        float, z.size).reshape(z.shape)
-        return np.where(z > 300.0, 0.0, 1.0 / (c * c))
-    z = abs(z)
-    if z > 300.0:
-        return 0.0
-    c = math.cosh(z)
-    return 1.0 / (c * c)
+    z = np.abs(z)
+    c = np.fromiter(map(math.cosh, np.minimum(z, 300.0).ravel().tolist()),
+                    float, z.size).reshape(z.shape)
+    return np.where(z > 300.0, 0.0, 1.0 / (c * c))
 
 
 @dataclass(frozen=True)

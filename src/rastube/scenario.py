@@ -2,8 +2,9 @@
 
 A task bundles the reach-avoid-stay geometry (start/target/unsafe boxes,
 deadline, margins) plus the workspace the corridor may use.  Construction
-validates the hard invariants; the margin boxes are shrunk per dimension
-when the configured extents would not fit inside the start/target sets.
+validates the hard invariants, each reported under its scenario key path
+(``task.*``, ``tube.*``); the margin boxes are shrunk per dimension when
+the configured extents would not fit inside the start/target sets.
 """
 
 from __future__ import annotations
@@ -51,46 +52,46 @@ class RasTask:
                start_margin, target_margin, obstacle_margin, workspace) -> "RasTask":
         issues = []
         n = initial_set.n
-        start = _as_vector(start, n, "start")
-        target = _as_vector(target, n, "target")
-        start_margin = _as_vector(start_margin, n, "start_margin")
-        target_margin = _as_vector(target_margin, n, "target_margin")
+        start = _as_vector(start, n, "task.start_state")
+        target = _as_vector(target, n, "task.target_point")
+        start_margin = _as_vector(start_margin, n, "task.start_margin")
+        target_margin = _as_vector(target_margin, n, "task.target_margin")
         unsafe_sets = tuple(unsafe_sets)
         obstacle_margin = _as_vector(obstacle_margin, max(len(unsafe_sets), 1),
-                                     "obstacle_margin")[:len(unsafe_sets)] \
+                                     "task.obstacle_margin")[:len(unsafe_sets)] \
             if len(unsafe_sets) else np.zeros(0)
 
         if target_set.n != n:
-            issues.append(("target_set", f"expected {n} dimensions"))
+            issues.append(("task.target_set", f"expected {n} dimensions"))
         if workspace.n != n:
-            issues.append(("workspace", f"expected {n} dimensions"))
+            issues.append(("task.workspace", f"expected {n} dimensions"))
         if not deadline > 0:
-            issues.append(("deadline", "must be positive"))
+            issues.append(("task.time_limit", "must be positive"))
         for j, u in enumerate(unsafe_sets):
             if u.n != n:
-                issues.append((f"unsafe_sets[{j}]", f"expected {n} dimensions"))
+                issues.append((f"task.unsafe_sets[{j}]", f"expected {n} dimensions"))
         if issues:
             raise ConfigurationError(issues)
 
         if not initial_set.contains_point(start, strict=True):
-            issues.append(("start", "must lie strictly inside the initial set"))
+            issues.append(("task.start_state", "must lie strictly inside the initial set"))
         if not target_set.contains_point(target, strict=True):
-            issues.append(("target", "must lie strictly inside the target set"))
+            issues.append(("task.target_point", "must lie strictly inside the target set"))
         if np.any(start_margin <= 0):
-            issues.append(("start_margin", "entries must be positive"))
+            issues.append(("task.start_margin", "entries must be positive"))
         if np.any(target_margin <= 0):
-            issues.append(("target_margin", "entries must be positive"))
+            issues.append(("task.target_margin", "entries must be positive"))
         if len(unsafe_sets) and np.any(obstacle_margin <= 0):
-            issues.append(("obstacle_margin", "entries must be positive"))
+            issues.append(("task.obstacle_margin", "entries must be positive"))
         for j, u in enumerate(unsafe_sets):
             if not initial_set.disjoint_from(u):
-                issues.append((f"unsafe_sets[{j}]", "intersects the initial set"))
+                issues.append((f"task.unsafe_sets[{j}]", "intersects the initial set"))
             if not target_set.disjoint_from(u):
-                issues.append((f"unsafe_sets[{j}]", "intersects the target set"))
+                issues.append((f"task.unsafe_sets[{j}]", "intersects the target set"))
         if not workspace.contains(initial_set):
-            issues.append(("workspace", "must contain the initial set"))
+            issues.append(("task.workspace", "must contain the initial set"))
         if not workspace.contains(target_set):
-            issues.append(("workspace", "must contain the target set"))
+            issues.append(("task.workspace", "must contain the target set"))
         if issues:
             raise ConfigurationError(issues)
 

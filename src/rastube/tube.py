@@ -132,7 +132,7 @@ def _pairs(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 _SLICE = 1024
 
 
-# -- ``%.17g`` and ``%d`` as array operations -------------------------------
+# -- ``%.17g`` as array operations ------------------------------------------
 #
 # Every value gets a field of 32 bytes, built as four little-endian uint64
 # words (byte b of a word is bits 8b..8b+7), and every byte the value does
@@ -146,10 +146,9 @@ _SLICE = 1024
 #   25-29   "e+dd", "e-ddd" and so on, in scientific notation
 #   31      the separator
 #
-# An integer field holds its '-' in byte 7 and its digits, without leading
-# zeros, in bytes 8-23.  Dropping the NULs of a slice's fields leaves the
-# CSV text.  The digits are N = round(|x| * 10**(16 - X)) with
-# X = floor(log10 |x|), the correctly rounded 17 digits that ``%`` prints.
+# Dropping the NULs of a slice's fields leaves the CSV text.  The digits
+# are N = round(|x| * 10**(16 - X)) with X = floor(log10 |x|), the
+# correctly rounded 17 digits that ``%`` prints.
 
 # decimal exponents with a 10**(16 - X) table entry, one either side of
 # those of the magnitudes [_LOW, _HIGH) the kernel formats; outside them the
@@ -213,8 +212,6 @@ class _Tables(NamedTuple):
     # "0000".."9999" as little-endian uint32 words, and their trailing zeros
     digits: np.ndarray
     zeros: np.ndarray
-    # words 1 and 2 of an integer field without its first ``lead`` digits
-    lead: tuple
 
 
 @functools.cache
@@ -248,13 +245,10 @@ def _tables() -> _Tables:
         scale[0], scale[1], *_split(scale[0]), prefix, suffix, point, kept,
         *(tuple(m) for m in masks),
         sum((0x30 + n.astype(np.uint32) // 10 ** (3 - k) % 10) << 8 * k for k in range(4)),
-        sum((n % 10 ** k == 0).astype(np.int8) for k in range(1, 5)),
-        tuple(np.array([_mask(8 + lead, 24, w) for lead in range(16)], np.uint64)
-              for w in (1, 2)))
+        sum((n % 10 ** k == 0).astype(np.int8) for k in range(1, 5)))
 
 
-_POWERS = np.array([10 ** k for k in range(1, 16)], np.int64)
-_COMMA, _NEWLINE = 0x2C << 56, 0x0A << 56
+_COMMA = 0x2C << 56
 
 
 def _scaled(a, X, t: _Tables):
@@ -334,22 +328,6 @@ def _float_fields(x, t: _Tables):
     return out, np.flatnonzero(~ok & (x != 0.0))
 
 
-def _int_fields(v, t: _Tables):
-    """The 32-byte fields of ``"%d" % i`` for each i of 1-d integer v,
-    each ended by a newline, and the indices the kernel left to ``%``:
-    |i| >= 2**53."""
-    ok = (v > -2 ** 53) & (v < 2 ** 53)
-    n = np.abs(np.where(ok, v, 0).astype(np.int64))
-    lead = 15 - np.searchsorted(_POWERS, n, side="right")
-    out = np.empty((v.size, 4), "<u8")
-    _digit_words(n, out, t.digits)
-    out[:, 0] = (v < 0).astype(np.uint64) * (0x2D << 56)
-    out[:, 1] &= t.lead[0][lead]
-    out[:, 2] &= t.lead[1][lead]
-    out[:, 3] = _NEWLINE
-    return out, np.flatnonzero(~ok)
-
-
 def _patch(fields, at, texts) -> None:
     """Overwrite fields ``at`` with ``texts`` (the ``%`` fallback), keeping
     each field's last byte, the separator."""
@@ -359,11 +337,10 @@ def _patch(fields, at, texts) -> None:
         raw[k, :len(text)] = np.frombuffer(text.encode(), np.uint8)
 
 
-def _formatted(block, ints, n_rows: int):
+def _formatted(block, n_rows: int):
     """Rows 0..n_rows-1 as CSV bytes, ``_SLICE`` rows at a time: each
-    value's field from ``_float_fields`` (``_int_fields`` for the ``ints``
-    entry after a row's floats), the row's last separator a newline, NULs
-    dropped."""
+    value's field from ``_float_fields``, the row's last separator a
+    newline, NULs dropped."""
     t = _tables()
     for lo in range(0, n_rows, _SLICE):
         values = np.asarray(block(lo, min(lo + _SLICE, n_rows)), dtype=float)
@@ -372,26 +349,20 @@ def _formatted(block, ints, n_rows: int):
         fields, rest = _float_fields(x, t)
         _patch(fields, rest, ["%.17g" % v for v in x[rest].tolist()])
         row = fields.view(np.uint8).reshape(rows, 32 * cols)
-        if ints is None:
-            row[:, -1] = 0x0A
-        else:
-            last = ints[lo:lo + rows]
-            tail, rest = _int_fields(last, t)
-            _patch(tail, rest, ["%d" % i for i in last[rest].tolist()])
-            row = np.concatenate((row, tail.view(np.uint8)), axis=1)
+        row[:, -1] = 0x0A
         yield row[row != 0].tobytes()
 
 
-def _write_rows(path, header: Sequence[str], n_rows: int, block, ints=None) -> None:
+def _write_rows(path, header: Sequence[str], n_rows: int, block) -> None:
     """CSV with a header line and ``n_rows`` rows of values, each written
-    with the bytes of ``%.17g`` (17 significant digits).  ``block(a, b)``
-    returns rows a..b-1 as a 2-d array; ``ints`` adds a last integer
-    column, written with the bytes of ``%d``.  Rows are built and
-    formatted ``_SLICE`` at a time by ``_formatted``, which keeps memory
-    flat: a slice's fields take 32 bytes per value."""
+    with the bytes of ``%.17g`` (17 significant digits), which for an
+    integer below 2**53 are those of ``%d``.  ``block(a, b)`` returns rows
+    a..b-1 as a 2-d array.  Rows are built and formatted ``_SLICE`` at a
+    time by ``_formatted``, which keeps memory flat: a slice's fields take
+    32 bytes per value."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        fh.writelines(_formatted(block, ints, n_rows))
+        fh.writelines(_formatted(block, n_rows))
 
 
 def evolve_tube(task: RasTask, plans: Sequence[ObstaclePlan], params: TubeParams) -> Tube:
@@ -536,7 +507,6 @@ def smoothness_check(tube: Tube) -> SmoothnessReport:
     rates = tube.rates()
     mags = np.abs(rates)
     max_rate = float(mags.max()) if mags.size else 0.0
-    dt = float(np.diff(tube.ts).max()) if tube.ts.shape[0] > 1 else 0.0
     max_jump = float(np.abs(np.diff(tube.lower, axis=0)).max()) if tube.ts.shape[0] > 1 else 0.0
     threshold = 10.0 * float(np.percentile(mags, 99.0)) if mags.size else 0.0
     rows, dims = np.nonzero(mags > threshold)

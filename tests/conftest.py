@@ -66,17 +66,14 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def serial_write_rows(path, header, n_rows, block, ints=None):
+def serial_write_rows(path, header, n_rows, block):
     """Reference CSV writer: one ``%`` per row, in one process.  The
     program's ``tube._write_rows`` must write the same bytes."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for a in range(0, n_rows, 256):
             rows = block(a, a + 256).tolist()
-            if ints is not None:
-                rows = [r + [i] for r, i in zip(rows, ints[a:a + 256].tolist())]
-            fmt = ",".join(["%.17g"] * (len(rows[0]) - (ints is not None))
-                           + ["%d"] * (ints is not None)) + "\n"
+            fmt = ",".join(["%.17g"] * len(rows[0])) + "\n"
             fh.write("".join(fmt % tuple(r) for r in rows))
 
 

@@ -4,11 +4,14 @@ import io
 import json
 import math
 import os
+import re
 import shutil
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rastube
 import rastube.cli as cli
@@ -16,6 +19,7 @@ from rastube.avoidance import schedule
 from rastube.cli import parse_scenario, run_cli
 from rastube.errors import ConfigurationError, SynthesisError
 from rastube.geometry import Box
+from rastube.plant import DisturbanceModel
 from rastube.tube import evolve_tube, verify_tube
 
 from conftest import assert_no_child_left, reference_csv
@@ -141,6 +145,28 @@ class TestParse:
         assert "error: tube.step:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("step, accepted", [(10.0, True), (20.0, False), (1e308, False)])
+    def test_step_coarser_than_an_eighth_of_time_limit_names_key(self, tmp_path, step,
+                                                                  accepted):
+        # the bundled deadline is 80 s; the corridor grid takes at least 8 steps
+        doc = load_bundled()
+        doc["tube"].update({"step": step, "time_floor": step / 2.0})
+        scenario = write_scenario(tmp_path, doc)
+        if accepted:
+            assert parse_scenario(scenario).tube.step == step
+            return
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario(scenario)
+        assert [path for path, _ in err.value.issues] == ["tube.step"]
+
+    @pytest.mark.parametrize("gain_sign", [1.0, True, 2, "1", None])
+    def test_gain_sign_must_be_an_integer_sign(self, tmp_path, gain_sign):
+        doc = load_bundled()
+        doc["controller"]["gain_sign"] = gain_sign
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario(write_scenario(tmp_path, doc))
+        assert [path for path, _ in err.value.issues] == ["controller.gain_sign"]
+
     def test_step_at_twice_time_floor_accepted(self, tmp_path):
         doc = load_bundled()
         doc["tube"].update({"step": 0.01, "time_floor": 0.005})
@@ -159,6 +185,14 @@ class TestParse:
             with pytest.raises(ConfigurationError) as err:
                 parse_scenario(write_scenario(tmp_path, doc))
             assert [path for path, _ in err.value.issues] == [f"{section}.{key}"]
+
+    def test_missing_keys_reported_once(self, tmp_path):
+        doc = load_bundled()
+        del doc["task"]["initial_set"], doc["task"]["time_limit"]
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario(write_scenario(tmp_path, doc))
+        assert err.value.issues == [("task.initial_set", "missing"),
+                                    ("task.time_limit", "missing")]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -340,7 +374,9 @@ class TestOverrides:
         ("--seed", "-1", "plant.disturbance.seed"),
         ("--dt", "inf", "tube.step"),
         ("--dt", "nan", "tube.step"),
-        ("--dt", "-1", "tube.step")])
+        ("--dt", "-1", "tube.step"),
+        ("--dt", "20", "tube.step"),
+        ("--dt", "1e308", "tube.step")])
     def test_invalid_simulation_override_exits_two(self, tmp_path, capsys, flag, value, key):
         out = tmp_path / "sim"
         code = run_cli(["simulate", "--scenario", str(fast_scenario(tmp_path)),
@@ -360,7 +396,7 @@ class TestOverrides:
         assert "error: plant.disturbance.seed:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("model", [[], {}, ["omni_robot"]])
+    @pytest.mark.parametrize("model", [[], {}, ["omni_robot"], None])
     def test_unhashable_plant_model_exits_two(self, tmp_path, capsys, model):
         doc = load_bundled()
         doc["plant"]["model"] = model
@@ -370,6 +406,23 @@ class TestOverrides:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: plant.model:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("disturbance", [None, {}, [], 0, False, "", [1]],
+                             ids=["null", "empty-object", "empty-list", "zero", "false",
+                                  "empty-string", "list"])
+    def test_disturbance_must_be_an_object_or_null(self, tmp_path, capsys, disturbance):
+        # null and {} mean no disturbance; any other non-object exits 2
+        doc = load_bundled()
+        doc["plant"]["disturbance"] = disturbance
+        scenario = write_scenario(tmp_path, doc)
+        if disturbance in (None, {}):
+            assert parse_scenario(scenario).plant.disturbance == DisturbanceModel()
+            return
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: plant.disturbance: must be an object\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("output_dir", [None, ["a"], 5, {"x": 1}],
@@ -601,3 +654,71 @@ class TestForkedAndInLine:
         report = json.loads(files["comparison.json"])
         assert report["smooth_flags"]["contained"] is True
         assert report["baseline_flags"]["contained"] is False
+
+
+def fuzz_base():
+    """The bundled scenario at a coarse corridor and closed-loop step:
+    synthesize passes in about 10 ms, and simulate fails its closed loop
+    (exit 3) in about 30 ms."""
+    doc = load_bundled()
+    doc["tube"].update({"step": 0.04, "time_floor": 0.02})
+    doc["run"].update({"stay_horizon": 1.0, "sim_step": 0.008})
+    return doc
+
+
+def node_paths(node, path=()):
+    """The path of every object member and list entry under ``node``."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+FUZZ_PATHS = list(node_paths(fuzz_base()))
+DELETE = object()
+
+
+def set_node(doc, path, value):
+    """Set ``doc`` at ``path`` to ``value``, or remove it for DELETE,
+    unless an earlier mutation removed or replaced what leads there."""
+    node = doc
+    with contextlib.suppress(KeyError, IndexError, TypeError):
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+
+
+MUTANTS = st.one_of(
+    st.sampled_from([None, [], {}, True, False, 0, -1, 0.0, -0.0, 5e-324, 1e-300, 1e308, -1e308,
+                     2 ** 53 + 1, 2 ** 63, 10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf,
+                     DELETE]),
+    st.floats(), st.floats(-20.0, 20.0), st.integers(), st.text(max_size=4))
+# an exit-2 line names the key path of the problem
+KEY_LINE = re.compile(r"error: \w+(\.\w+|\[\d+\])*: ")
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), MUTANTS), min_size=1, max_size=2),
+           st.sampled_from(["synthesize", "simulate"]))
+    def test_mutated_scenario_exits_cleanly(self, mutations, command):
+        doc = fuzz_base()
+        for path, value in mutations:
+            set_node(doc, path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = Path(tmp) / "fuzz.json"
+            scenario.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = run_cli([command, "--scenario", str(scenario),
+                                "--out", str(Path(tmp) / "out")])
+        err = err.getvalue()
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code == 2:
+            lines = err.splitlines()
+            assert lines and all(KEY_LINE.match(line) for line in lines), err
