@@ -207,6 +207,10 @@ def _box(value, key, issues, n=None) -> Optional[Box]:
     if value is None:
         _err(issues, key, "missing")
         return None
+    if not (isinstance(value, list) and value
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in value)):
+        _err(issues, key, "must be a non-empty list of [lo, hi] pairs")
+        return None
     try:
         box = Box.from_pairs(value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -5,13 +5,16 @@ over each macro step, re-evaluates the feedback at every stage against the
 corridor bounds at the stage time (the two midpoint stages share them,
 and a step's end bounds are the next row's), and records state, corridor
 bounds, input, and the active detour per step.  The stage bounds are
-built in bulk, one block of steps at a time, and each block is one call
-of a function compiled once per state count and plant source.  It holds
-the state and the stage bounds in scalar locals and runs the law inline
-from its one source in ``controller``.  The bundled plants write their
-derivative and input floor once, as source lines (``from_lines``), which
-it inlines too; a plant without them is called, four times per step.
-Flags summarise the run:
+built in bulk, one block of steps at a time, as one float row per step,
+and each block is one call of a function compiled once per state count
+and plant source.  It holds the state and the stage bounds in scalar
+locals and runs the law inline from its one source in ``controller``,
+without the corridor tests: where they would reject a stage the law
+raises, and the block is stepped again by a variant that makes them.
+The bundled plants write their derivative and input floor once, as
+source lines (``from_lines``), which it inlines too; a plant without them
+is called, four times per step of a completed block (a block stepped
+again calls it again).  Flags summarise the run:
 reached (target hit by the deadline), safe (never inside an unsafe set),
 contained (always strictly inside the corridor), stayed (inside the target
 through the stay horizon)."""
@@ -46,6 +49,8 @@ class Dynamics(Protocol):
     closed loop calls ``derivative`` four times per step and
     ``symmetric_input_floor`` once per row, unless the method carries
     ``source_lines`` (see ``from_lines``): then it inlines those lines.
+    A block of steps that ends in a corridor violation or a width <= 0 is
+    stepped again from its start, so both are called again on its rows.
     """
 
     n_states: int
@@ -101,8 +106,7 @@ class OmniRobot:
     @from_lines
     def symmetric_input_floor(x):
         # closed form: eigenvalues of the symmetric part are {cos h, cos h, 1};
-        # min(cos h, 1.0) written as its comparison, a NaN kept, with the
-        # first statement of ``derivative``, which the closed loop shares
+        # min(cos h, 1.0) written as its comparison, a NaN kept
         return [f"_c = cos({x[2]})"], "1.0 if 1.0 < _c else _c"
 
 
@@ -295,17 +299,6 @@ def _rows_in_box(states: np.ndarray, box: Box, dims: Sequence[int]) -> np.ndarra
 _BLOCK = 512
 
 
-def _shared(first, then) -> int:
-    """How many leading statements ``then`` may skip when it runs right
-    after ``first``: those it shares with ``first`` word for word, up to
-    the first whose name a later statement of ``first`` assigns again."""
-    k = 0
-    while k < min(len(first), len(then)) and first[k] == then[k]:
-        k += 1
-    later = {line.split(" = ", 1)[0] for line in first[k:]}
-    return next((j for j in range(k) if then[j].split(" = ", 1)[0] in later), k)
-
-
 # the source lines of a plant method written without them: a call of it
 def _call_rate(x, u, w):
     return [], f"rate({vec(x)}, {vec(u)}, {vec(w)})"
@@ -316,35 +309,48 @@ def _call_floor(x):
 
 
 @functools.cache
-def _runner(n: int, clamped: bool, rate_lines, floor_lines):
-    """The closed loop over one block of steps for ``n`` states, compiled
-    once per plant source: the law inlined from ``controller.law_lines``,
-    the plant's derivative and input floor from their source lines.
+def _runner(n: int, n_task: int, clamped: bool, rate_lines, floor_lines, checked: bool):
+    """The closed loop over one block of steps for ``n`` states, the first
+    ``n_task`` of them task dimensions, compiled once per plant source:
+    the law inlined from ``controller.law_lines``, the plant's derivative
+    and input floor from their source lines.
 
-    ``_runner(...)(rate, floor, scale, lim)`` returns
-    ``run(x, u, mf, dist, hs, sums, ws, xs, us, final)``.  From the row
-    state ``x`` and its input ``u`` (float lists), it takes one RK4 step
-    per disturbance row of ``dist`` (held over the step) and step of
-    ``hs``.  It records each step's start row, and when ``final`` the row
-    it ends in: it extends the flat lists ``xs`` and ``us`` by the row's
-    state and input, and lowers the running minimum input floor ``mf`` by
-    the state's floor.  Bounds 2j of ``sums`` and ``ws`` (bound sums and
-    widths) serve step j's two midpoint stages, 2j + 1 its end and the
-    next row.  Every operation is in the order of the written-out RK4
+    ``_runner(...)(rate, floor, scale, lim, extra_sums, extra_ws)``
+    returns ``run(x, u, mf, rows, xs, us, final)``.  The bound sums and
+    widths of the extra dimensions are the same at every stage and bound
+    once.  From the row state ``x`` and its input ``u`` (float lists), it
+    takes one RK4 step per row of ``rows``: the disturbance (held over the
+    step), the step h, and the task dimensions' midpoint bound sums, end
+    sums, midpoint widths and end widths.  The midpoint bounds serve the
+    two midpoint stages, the end bounds the end stage and the next row.
+    It records each step's start row, and when ``final`` the row it ends
+    in: it extends the flat lists ``xs`` and ``us`` by the row's state and
+    input, and lowers the running minimum input floor ``mf`` by the
+    state's floor.  Every operation is in the order of the written-out RK4
     step.  It returns ``(x, u, mf)`` after the block, or
-    ``(None, (stage, state), mf)`` at the first stage it rejects: ``"mid"``
-    or ``"end"`` when the state leaves the corridor or the stage's widths
-    are empty (a width <= 0), ``"next"`` when the next state leaves it,
-    ``"nonfinite"`` when the next state is not finite.  A called
-    derivative of the wrong length raises ValueError.
+    ``(None, ("nonfinite", state), mf)`` when the next state is not finite.
+
+    The ``checked`` variant also returns ``(None, (stage, state), mf)`` at
+    the first stage it rejects: ``"mid"`` or ``"end"`` when the state
+    leaves the corridor or the stage has a width <= 0, ``"next"`` when the
+    next state leaves it.  The other variant makes none of these tests: on
+    the states they reject the law raises ValueError or ZeroDivisionError
+    (see ``law_lines``), and on a width <= 0 it may run on.  A called
+    derivative of the wrong length raises ValueError in both.
     """
     x, u, w, a, ms, mw, es, ew = (local_names(p, n) for p in
                                   ("x", "u", "w", "a", "ms", "mw", "es", "ew"))
 
     def law(state, sums, widths, name):
-        reject = f"return None, ({name!r}, {vec(state)}), mf"
+        reject = f"return None, ({name!r}, {vec(state)}), mf" if checked else None
         return [line for i in range(n)
                 for line in law_lines(i, state[i], sums[i], widths[i], reject, clamped)]
+
+    def width_test(widths, name):
+        if not checked:
+            return []
+        return [f"if {' or '.join(f'{v} <= 0.0' for v in widths[:n_task])}: "
+                f"return None, ({name!r}, {vec(a)}), mf"]
 
     def rate(k, state):
         body, result = rate_lines(state, u, w)
@@ -355,22 +361,14 @@ def _runner(n: int, clamped: bool, rate_lines, floor_lines):
     def stage(k, coeff):
         return [f"{a[i]} = {x[i]} + {coeff} * {k}{i}" for i in range(n)]
 
-    def floor(body):
-        return [*body, f"f = {floor_result}", "if f < mf: mf = f"]
-
-    # a step records its row's floor after the first stage's derivative,
-    # whose leading statements the floor's lines need not repeat
     floor_body, floor_result = floor_lines(x)
-    first_rate = rate("ka", x)
-    record = [f"xs += {', '.join(x)},", f"us += {', '.join(u)},"]
-    step = [*record, f"{vec(w)} = w", "hh = 0.5 * h", *first_rate,
-            *floor(floor_body[_shared(first_rate, floor_body):]), *stage("ka", "hh"),
-            f"if not mw: return None, ('mid', {vec(a)}), mf",
-            f"{vec(ms)} = ms", f"{vec(mw)} = mw", *law(a, ms, mw, "mid"),
+    record = [f"xs += {', '.join(x)},", f"us += {', '.join(u)},",
+              *floor_body, f"f = {floor_result}", "if f < mf: mf = f"]
+    step = [*record, "hh = 0.5 * h", *rate("ka", x), *stage("ka", "hh"),
+            *width_test(mw, "mid"), *law(a, ms, mw, "mid"),
             *rate("kb", a), *stage("kb", "hh"), *law(a, ms, mw, "mid"),
             *rate("kc", a), *stage("kc", "h"),
-            f"if not ew: return None, ('end', {vec(a)}), mf",
-            f"{vec(es)} = es", f"{vec(ew)} = ew", *law(a, es, ew, "end"),
+            *width_test(ew, "end"), *law(a, es, ew, "end"),
             *rate("kd", a),
             "sixth = h / 6.0",
             *[f"x{i} = x{i} + sixth * (ka{i} + 2.0 * kb{i} + 2.0 * kc{i} + kd{i})"
@@ -378,13 +376,16 @@ def _runner(n: int, clamped: bool, rate_lines, floor_lines):
             "if not (" + " and ".join(f"-inf < x{i} < inf" for i in range(n))
             + f"): return None, ('nonfinite', {vec(x)}), mf",
             *law(x, es, ew, "next")]
-    run = ["def run(x, u, mf, dist, hs, sums, ws, xs, us, final):",
-           f"    {vec(x)} = x", f"    {vec(u)} = u",
-           "    for w, h, ms, mw, es, ew in zip(dist, hs, sums[0::2], ws[0::2], "
-           "sums[1::2], ws[1::2]):", *[f"        {line}" for line in step],
-           "    if final:", *[f"        {line}" for line in record + floor(floor_body)],
+    extras = [f"{vec(ms[n_task:])} = {vec(es[n_task:])} = extra_sums",
+              f"{vec(mw[n_task:])} = {vec(ew[n_task:])} = extra_ws"] if n_task < n else []
+    row = ", ".join([*w, "h", *ms[:n_task], *es[:n_task], *mw[:n_task], *ew[:n_task]])
+    run = ["def run(x, u, mf, rows, xs, us, final):",
+           f"    {vec(x)} = x", f"    {vec(u)} = u", *[f"    {line}" for line in extras],
+           f"    for {row} in rows:", *[f"        {line}" for line in step],
+           "    if final:", *[f"        {line}" for line in record],
            f"    return {vec(x)}, {vec(u)}, mf"]
-    return compiled("make", "rate, floor, scale, lim", run + ["return run"])
+    return compiled("make", "rate, floor, scale, lim, extra_sums, extra_ws",
+                    run + ["return run"])
 
 
 def _rejected(x, lo, hi, cfg: ControllerConfig, t_stage: float, t_fail: float):
@@ -406,14 +407,17 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
     C-contiguous rows.
 
     ``frame`` is the corridor frame at the first grid time, where the state
-    ``x`` lies strictly inside.  The stage bounds are built ``_BLOCK``
-    steps at a time: each step's midpoint (shared by the two midpoint
-    stages) and its end, which is also the next row's bounds: with
-    t = t_end*k/n and t_next = t_end*(k+1)/n, t_next - t is exact
-    (Sterbenz), so the end stage time t + h is t_next itself.  Each block
-    of steps is one call of the compiled ``_runner``; its rows are stored
-    together.  ``control_input`` runs only on a stage the runner rejected,
-    to raise the violation that becomes the failure record.
+    ``x`` lies strictly inside; its extra dimensions' bounds hold for the
+    whole run.  The stage bounds are built ``_BLOCK`` steps at a time:
+    each step's midpoint (shared by the two midpoint stages) and its end,
+    which is also the next row's bounds: with t = t_end*k/n and
+    t_next = t_end*(k+1)/n, t_next - t is exact (Sterbenz), so the end
+    stage time t + h is t_next itself.  Each block of steps is one call of
+    the compiled ``_runner`` on one float row per step, and its rows are
+    stored together.  A block that raises, or that holds a stage width
+    <= 0, is stepped again from its start by the ``checked`` runner, which
+    stops at the stage it rejects; ``control_input`` runs only on that
+    stage, to raise the violation that becomes the failure record.
     Returns (rows filled, min input floor, failure); failure is None when
     the run completes, else (failure time, reason, failure record).
     """
@@ -423,13 +427,19 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
     lim = cfg.input_limit
     clamped = lim is not None
     n = len(x)
+    n_task = len(frames.task_dims)
     flat_states = states.reshape(-1)
     flat_inputs = inputs.reshape(-1)
-    make = _runner(n, clamped, getattr(rate_fn, "source_lines", _call_rate),
-                   getattr(floor_fn, "source_lines", _call_floor))
-    run = make(rate_fn, floor_fn, scale, lim)
+    key = (n, n_task, clamped, getattr(rate_fn, "source_lines", _call_rate),
+           getattr(floor_fn, "source_lines", _call_floor))
+    consts = (rate_fn, floor_fn, scale, lim, frame.sums[n_task:], frame.ws[n_task:])
+    run = _runner(*key, False)(*consts)
     ts = grid_ts.tolist()
     n_steps = len(ts) - 1
+    t0, t1 = grid_ts[:-1], grid_ts[1:]
+    hs = t1 - t0
+    # stage 2j is the midpoint of step j, stage 2j+1 its end
+    stage_ts = np.column_stack((t0 + 0.5 * hs, t1)).ravel()
     min_floor = float("inf")
     lowers[0] = frame.lo
     uppers[0] = frame.hi
@@ -437,32 +447,36 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
     for first in range(0, n_steps + 1, _BLOCK):
         stop = min(first + _BLOCK, n_steps + 1)     # rows first..stop-1
         last = min(stop, n_steps)                   # steps first..last-1
-        xs = []
-        us = []
-        steps = [], [], [], []
+        rows = []
+        empty = False
         if last > first:
-            t0, t1 = grid_ts[first:last], grid_ts[first + 1:last + 1]
-            hs = t1 - t0
-            # stage 2j is the midpoint of step first+j, stage 2j+1 its end
-            stage_ts = np.column_stack((t0 + 0.5 * hs, t1)).ravel()
-            lo, hi, sums_arr, ws_arr = frames.block(stage_ts)
+            m = last - first
+            lo, hi, sums, ws = frames.block(stage_ts[2 * first:2 * last])
             lowers[first + 1:last + 1] = lo[1::2]
             uppers[first + 1:last + 1] = hi[1::2]
-            sums = sums_arr.tolist()
-            ws = ws_arr.tolist()
-            # a stage whose width is <= 0 gets empty widths: the step rejects
-            # it, and its TubeFrame raises ConfigurationError
-            empty = ws_arr <= 0.0
-            if empty.any():
-                for j in np.flatnonzero(empty.any(axis=1)).tolist():
-                    ws[j] = []
-            steps = dists[first:last].tolist(), hs.tolist(), sums, ws
-        x, u, min_floor = run(x, u, min_floor, *steps, xs, us, stop > last)
-        rows = first + len(xs) // n
+            rows = np.hstack((dists[first:last], hs[first:last, None],
+                              sums[:, :n_task].reshape(m, 2 * n_task),
+                              ws[:, :n_task].reshape(m, 2 * n_task))).tolist()
+            empty = bool((ws <= 0.0).any())
+        final = stop > last
+        out = None
+        if not empty:
+            xs, us = [], []
+            try:
+                out = run(x, u, min_floor, rows, xs, us, final)
+            except (ValueError, ZeroDivisionError):
+                pass
+        if out is None:
+            # the law raised where the checked runner rejects a stage, or a
+            # stage width is <= 0: the checked runner steps the block again
+            xs, us = [], []
+            out = _runner(*key, True)(*consts)(x, u, min_floor, rows, xs, us, final)
+        x, u, min_floor = out
+        filled = first + len(xs) // n
         failure = None
         if x is None:
             where, sx = u
-            r = rows - 1
+            r = filled - 1
             j = 2 * (r - first)
             t, t_next = ts[r], ts[r + 1]
             if where == "nonfinite":
@@ -476,10 +490,10 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
                 # the end stage fails its own step; the next row fails at t_next
                 failure = _rejected(sx, lo[j + 1], hi[j + 1], cfg, t_next,
                                     t if where == "end" else t_next)
-        flat_states[first * n:rows * n] = xs
-        flat_inputs[first * n:rows * n] = us
+        flat_states[first * n:filled * n] = xs
+        flat_inputs[first * n:filled * n] = us
         if failure is not None:
-            return rows, min_floor, failure
+            return filled, min_floor, failure
     return n_steps + 1, min_floor, None
 
 

@@ -7,13 +7,14 @@ the corridor width.  Synthesis integrates the blended derivative with
 fixed-step RK4; verification and smoothness checks run on the stored grid.
 
 ``Tube.to_csv`` and ``plant.SimTrace.to_csv`` write every grid row through
-``_write_rows``, in one process: each value as ``%.17g`` (``%d`` for an
-integer column), formatted ``_SLICE`` rows at a time by array operations.
-The kernel finds each value's 17 correctly rounded digits with a
+``_write_rows``, in one process: each value as ``%.17g``, integer columns
+included (an integer below 2**53 then has the bytes of ``%d``), formatted
+``_SLICE`` rows at a time by array operations.  The kernel
+(``_float_fields``) finds each value's 17 correctly rounded digits with a
 double-double product and leaves to ``%`` only what it cannot decide:
-non-finite values, magnitudes outside [1e-280, 1e280) other than zero,
-roundings within 1e-12 of a tie, and integers of magnitude 2**53 and up.
-The bytes are those of ``%.17g`` and ``%d`` applied value by value.
+non-finite values, magnitudes outside [1e-280, 1e280) other than zero, and
+roundings within 1e-12 of a tie.  The bytes are those of ``%.17g`` applied
+value by value.
 """
 
 from __future__ import annotations

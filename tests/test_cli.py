@@ -194,6 +194,30 @@ class TestParse:
         assert err.value.issues == [("task.initial_set", "missing"),
                                     ("task.time_limit", "missing")]
 
+    @pytest.mark.parametrize("key, where, value", [
+        ("task.unsafe_sets[0]", ("task", "unsafe_sets", 0), "x"),
+        ("task.initial_set", ("task", "initial_set"), [[0.0, 0.5, 1.0], [0.0, 0.5]]),
+        ("task.target_set", ("task", "target_set"), []),
+        ("task.workspace", ("task", "workspace"), [0.0, 12.0])],
+        ids=["string", "triple", "empty", "flat"])
+    def test_box_shape_names_key(self, tmp_path, capsys, key, where, value):
+        # a box is a list of [lo, hi] pairs; the message says so instead of
+        # passing on the unpacking's "not enough values to unpack"
+        doc = load_bundled()
+        *parents, last = where
+        section = doc
+        for part in parents:
+            section = section[part]
+        section[last] = value
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario(path)
+        assert (key, "must be a non-empty list of [lo, hi] pairs") in err.value.issues
+        assert run_cli(["synthesize", "--scenario", str(path), "--out",
+                        str(tmp_path / "syn")]) == 2
+        assert f"error: {key}: must be a non-empty list of [lo, hi] pairs" in \
+            capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             parse_scenario(tmp_path / "nope.json")

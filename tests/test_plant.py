@@ -164,6 +164,16 @@ class CollapsingTube(Tube):
         return lo, hi
 
 
+class NanWidthTube(CollapsingTube):
+    """A corridor whose width is NaN from time ``collapse`` on, a width the
+    closed loop does not reject: the law then gives NaN inputs."""
+
+    def bounds_at(self, times):
+        lo, hi = Tube.bounds_at(self, times)
+        hi[np.asarray(times) >= self.collapse] = math.nan
+        return lo, hi
+
+
 def leaving_setup():
     """2-D integrator task with a 0.3-wide corridor: steps of 0.008 s and
     more are too coarse for the barrier gain, 0.005 s is fine."""
@@ -175,6 +185,21 @@ def leaving_setup():
     from rastube.scenario import TubeParams
     tube = evolve_tube(task, [], TubeParams.defaults(task.deadline))
     return task, FrameProvider(tube, 2, [0, 1], [])
+
+
+def leaving(plant=None, step=0.01, tube_type=None, collapse=math.inf):
+    """``simulate`` of ``leaving_setup``'s task at ``step``; its corridor
+    ``tube_type`` changes from ``collapse`` on."""
+    def run():
+        task, frames = leaving_setup()
+        if tube_type is not None:
+            tube = tube_type(ts=frames.source.ts, lower=frames.source.lower,
+                             width=frames.source.width)
+            tube.collapse = collapse
+            frames = FrameProvider(tube, 2, [0, 1], [])
+        return simulate(task, frames, ControllerConfig(gain=2.0), plant or IntegratorPlant(2),
+                        DisturbanceModel(), SimOptions(step=step))
+    return run
 
 
 def reference_law(x, sums, ws, scale, lim):
@@ -316,6 +341,28 @@ class NegatedIntegrator(IntegratorPlant):
         return -1.0
 
 
+class NanPlant(IntegratorPlant):
+    """An integrator whose second rate turns NaN once x[0] passes 0.3."""
+
+    def derivative(self, x, u, w):
+        return [u[0] + w[0], math.nan if x[0] > 0.3 else u[1] + w[1]]
+
+
+class NanRatePlant(IntegratorPlant):
+    """An integrator whose second rate is NaN from the first step on."""
+
+    def derivative(self, x, u, w):
+        return [u[0] + w[0], math.nan]
+
+
+class ArrayStylePlant(IntegratorPlant):
+    """A plant written for arrays: it joins the input and disturbance lists
+    into 2n entries."""
+
+    def derivative(self, x, u, w):
+        return u + w
+
+
 class FloorCountingIntegrator(IntegratorPlant):
     """An integrator whose reported input floor falls by one at each call,
     so that a run's minimum floor is minus the number of rows whose floor
@@ -336,6 +383,62 @@ def cube_task(n):
                      deadline=20.0, start=[0.25] * n, target_point=[4.25] * n,
                      start_margin=[0.2] * n, target_margin=[0.2] * n,
                      obstacle_margin=[1.0], workspace=[[-1, 6]] * n)
+
+
+@pytest.fixture
+def runner_calls(monkeypatch):
+    """The block runs of the closed loop in order, as (checked, start state)
+    per call of a compiled runner."""
+    calls = []
+    runner = plant_mod._runner
+
+    def spied(*key):
+        make = runner(*key)
+
+        def spied_make(*consts):
+            run = make(*consts)
+
+            def spied_run(x, *args):
+                calls.append((key[-1], list(x)))
+                return run(x, *args)
+            return spied_run
+        return spied_make
+
+    monkeypatch.setattr(plant_mod, "_runner", spied)
+    return calls
+
+
+def block_runs(calls, states):
+    """``calls`` (see ``runner_calls``) as (block, "fast" or "checked"):
+    the block of ``_BLOCK`` rows of ``states`` from whose first row each
+    run started."""
+    starts = states[::plant_mod._BLOCK].tolist()
+    return [(starts.index(x), "checked" if checked else "fast") for checked, x in calls]
+
+
+def cube_setup(plant, n_steps):
+    """A cube task (``cube_task``) stepped ``n_steps`` times by the omni
+    robot (``plant`` "omni", on two task dimensions) or by
+    ``IntegratorPlant(plant)``: (task, frames, dynamics, options)."""
+    from rastube.scenario import TubeParams
+    n = 2 if plant == "omni" else plant
+    task = cube_task(n)
+    tube = evolve_tube(task, [], TubeParams.defaults(task.deadline))
+    step = task.deadline / n_steps
+    if plant == "omni":
+        return (task, FrameProvider(tube, 3, [0, 1], [(-math.pi / 2, math.pi / 2)]),
+                OmniRobot(), SimOptions(step=step, extra_state=[0.1]))
+    return (task, FrameProvider(tube, n, list(range(n)), []), IntegratorPlant(n),
+            SimOptions(step=step))
+
+
+def raised(run):
+    """The type and message of what ``run()`` raises (None if nothing)."""
+    try:
+        run()
+    except Exception as err:    # compared with another run's, not handled
+        return type(err).__name__, str(err)
+    return None
 
 
 class TestCompiledStep:
@@ -415,35 +518,73 @@ class TestCompiledStep:
         assert trace.failure["value"] is not None
 
     @pytest.mark.parametrize("step, stage", [(0.015, "mid"), (0.008, "end"), (0.01, "next")])
-    def test_leaving_runs(self, step, stage):
-        task, frames = leaving_setup()
-        trace = assert_matches_reference(
-            lambda: simulate(task, frames, ControllerConfig(gain=2.0), IntegratorPlant(2),
-                             DisturbanceModel(), SimOptions(step=step)))
+    def test_leaving_runs(self, monkeypatch, runner_calls, step, stage):
+        # blocks of 2 steps: every block up to the failed step's is stepped
+        # once by the fast runner, and the failed one again, from its
+        # start, by the checked runner
+        monkeypatch.setattr(plant_mod, "_BLOCK", 2)
+        trace = assert_matches_reference(leaving(step=step))
         assert failed_stage(trace) == stage
+        failed = (trace.ts.shape[0] - 1) // 2
+        assert block_runs(runner_calls, trace.states) == \
+            [(b, "fast") for b in range(failed + 1)] + [(failed, "checked")]
 
-    def test_non_finite_state(self):
-        class NanPlant(IntegratorPlant):
-            def derivative(self, x, u, w):
-                return [u[0] + w[0], math.nan if x[0] > 0.3 else u[1] + w[1]]
-
-        task, frames, options, dist = integrator_setup()
-        trace = assert_matches_reference(
-            lambda: simulate(task, frames, ControllerConfig(gain=2.0), NanPlant(2),
-                             dist, options))
+    @staticmethod
+    def check_non_finite(monkeypatch, runner_calls, run):
+        # the fast runner reports a non-finite state itself, as the checked
+        # one would, so no block is stepped again
+        monkeypatch.setattr(plant_mod, "_BLOCK", 2)
+        trace = assert_matches_reference(run)
         assert trace.failure_reason == "non-finite state"
+        failed = (trace.ts.shape[0] - 1) // 2
+        assert block_runs(runner_calls, trace.states) == [(b, "fast") for b in range(failed + 1)]
 
-    @pytest.mark.parametrize("collapse", [0.015, 0.02])
-    def test_width_collapse(self, monkeypatch, collapse):
+    def test_non_finite_state(self, monkeypatch, runner_calls):
+        task, frames, options, dist = integrator_setup()
+        self.check_non_finite(monkeypatch, runner_calls, lambda: simulate(
+            task, frames, ControllerConfig(gain=2.0), NanPlant(2), dist, options))
+
+    @pytest.mark.parametrize("run", [
+        leaving(plant=NanRatePlant(2)),
+        # a NaN width passes the law, whose NaN input makes the state NaN
+        leaving(step=0.005, tube_type=NanWidthTube, collapse=0.02)],
+        ids=["nan-rate", "nan-width"])
+    def test_non_finite_kinds(self, monkeypatch, runner_calls, run):
+        self.check_non_finite(monkeypatch, runner_calls, run)
+
+    @pytest.mark.parametrize("collapse, runs", [
         # the corridor closes at the midpoint (0.015) or the end (0.02) of
-        # the second step, before the state leaves it
+        # the second step, before the state leaves it: a block holding a
+        # width <= 0 is stepped by the checked runner alone
+        (0.015, [(0, "checked")]), (0.02, [(0, "checked")]),
+        (0.03, [(0, "fast"), (1, "checked")])], ids=["0.015", "0.02", "0.03"])
+    def test_width_collapse(self, monkeypatch, runner_calls, collapse, runs):
+        monkeypatch.setattr(plant_mod, "_BLOCK", 2)
         with pytest.raises(ConfigurationError) as got:
             TestSimulate.leaving_run(collapse=collapse)
+        assert block_runs(list(runner_calls), leaving()().states) == runs
         monkeypatch.setattr(plant_mod, "_step_loop", reference_step_loop)
         with pytest.raises(ConfigurationError) as want:
             TestSimulate.leaving_run(collapse=collapse)
         assert got.value.issues == want.value.issues == [
             ("frame", "upper bound must exceed lower bound")]
+
+    @pytest.mark.parametrize("n_steps", [511, 512, 513, 1025])
+    @pytest.mark.parametrize("limit", [None, 0.4])
+    @pytest.mark.parametrize("plant", ["omni", 1, 2, 3])
+    def test_block_edges(self, runner_calls, plant, limit, n_steps):
+        task, frames, dynamics, options = cube_setup(plant, n_steps)
+        cfg = ControllerConfig(gain=0.5, input_limit=limit)
+        dist = DisturbanceModel(kind="uniform", bound=0.05, seed=n_steps)
+        trace = assert_matches_reference(
+            lambda: simulate(task, frames, cfg, dynamics, dist, options))
+        assert trace.completed and trace.flags.all_ok
+        assert trace.ts.shape[0] == n_steps + 1
+        if limit is not None:
+            assert 0 < np.count_nonzero(np.abs(trace.inputs) == limit) < trace.inputs.size
+        # one fast run per block of 512 rows, none checked
+        assert block_runs(runner_calls, trace.states) == \
+            [(b, "fast") for b in range(math.ceil((n_steps + 1) / 512))]
 
 
 def omni_rate(x, u, w):
@@ -494,17 +635,6 @@ class TestWrittenPlants:
         assert bits(robot.derivative, x, u, w) == bits(omni_rate, x, u, w)
         assert bits(robot.symmetric_input_floor, x) == \
             bits(lambda x: min(math.cos(x[2]), 1.0), x)
-
-    def test_floor_skips_what_the_first_stage_ran(self):
-        # the omni floor's cos(heading) opens the derivative, which the
-        # step runs just before it; a statement whose name the derivative
-        # assigns again later is run anew
-        rate = OmniRobot.derivative.source_lines(["x0", "x1", "x2"], ["u0"] * 3, ["w0"] * 3)[0]
-        floor = OmniRobot.symmetric_input_floor.source_lines(["x0", "x1", "x2"])[0]
-        assert plant_mod._shared(rate, floor) == len(floor) == 1
-        assert plant_mod._shared(["_c = cos(x2)", "_c = _c * 2.0"], ["_c = cos(x2)"]) == 0
-        assert plant_mod._shared(["_s = sin(x2)"], ["_c = cos(x2)"]) == 0
-        assert plant_mod._shared(["_c = cos(x2)"], ["_c = cos(x2)", "_s = sin(x2)"]) == 1
 
     @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
         *[st.lists(st.floats(width=64), min_size=n, max_size=n)] * 3)))
@@ -805,12 +935,22 @@ class TestSimulate:
         assert_same_without_avx512(tmp_path, "compare", ["comparison.json"])
 
     def test_frames_built_once_per_stage_time(self, monkeypatch):
+        self.check_frames_built(monkeypatch, leaves=False)
+
+    def test_failed_block_frames_built_once(self, monkeypatch):
+        self.check_frames_built(monkeypatch, leaves=True)
+
+    @staticmethod
+    def check_frames_built(monkeypatch, leaves):
         # the corridor is read once per distinct stage time: t = 0 for the
-        # start frame, then each step's midpoint and end in blocks, the end
-        # bounds serving the next row as well; control_input only runs to
-        # report a stage outside the corridor
+        # start frame, then each step's midpoint and end in blocks, one
+        # FrameProvider.block call each, the end bounds serving the next
+        # row as well; control_input only runs to report a stage outside
+        # the corridor.  A run that leaves the corridor at the end stage
+        # of step r reads its last block once, though the block is stepped
+        # twice and the derivative is called twice on its steps
         received = []
-        calls = {"frame": 0, "control": 0, "dynamics": 0}
+        calls = {"frame": 0, "block": 0, "control": 0, "dynamics": 0}
 
         class CountingTube(Tube):
             def bounds_at(self, times):
@@ -821,6 +961,10 @@ class TestSimulate:
             def frame(self, t):
                 calls["frame"] += 1
                 return super().frame(t)
+
+            def block(self, times):
+                calls["block"] += 1
+                return super().block(times)
 
         class CountingPlant(IntegratorPlant):
             def derivative(self, x, u, w):
@@ -833,19 +977,34 @@ class TestSimulate:
 
         monkeypatch.setattr(plant_mod, "control_input", counting_control)
         monkeypatch.setattr(plant_mod, "_BLOCK", 7)
-        task, frames, options, dist = integrator_setup()
+        if leaves:
+            task, frames = leaving_setup()
+            options, dist = SimOptions(step=0.008), DisturbanceModel()
+        else:
+            task, frames, options, dist = integrator_setup()
         tube = frames.source
         frames = CountingFrames(CountingTube(ts=tube.ts, lower=tube.lower, width=tube.width),
                                 2, [0, 1], [])
         trace = simulate(task, frames, ControllerConfig(gain=2.0), CountingPlant(2),
                          dist, options)
-        assert trace.completed
+        # ts: the grid up to the last row whose bounds were built
         ts = trace.ts
+        if leaves:
+            assert failed_stage(trace) == "end"
+            r = ts.shape[0] - 1         # the failed step, in the block from row `first`
+            first = r // 7 * 7
+            n_steps = round(task.deadline / options.step)
+            ts = (task.deadline * np.arange(n_steps + 1) / n_steps)[:first + 8]
+            assert calls == {"frame": 1, "block": r // 7 + 1, "control": 1,
+                             "dynamics": 4 * first + 2 * (4 * (r - first) + 3)}
+        else:
+            assert trace.completed
+            assert calls == {"frame": 1, "block": math.ceil((ts.shape[0] - 1) / 7),
+                             "control": 0, "dynamics": 4 * (ts.shape[0] - 1)}
         n = ts.shape[0] - 1
         mids = ts[:-1] + 0.5 * (ts[1:] - ts[:-1])
         assert len(received) == 2 * n + 1
         assert sorted(received) == sorted(ts.tolist() + mids.tolist())
-        assert calls == {"frame": 1, "control": 0, "dynamics": 4 * n}
 
     @pytest.mark.parametrize("step", [0.01, 0.008])
     def test_failure_record_names_stage_and_bounds(self, monkeypatch, step):
@@ -880,18 +1039,17 @@ class TestSimulate:
     @staticmethod
     def leaving_run(collapse=math.inf):
         """The 0.01 s leaving run, its corridor closed from ``collapse`` on."""
-        task, frames = leaving_setup()
-        tube = CollapsingTube(ts=frames.source.ts, lower=frames.source.lower,
-                              width=frames.source.width)
-        tube.collapse = collapse
-        return simulate(task, FrameProvider(tube, 2, [0, 1], []), ControllerConfig(gain=2.0),
-                        IntegratorPlant(2), DisturbanceModel(), SimOptions(step=0.01))
+        return leaving(tube_type=CollapsingTube, collapse=collapse)()
 
-    def test_width_collapse_after_leaving_keeps_failure(self):
+    def test_width_collapse_after_leaving_keeps_failure(self, runner_calls):
         # the state leaves at t = 0.03; the corridor closes at t = 0.1,
-        # within the same block of stage bounds
+        # within the same block of stage bounds, which only the checked
+        # runner steps
         plain = self.leaving_run()
-        collapsed = self.leaving_run(collapse=0.1)
+        del runner_calls[:]
+        collapsed = assert_matches_reference(
+            lambda: self.leaving_run(collapse=0.1))
+        assert block_runs(runner_calls, collapsed.states) == [(0, "checked")]
         assert plain.failure is not None
         assert collapsed.failure == plain.failure
         assert collapsed.states.tobytes() == plain.states.tobytes()
@@ -909,28 +1067,23 @@ class TestSimulate:
         assert trace.completed and trace.failure is None
 
     def test_non_finite_state_recorded_without_bounds(self):
-        class NanPlant(IntegratorPlant):
-            def derivative(self, x, u, w):
-                return [u[0] + w[0], math.nan]
-
         task, frames, options, dist = integrator_setup()
-        trace = simulate(task, frames, ControllerConfig(gain=2.0), NanPlant(2),
+        trace = simulate(task, frames, ControllerConfig(gain=2.0), NanRatePlant(2),
                          dist, options)
         assert trace.failure_reason == "non-finite state"
         assert trace.failure == {"time": trace.failure_time, "dim": 1, "value": None,
                                  "lower": None, "upper": None}
 
-    def test_wrong_length_derivative_rejected(self):
-        # a plant written for arrays joins the input and disturbance lists
-        # into 2n entries; the stepper must not cut that back to n
-        class ArrayStylePlant(IntegratorPlant):
-            def derivative(self, x, u, w):
-                return u + w
-
-        task, frames, options, dist = integrator_setup()
-        with pytest.raises(ValueError):
-            simulate(task, frames, ControllerConfig(gain=2.0), ArrayStylePlant(2),
-                     dist, options)
+    def test_wrong_length_derivative_rejected(self, runner_calls):
+        # the stepper must not cut the 2n entries back to n; the checked
+        # runner raises the unpacking's error again, as the reference does
+        run = leaving(plant=ArrayStylePlant(2))
+        assert raised(run) == ("ValueError", "too many values to unpack (expected 2)")
+        assert block_runs(list(runner_calls), leaving()().states) == \
+            [(0, "fast"), (0, "checked")]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(plant_mod, "_step_loop", reference_step_loop)
+            assert raised(run)[0] == "ValueError"
 
     @pytest.mark.parametrize("step, stay, key", [
         (0.0, 0.0, "run.sim_step"), (-0.01, 0.0, "run.sim_step"),
