@@ -211,9 +211,13 @@ def _box(value, key, issues, n=None) -> Optional[Box]:
             and all(isinstance(pair, list) and len(pair) == 2 for pair in value)):
         _err(issues, key, "must be a non-empty list of [lo, hi] pairs")
         return None
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v)
+               for pair in value for v in pair):
+        _err(issues, key, "must be a finite number")
+        return None
     try:
         box = Box.from_pairs(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         _err(issues, key, f"not a valid box: {exc}")
         return None
     if n is not None and box.n != n:

@@ -186,7 +186,8 @@ class FrameProvider:
     (len(times), k).  The remaining state dimensions (for example the
     robot heading) get fixed wide bounds.  ``frame(t)`` builds the
     validated frame at one time, which the closed loop needs only at its
-    start; ``block(times)`` builds the bounds of a block of stage times.
+    start; ``block(times)`` builds the task dimensions' bounds of a block
+    of stage times, since the other dimensions' bounds are constant.
     """
 
     def __init__(self, source, state_dim: int, task_dims: Sequence[int],
@@ -211,14 +212,12 @@ class FrameProvider:
         return TubeFrame(lo + self._extra_lo, hi + self._extra_hi)
 
     def block(self, times) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Full-state (lower, upper, upper + lower, upper - lower) at each of
-        ``times``, arrays of shape (len(times), state_dim) with the bits of
-        ``frame(t)``'s ``lo``, ``hi``, ``sums`` and ``ws`` row for row.
-        Unlike ``frame``, it does not reject a width <= 0."""
+        """Task-dimension (lower, upper, upper + lower, upper - lower) at
+        each of ``times``, arrays of shape (len(times), k) with the bits of
+        the first k entries of ``frame(t)``'s ``lo``, ``hi``, ``sums`` and
+        ``ws`` row for row.  Unlike ``frame``, it does not reject a width
+        <= 0."""
         lo, hi = self.source.bounds_at(times)
-        m = lo.shape[0]
-        lo = np.hstack((lo, np.broadcast_to(self._extra_lo, (m, len(self._extra_lo)))))
-        hi = np.hstack((hi, np.broadcast_to(self._extra_hi, (m, len(self._extra_hi)))))
         return lo, hi, hi + lo, hi - lo
 
 
@@ -408,9 +407,10 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
 
     ``frame`` is the corridor frame at the first grid time, where the state
     ``x`` lies strictly inside; its extra dimensions' bounds hold for the
-    whole run.  The stage bounds are built ``_BLOCK`` steps at a time:
-    each step's midpoint (shared by the two midpoint stages) and its end,
-    which is also the next row's bounds: with t = t_end*k/n and
+    whole run, and fill their columns of ``lowers`` and ``uppers`` once.
+    The stage bounds of the task dimensions are built ``_BLOCK`` steps at
+    a time: each step's midpoint (shared by the two midpoint stages) and
+    its end, which is also the next row's bounds: with t = t_end*k/n and
     t_next = t_end*(k+1)/n, t_next - t is exact (Sterbenz), so the end
     stage time t + h is t_next itself.  Each block of steps is one call of
     the compiled ``_runner`` on one float row per step, and its rows are
@@ -443,6 +443,9 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
     min_floor = float("inf")
     lowers[0] = frame.lo
     uppers[0] = frame.hi
+    extra_lo, extra_hi = frame.lo[n_task:], frame.hi[n_task:]
+    lowers[1:, n_task:] = extra_lo
+    uppers[1:, n_task:] = extra_hi
     u = compiled_law(n, clamped)(x, frame.sums, frame.ws, scale, lim)
     for first in range(0, n_steps + 1, _BLOCK):
         stop = min(first + _BLOCK, n_steps + 1)     # rows first..stop-1
@@ -452,11 +455,10 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
         if last > first:
             m = last - first
             lo, hi, sums, ws = frames.block(stage_ts[2 * first:2 * last])
-            lowers[first + 1:last + 1] = lo[1::2]
-            uppers[first + 1:last + 1] = hi[1::2]
+            lowers[first + 1:last + 1, :n_task] = lo[1::2]
+            uppers[first + 1:last + 1, :n_task] = hi[1::2]
             rows = np.hstack((dists[first:last], hs[first:last, None],
-                              sums[:, :n_task].reshape(m, 2 * n_task),
-                              ws[:, :n_task].reshape(m, 2 * n_task))).tolist()
+                              sums.reshape(m, 2 * n_task), ws.reshape(m, 2 * n_task))).tolist()
             empty = bool((ws <= 0.0).any())
         final = stop > last
         out = None
@@ -485,10 +487,12 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
                            {"time": t_next, "dim": dim, "value": None,
                             "lower": None, "upper": None})
             elif where == "mid":
-                failure = _rejected(sx, lo[j], hi[j], cfg, t + 0.5 * (t_next - t), t)
+                failure = _rejected(sx, lo[j].tolist() + extra_lo, hi[j].tolist() + extra_hi,
+                                    cfg, t + 0.5 * (t_next - t), t)
             else:
                 # the end stage fails its own step; the next row fails at t_next
-                failure = _rejected(sx, lo[j + 1], hi[j + 1], cfg, t_next,
+                failure = _rejected(sx, lo[j + 1].tolist() + extra_lo,
+                                    hi[j + 1].tolist() + extra_hi, cfg, t_next,
                                     t if where == "end" else t_next)
         flat_states[first * n:filled * n] = xs
         flat_inputs[first * n:filled * n] = us

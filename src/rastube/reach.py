@@ -5,7 +5,8 @@ deadline and is constant afterwards.  The closed form is the exact solution
 of the defining rate equation, and ``rates`` is its derivative, the one the
 corridor integrator runs; tests cross-check both against an independent
 integration.  ``increments`` holds the RK4 increments of that rate on a
-uniform grid: the steps of every corridor row that no detour bends.
+uniform grid: the steps of every corridor row that no detour bends, and
+``window_block`` keeps the corridor integrator's window kernel blocks.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ class ReachMargin:
     start[i] is the value at t = 0, end[i] the value held for all
     t >= deadline.  Either corner pair may be used (lower or upper box
     corners); avoidance planning evaluates both.
+
+    The margin also keeps what the corridor integrations of its task
+    share, for the last grid each was asked on: the nominal increments
+    (``increments``) and the window kernel blocks (``window_block``),
+    each block keyed by every input it reads besides the margin.
     """
 
     start: np.ndarray
@@ -79,6 +85,8 @@ class ReachMargin:
     # (grid_steps, increments, columns filled) of the last grid
     # ``increments`` was asked for
     _nominal: tuple = field(init=False, repr=False, compare=False, default=(0, None, 0))
+    # (grid_steps, {key: block}) of the last grid ``window_block`` was asked for
+    _windows: tuple = field(init=False, repr=False, compare=False, default=(0, None))
 
     def __post_init__(self):
         start = np.asarray(self.start, dtype=float)
@@ -158,3 +166,22 @@ class ReachMargin:
             out[:, g0:g1] = rk4_increment(a[:, :m], a[:, m + 1:], a[:, 1:m + 1], 0.0, 0.0, h)
         object.__setattr__(self, "_nominal", (grid_steps, out, max(filled, steps)))
         return out[:, :steps]
+
+    def window_block(self, grid_steps: int, key, compute):
+        """The window kernel block stored under ``key`` on the grid of
+        ``grid_steps`` steps, ``compute()`` on the first call for it.
+
+        ``tube_core`` keys each block by every input it reads besides this
+        margin, so a stored block has the bits a fresh one would.  Only
+        the last grid asked for is kept; its arrays are read-only.
+        """
+        grid, blocks = self._windows
+        if grid != grid_steps:
+            blocks = {}
+            object.__setattr__(self, "_windows", (grid_steps, blocks))
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = compute()
+            for array in block:
+                array.flags.writeable = False
+        return block

@@ -65,18 +65,24 @@ class Tube:
         the corridor is constant past the deadline.
         """
         t = np.asarray(times, dtype=float)
-        ts = self.ts
-        rows = ts.shape[0]
-        t0 = float(ts[0])
-        t1 = float(ts[-1])
-        lo = np.where((t <= t0)[:, None], self.lower[0], self.lower[-1])
-        inner = np.flatnonzero((t > t0) & (t < t1))
-        if inner.size:
-            pos = (t[inner] - t0) / ((t1 - t0) / (rows - 1))
-            i = np.minimum(pos.astype(np.intp), rows - 2)
-            frac = (pos - i)[:, None]
-            lo[inner] = (1.0 - frac) * self.lower[i] + frac * self.lower[i + 1]
+        t0, t1 = float(self.ts[0]), float(self.ts[-1])
+        inner = (t > t0) & (t < t1)
+        if t.size and inner.all():
+            lo = self._between(t)
+        else:
+            lo = np.where((t <= t0)[:, None], self.lower[0], self.lower[-1])
+            if inner.any():
+                lo[inner] = self._between(t[inner])
         return lo, lo + self.width
+
+    def _between(self, t: np.ndarray) -> np.ndarray:
+        """The lower bounds interpolated at times strictly inside the grid."""
+        rows = self.ts.shape[0]
+        t0, t1 = float(self.ts[0]), float(self.ts[-1])
+        pos = (t - t0) / ((t1 - t0) / (rows - 1))
+        i = np.minimum(pos.astype(np.intp), rows - 2)
+        frac = (pos - i)[:, None]
+        return (1.0 - frac) * self.lower[i] + frac * self.lower[i + 1]
 
     def bounds(self, t: float) -> Tuple[List[float], List[float]]:
         """``bounds_at`` at the one time t, as float lists."""
@@ -192,25 +198,26 @@ def _mask(lo: int, hi: int, word: int) -> int:
 
 class _Tables(NamedTuple):
     # per decimal exponent X, at index X - _X_LO: 10**(16 - X) as hi + lo
-    # and the split of hi, the word 0 and word 3 bytes ("0.00", "e+17"),
-    # the body index of the decimal point (17: none), and how many digits
-    # stay even when they are trailing zeros (the integer digits of fixed
-    # notation)
+    # and the split of hi, and the word 0 and word 3 bytes ("0.00",
+    # "e+17"); at (X - _X_LO) * 17 + z, for z trailing zeros, the body
+    # index point * 18 + kept: the index of the decimal point in the body
+    # (17: none) and the digits kept, trailing zeros dropped except the
+    # integer digits of fixed notation
     scale_hi: np.ndarray
     scale_lo: np.ndarray
     scale_hh: np.ndarray
     scale_hl: np.ndarray
     prefix: np.ndarray
     suffix: np.ndarray
-    point: np.ndarray
-    kept: np.ndarray
+    body: np.ndarray
     # per body index point * 18 + kept digits, for words 1..3: where the
     # digits before the point stay, where those after it go, moved one
     # byte on, and the point itself
     keep: tuple
     move: tuple
     dot: tuple
-    # "0000".."9999" as little-endian uint32 words, and their trailing zeros
+    # "0000".."9999" as little-endian words (in the low 32 bits of a
+    # uint64), and their trailing zeros
     digits: np.ndarray
     zeros: np.ndarray
 
@@ -243,9 +250,10 @@ def _tables() -> _Tables:
                     _mask(at, at + 1, w + 1) & 0x2E2E2E2E2E2E2E2E if k > p else 0)
     n = np.arange(10000)
     return _Tables(
-        scale[0], scale[1], *_split(scale[0]), prefix, suffix, point, kept,
+        scale[0], scale[1], *_split(scale[0]), prefix, suffix,
+        (point[:, None] * 18 + np.maximum(17 - np.arange(17), kept[:, None])).ravel(),
         *(tuple(m) for m in masks),
-        sum((0x30 + n.astype(np.uint32) // 10 ** (3 - k) % 10) << 8 * k for k in range(4)),
+        sum((0x30 + n.astype(np.uint64) // 10 ** (3 - k) % 10) << 8 * k for k in range(4)),
         sum((n % 10 ** k == 0).astype(np.int8) for k in range(1, 5)))
 
 
@@ -264,24 +272,23 @@ def _scaled(a, X, t: _Tables):
 
 
 def _outside(ph, pl):
-    """+1 where ph + pl >= 1e17, -1 where it is below 1e16, else 0."""
-    return ((ph - 1e17) + pl >= 0).astype(np.intp) - ((ph - 1e16) + pl < 0)
+    """Where ph + pl >= 1e17, and where it is below 1e16."""
+    return (ph - 1e17) + pl >= 0, (ph - 1e16) + pl < 0
 
 
-def _digit_words(n, out, digits):
-    """Write the last 16 decimal digits of int64 n >= 0 as ASCII to bytes
-    8..23 of the fields ``out``.  Returns the number the digits before
-    them form, and the 16 digits as four numbers below 10**4."""
-    quads = out.view("<u4")
+def _digit_words(n, digits):
+    """The last 16 decimal digits of int64 n >= 0 as ASCII, in two uint64
+    words (bytes 8..15 and 16..23 of a field).  Returns the number the
+    digits before them form, the two words, and the 16 digits as four
+    numbers below 10**4."""
     q = n // 10 ** 8
     head = q // 10 ** 8
     chunks = []
     for part in (q - head * 10 ** 8, n - q * 10 ** 8):
         high = part // 10 ** 4
         chunks += [high, part - high * 10 ** 4]
-    for j, c in enumerate(chunks):
-        quads[:, 2 + j] = digits[c]
-    return head, chunks
+    c1, c2, c3, c4 = chunks
+    return head, digits[c1] | digits[c2] << 32, digits[c3] | digits[c4] << 32, chunks
 
 
 def _float_fields(x, t: _Tables):
@@ -295,37 +302,42 @@ def _float_fields(x, t: _Tables):
     X = np.floor(np.log10(a)).astype(np.intp)
     ph, pl = _scaled(a, X, t)
     # np.log10 only estimates X: the product says where it is one off
-    step = _outside(ph, pl)
-    fix = np.flatnonzero(step)
+    over, under = _outside(ph, pl)
+    fix = np.flatnonzero(over | under)
     if fix.size:
-        X[fix] += step[fix]
+        X[fix] += over[fix].astype(np.intp) - under[fix]
         ph[fix], pl[fix] = again = _scaled(a[fix], X[fix], t)
-        ok[fix] &= _outside(*again) == 0
+        over, under = _outside(*again)
+        ok[fix] &= ~(over | under)
     r = np.rint(pl)
     ok &= np.abs(np.abs(pl - r) - 0.5) >= _TIE
     N = ph.astype(np.int64) + r.astype(np.int64)
     carry = np.flatnonzero(N == 10 ** 17)
-    N[carry] = 10 ** 16
-    X[carry] += 1
-    digits = np.empty((x.size, 3), "<u8")
-    head, (c1, c2, c3, c4) = _digit_words(N, digits, t.digits)
-    zeros = np.where(c4 != 0, t.zeros[c4], 4 + np.where(
-        c3 != 0, t.zeros[c3], 4 + np.where(c2 != 0, t.zeros[c2], 4 + t.zeros[c1])))
+    if carry.size:
+        N[carry] = 10 ** 16
+        X[carry] += 1
+    head, w1, w2, (c1, c2, c3, c4) = _digit_words(N, t.digits)
+    zeros = t.zeros[c4]
+    z = np.flatnonzero(c4 == 0)
+    if z.size:
+        c1, c2, c3 = c1[z], c2[z], c3[z]
+        zeros[z] = 4 + np.where(c3 != 0, t.zeros[c3], 4 + np.where(
+            c2 != 0, t.zeros[c2], 4 + t.zeros[c1]))
     i = X - _X_LO
-    j = t.point[i] * 18 + np.maximum(17 - zeros, t.kept[i])
+    j = t.body[i * 17 + zeros]
     keep, move, dot = t.keep, t.move, t.dot
-    w0 = (head + 0x30).astype(np.uint64) << 56
-    w1, w2 = digits[:, 1], digits[:, 2]
+    h = (head + 0x30).astype(np.uint64)
     out = np.empty((x.size, 4), "<u8")
-    out[:, 0] = w0 | t.prefix[i] | (x.view(np.uint64) >> 63) * 0x2D
-    out[:, 1] = (w1 & keep[0][j]) | (((w1 << 8) | (w0 >> 56)) & move[0][j]) | dot[0][j]
+    out[:, 0] = (h << 56) | t.prefix[i] | (x.view(np.uint64) >> 63) * 0x2D
+    out[:, 1] = (w1 & keep[0][j]) | (((w1 << 8) | h) & move[0][j]) | dot[0][j]
     out[:, 2] = (w2 & keep[1][j]) | (((w2 << 8) | (w1 >> 56)) & move[1][j]) | dot[1][j]
     out[:, 3] = ((w2 >> 56) & move[2][j]) | t.suffix[i] | _COMMA
     # a zero keeps its sign and gets one digit
     zero = np.flatnonzero(x == 0.0)
-    out[zero, 0] = (out[zero, 0] & 0xFF) | 0x30 << 56
-    out[zero, 1:3] = 0
-    out[zero, 3] = _COMMA
+    if zero.size:
+        out[zero, 0] = (out[zero, 0] & 0xFF) | 0x30 << 56
+        out[zero, 1:3] = 0
+        out[zero, 3] = _COMMA
     return out, np.flatnonzero(~ok & (x != 0.0))
 
 
@@ -351,7 +363,7 @@ def _formatted(block, n_rows: int):
         _patch(fields, rest, ["%.17g" % v for v in x[rest].tolist()])
         row = fields.view(np.uint8).reshape(rows, 32 * cols)
         row[:, -1] = 0x0A
-        yield row[row != 0].tobytes()
+        yield row.tobytes().translate(None, b"\0")
 
 
 def _write_rows(path, header: Sequence[str], n_rows: int, block) -> None:

@@ -32,6 +32,18 @@ the integrations so far have reached, and keeps them, and
 ``RasTask.lower_margin`` hands out one margin per task, so every
 candidate check and the corridor of a task share one set.
 
+Window blocks.  The margin keeps the window kernel's blocks as well
+(``ReachMargin.window_block``), for the last grid only.  A block, the P,
+Q and landing rows of steps g0..g1 of one column, is keyed by every input
+it reads besides the margin: the margin dimension, the grid (its step
+count, g0 and g1), ``edge_buffer``, ``blend_scale`` and ``time_floor``,
+the release times strictly inside the block, and the plans that can be
+active in it (from the first whose release lies past the block's start
+through the first whose release lies past its end), each with its times,
+level, anchors and whether it bends the column.  So the corridor finds
+the blocks of its accepted candidates already computed, and a stored
+block has the bits a fresh one would.
+
 Windows.  A plan's weights differ from (1, 0, 0) only near t = 0, where
 the origin blend ramps, and from a pad of ``_SATURATED`` blend scales
 before its first transition up to its release; past the pad every
@@ -223,6 +235,24 @@ def _affine_steps(margin: ReachMargin, dim: int, column: int, packed: list, para
     return P, Q, rows
 
 
+def _window_block(margin: ReachMargin, dim: int, column: int, packed: list,
+                  params: TubeParams, switches: np.ndarray, per: int, g0: int, g1: int):
+    """``_affine_steps``, kept on the margin under every input it reads
+    (see "Window blocks" above).  The floats go into the key as bits, so
+    that a signed zero is not taken for the other."""
+    t0, t1 = margin.deadline * g0 / per, margin.deadline * g1 / per
+    releases = [plan[3] for plan in packed]
+    first = next((p for p, r in enumerate(releases) if r > t0), len(packed))
+    last = next((p for p, r in enumerate(releases) if r > t1), len(packed) - 1)
+    inner = switches[(switches > t0) & (switches < t1)].tolist()
+    values = [params.edge_buffer, params.blend_scale, params.time_floor, *inner]
+    for plan in packed[first:last + 1]:
+        values += [*plan[:4], *plan[5:], float(plan[4] == column)]
+    key = (dim, g0, g1, len(inner), np.array(values).tobytes())
+    return margin.window_block(per, key, lambda: _affine_steps(
+        margin, dim, column, packed, params, switches, per, g0, g1))
+
+
 def _accumulate(y: float, q: np.ndarray) -> np.ndarray:
     """The values (...((y + q[0]) + q[1]) ... + q[i]): the bits of the
     scan y = 1.0 * y + q."""
@@ -282,7 +312,7 @@ def integrate_lower(margin: ReachMargin, n_steps: int, plans, params: TubeParams
                 column[done + 1:j0 + 1] = _accumulate(column[done], nominal[d, done:j0])
                 for g0 in range(j0, j1, _BLOCK):
                     g1 = min(g0 + _BLOCK, j1)
-                    P, Q, rows = _affine_steps(margin, d, c, packed, params, switches,
+                    P, Q, rows = _window_block(margin, d, c, packed, params, switches,
                                                per, g0, g1)
                     column[g0 + 1:g1 + 1] = _scan(column[g0], P, Q)[rows - 1]
                 done = j1

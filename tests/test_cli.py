@@ -218,6 +218,22 @@ class TestParse:
         assert f"error: {key}: must be a non-empty list of [lo, hi] pairs" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [[[True, 12.0], [0.0, 8.0]], [["a", 1.0], [0.0, 8.0]],
+                                       [[0.0, 12.0], [False, 8.0]], [[0.0, 1e999], [0.0, 8.0]]],
+                             ids=["true", "string", "false", "infinite"])
+    def test_box_bound_must_be_a_number(self, tmp_path, capsys, value):
+        # a boolean is not read as 1.0 or 0.0, and a string bound does not
+        # pass on Python's conversion message
+        doc = load_bundled()
+        doc["task"]["workspace"] = value
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario(path)
+        assert err.value.issues == [("task.workspace", "must be a finite number")]
+        assert run_cli(["synthesize", "--scenario", str(path), "--out",
+                        str(tmp_path / "syn")]) == 2
+        assert "error: task.workspace: must be a finite number" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             parse_scenario(tmp_path / "nope.json")

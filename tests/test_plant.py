@@ -245,7 +245,12 @@ def reference_step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states,
         if last > first:
             t0, t1 = grid_ts[first:last], grid_ts[first + 1:last + 1]
             stage_ts = np.column_stack((t0 + 0.5 * (t1 - t0), t1)).ravel()
-            lo, hi, sums_arr, ws_arr = frames.block(stage_ts)
+            # the task dimensions' bounds, and the start frame's for the rest
+            lo, hi, _, _ = frames.block(stage_ts)
+            k, m = lo.shape[1], lo.shape[0]
+            lo = np.hstack((lo, np.broadcast_to(frame.lo[k:], (m, len(frame.lo) - k))))
+            hi = np.hstack((hi, np.broadcast_to(frame.hi[k:], (m, len(frame.hi) - k))))
+            sums_arr, ws_arr = hi + lo, hi - lo
             lowers[first + 1:last + 1] = lo[1::2]
             uppers[first + 1:last + 1] = hi[1::2]
             sums = sums_arr.tolist()

@@ -516,7 +516,10 @@ class TestSkippedWork:
             assert_same_bits(got[before, k], ref[before, k])
 
     def test_hold_reads_no_targets(self, case_scenario, case_plans, monkeypatch):
-        margin, params = self.coarse(case_scenario)
+        # a fresh margin, whose window blocks are all computed under the patch
+        from rastube.reach import ReachMargin
+        shared, params = self.coarse(case_scenario)
+        margin = ReachMargin(shared.start, shared.end, shared.deadline)
         plan = case_plans[1]
         # two steps clear of the blends at either end of the hold
         pad = params.edge_buffer + 20.0 * params.blend_scale + 2.0 * params.step
@@ -759,6 +762,166 @@ class TestSharedIncrements:
                 assert max(ts.max() for ts in evaluated) <= 80.0 * 100 / 1000
         # every step's start and midpoint once, and one end node per block
         assert sum(ts.size for ts in evaluated) == 2 * 1000 + 17
+
+
+def fresh_task(task):
+    """The same task with a margin of its own, none of whose window blocks
+    or increments are computed yet."""
+    cold = dataclasses.replace(task)
+    assert cold.lower_margin() is not task.lower_margin()
+    return cold
+
+
+@contextlib.contextmanager
+def fresh_blocks():
+    """Record (column, packed plans) of every window block computed afresh
+    inside the ``with`` statement."""
+    computed = []
+    affine = tube_core._affine_steps
+
+    def recording(margin, dim, column, packed, *args):
+        computed.append((column, packed))
+        return affine(margin, dim, column, packed, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tube_core, "_affine_steps", recording)
+        yield computed
+
+
+@contextlib.contextmanager
+def no_reuse():
+    """Every window block computed afresh, none kept."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tube_core, "_window_block", tube_core._affine_steps)
+        yield
+
+
+class TestWindowBlocks:
+    """The corridor of a scheduled task reuses the window blocks its
+    candidate checks computed, with the bits of a fresh computation."""
+
+    def test_bundled_corridor_after_schedule_matches_cold(self, case_scenario):
+        task, params = case_scenario.task, case_scenario.tube
+        plans = schedule(task, params)
+        assert len(plans) == 3
+        warm = evolve_tube(task, plans, params)
+        cold_task = fresh_task(task)
+        with fresh_blocks() as cold_blocks:
+            cold = evolve_tube(cold_task, plans, params)
+        warm_task = fresh_task(task)
+        plans = schedule(warm_task, params)
+        with fresh_blocks() as warm_blocks:
+            evolve_tube(warm_task, plans, params)
+        assert_same_bits(warm.lower, cold.lower)
+        assert 0 < len(warm_blocks) < len(cold_blocks)
+
+    def test_random_corridors_after_schedule_match_cold(self):
+        from rastube.sampling import random_case
+        rng = np.random.default_rng(2222)
+        counts = []
+        for i in range(20):
+            case = random_case(rng, n_dims=2 + (i % 2), n_obstacles=1 + (i % 3))
+            task, params = fresh_task(case.task), case.params
+            plans = schedule(task, params)
+            assert plans == case.plans
+            warm = evolve_tube(task, plans, params)
+            cold = evolve_tube(fresh_task(task), plans, params)
+            assert_same_bits(warm.lower, cold.lower)
+            with no_reuse():
+                unkept = evolve_tube(fresh_task(task), plans, params)
+            assert_same_bits(warm.lower, unkept.lower)
+            counts.append(len(plans))
+        assert sum(c > 1 for c in counts) >= 3 and counts.count(1) >= 3
+
+    def test_single_plan_corridor_computes_no_window_block(self):
+        # only the unbent columns' steps next to the release are new
+        from rastube.sampling import random_case
+        rng = np.random.default_rng(3333)
+        for i in range(4):
+            case = random_case(rng, n_dims=2 + (i % 2), n_obstacles=1)
+            task, params = fresh_task(case.task), case.params
+            plans = schedule(task, params)
+            assert len(plans) == 1
+            with fresh_blocks() as computed:
+                evolve_tube(task, plans, params)
+            assert computed
+            assert all(column != packed[0][4] for column, packed in computed)
+
+    # Dimensions 0 and 2 of the margin are the same constant, so a plan's
+    # anchors there neither follow its times nor tell the two apart.  FIRST
+    # bends dimension 0.  SECOND bends dimension 1 and releases inside
+    # FIRST's window, where it is never active, so it only splits the steps
+    # at its release.  THIRD bends dimension 0 again and starts bending just
+    # after FIRST's release, in the same block.  FOURTH is active only for
+    # the step after THIRD's release, whose switch span in any other column
+    # covers the same steps as FOURTH's window.
+    START, END, DEADLINE = np.array([2.0, 1.0, 2.0]), np.array([2.0, 7.0, 2.0]), 80.0
+    FIRST = ObstaclePlan(index=0, enter_time=21.0, exit_time=30.0, prep_time=20.0,
+                         release_time=31.0, dim=0, side=PASS_ABOVE, level=9.0)
+    SECOND = ObstaclePlan(index=1, enter_time=25.0, exit_time=26.0, prep_time=24.5,
+                          release_time=27.9, dim=1, side=PASS_ABOVE, level=6.0)
+    THIRD = ObstaclePlan(index=2, enter_time=32.0, exit_time=38.0, prep_time=31.2,
+                         release_time=39.0, dim=0, side=PASS_ABOVE, level=5.0)
+    FOURTH = ObstaclePlan(index=3, enter_time=38.7, exit_time=38.9, prep_time=38.6,
+                          release_time=39.1, dim=0, side=PASS_ABOVE, level=4.0)
+    PARAMS = TubeParams(window_margin=1.0, edge_buffer=0.1, blend_scale=0.025,
+                        time_floor=0.04, step=0.08)
+    N_STEPS = 1000
+
+    def margin(self):
+        from rastube.reach import ReachMargin
+        return ReachMargin(self.START, self.END, self.DEADLINE)
+
+    def integrate(self, margin, plans, params, n_steps, grid_steps):
+        grid, bad = tube_core.integrate_lower(margin, n_steps, plans, params,
+                                              grid_steps=grid_steps)
+        assert bad == -1
+        return grid
+
+    @given(key=st.sampled_from(["level", "later level", "release", "edge_buffer",
+                                "blend_scale", "time_floor", "grid", "prefix", "switch",
+                                "bent dimension"]),
+           factor=st.floats(0.97, 1.03), steps=st.integers(1, 24))
+    def test_changed_input_matches_cold(self, key, factor, steps):
+        # blocks of 16 steps, so that each key input alone tells some
+        # blocks apart: the switch and THIRD are the only differences in
+        # some, and the prefix ends inside one
+        first, second, third, fourth = self.FIRST, self.SECOND, self.THIRD, self.FOURTH
+        params, n_steps, grid_steps = self.PARAMS, self.N_STEPS, self.N_STEPS
+        if key == "level":
+            first = dataclasses.replace(first, level=first.level * factor)
+        elif key == "later level":
+            third = dataclasses.replace(third, level=third.level * factor)
+        elif key == "release":
+            first = dataclasses.replace(first, release_time=first.release_time * factor)
+        elif key == "switch":
+            second = dataclasses.replace(second, release_time=second.release_time * factor)
+        elif key == "bent dimension":
+            fourth = dataclasses.replace(fourth, dim=2)
+        elif key == "grid":
+            n_steps = grid_steps = self.N_STEPS + steps
+        elif key == "prefix":
+            n_steps = 250 + steps
+        else:
+            params = dataclasses.replace(params, **{key: getattr(params, key) * factor})
+        changed = ([first, second, third, fourth], params, n_steps, grid_steps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tube_core, "_BLOCK", 16)
+            margin = self.margin()
+            self.integrate(margin, [self.FIRST, self.SECOND, self.THIRD, self.FOURTH],
+                           self.PARAMS, self.N_STEPS, self.N_STEPS)
+            got = self.integrate(margin, *changed)
+            with no_reuse():
+                cold = self.integrate(self.margin(), *changed)
+        assert_same_bits(got, cold)
+
+    def test_stored_blocks_are_read_only(self):
+        margin = self.margin()
+        self.integrate(margin, [self.FIRST], self.PARAMS, self.N_STEPS, self.N_STEPS)
+        grid, blocks = margin._windows
+        assert grid == self.N_STEPS and blocks
+        for block in blocks.values():
+            assert not any(array.flags.writeable for array in block)
 
 
 def scalar_bounds(tube, t):
