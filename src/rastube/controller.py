@@ -102,22 +102,17 @@ _GAIN = "(4.0 / ({w} * (1.0 - {e} * {e})))"
 _BARRIER = "(log1p({e}) - log1p(-{e}))"
 
 
-def law_lines(i: int, x: str, s: str, w: str, reject: Optional[str],
-              clamped: bool) -> List[str]:
+def law_lines(i: int, x: str, s: str, w: str, reject: str, clamped: bool) -> List[str]:
     """Source lines that set ``u{i}``, component ``i`` of the law, from the
     state ``x``, bound sum ``s`` and width ``w`` (names of float locals).
     They run the statement ``reject`` when |e| >= 1; written as two
-    comparisons, a NaN passes as it does ``abs(e) >= 1.0``.  Without
-    ``reject`` they raise instead, on exactly those states: one of the two
-    ``log1p`` arguments is <= -1 there, which raises ValueError, unless the
-    gain, evaluated first, divides by zero at |e| = 1 (ZeroDivisionError).
-    A NaN passes either way.  The code that runs them binds ``scale``
-    (-gain_sign * gain) and, when ``clamped``, the input limit ``lim``."""
+    comparisons, a NaN passes as it does ``abs(e) >= 1.0``.  The code that
+    runs them binds ``scale`` (-gain_sign * gain) and, when ``clamped``,
+    the input limit ``lim``."""
     e = f"e{i}"
-    lines = [f"{e} = " + _NORMALIZED.format(x=x, s=s, w=w)]
-    if reject is not None:
-        lines.append(f"if {e} >= 1.0 or {e} <= -1.0: {reject}")
-    lines.append(f"u{i} = scale * " + _GAIN.format(w=w, e=e) + " * " + _BARRIER.format(e=e))
+    lines = [f"{e} = " + _NORMALIZED.format(x=x, s=s, w=w),
+             f"if {e} >= 1.0 or {e} <= -1.0: {reject}",
+             f"u{i} = scale * " + _GAIN.format(w=w, e=e) + " * " + _BARRIER.format(e=e)]
     if clamped:
         lines.append(f"u{i} = min(max(u{i}, -lim), lim)")
     return lines

@@ -9,12 +9,10 @@ built in bulk, one block of steps at a time, as one float row per step,
 and each block is one call of a function compiled once per state count
 and plant source.  It holds the state and the stage bounds in scalar
 locals and runs the law inline from its one source in ``controller``,
-without the corridor tests: where they would reject a stage the law
-raises, and the block is stepped again by a variant that makes them.
-The bundled plants write their derivative and input floor once, as
-source lines (``from_lines``), which it inlines too; a plant without them
-is called, four times per step of a completed block (a block stepped
-again calls it again).  Flags summarise the run:
+which stops the block at the first stage outside the corridor.  The
+bundled plants write their derivative and input floor once, as source
+lines (``from_lines``), which it inlines too; a plant without them is
+called, four times per step.  Flags summarise the run:
 reached (target hit by the deadline), safe (never inside an unsafe set),
 contained (always strictly inside the corridor), stayed (inside the target
 through the stay horizon)."""
@@ -49,8 +47,8 @@ class Dynamics(Protocol):
     closed loop calls ``derivative`` four times per step and
     ``symmetric_input_floor`` once per row, unless the method carries
     ``source_lines`` (see ``from_lines``): then it inlines those lines.
-    A block of steps that ends in a corridor violation or a width <= 0 is
-    stepped again from its start, so both are called again on its rows.
+    A step that stops at a stage outside the corridor calls ``derivative``
+    once per stage before it.
     """
 
     n_states: int
@@ -308,7 +306,7 @@ def _call_floor(x):
 
 
 @functools.cache
-def _runner(n: int, n_task: int, clamped: bool, rate_lines, floor_lines, checked: bool):
+def _runner(n: int, n_task: int, clamped: bool, rate_lines, floor_lines):
     """The closed loop over one block of steps for ``n`` states, the first
     ``n_task`` of them task dimensions, compiled once per plant source:
     the law inlined from ``controller.law_lines``, the plant's derivative
@@ -327,27 +325,21 @@ def _runner(n: int, n_task: int, clamped: bool, rate_lines, floor_lines, checked
     input, and lowers the running minimum input floor ``mf`` by the
     state's floor.  Every operation is in the order of the written-out RK4
     step.  It returns ``(x, u, mf)`` after the block, or
-    ``(None, ("nonfinite", state), mf)`` when the next state is not finite.
-
-    The ``checked`` variant also returns ``(None, (stage, state), mf)`` at
-    the first stage it rejects: ``"mid"`` or ``"end"`` when the state
-    leaves the corridor or the stage has a width <= 0, ``"next"`` when the
-    next state leaves it.  The other variant makes none of these tests: on
-    the states they reject the law raises ValueError or ZeroDivisionError
-    (see ``law_lines``), and on a width <= 0 it may run on.  A called
-    derivative of the wrong length raises ValueError in both.
+    ``(None, (stage, state), mf)`` at the first stage it rejects: ``"mid"``
+    or ``"end"`` when the state leaves the corridor or the stage has a
+    width <= 0, ``"next"`` when the next state leaves it, ``"nonfinite"``
+    when the next state is not finite.  A called derivative of the wrong
+    length raises ValueError.
     """
     x, u, w, a, ms, mw, es, ew = (local_names(p, n) for p in
                                   ("x", "u", "w", "a", "ms", "mw", "es", "ew"))
 
     def law(state, sums, widths, name):
-        reject = f"return None, ({name!r}, {vec(state)}), mf" if checked else None
+        reject = f"return None, ({name!r}, {vec(state)}), mf"
         return [line for i in range(n)
                 for line in law_lines(i, state[i], sums[i], widths[i], reject, clamped)]
 
     def width_test(widths, name):
-        if not checked:
-            return []
         return [f"if {' or '.join(f'{v} <= 0.0' for v in widths[:n_task])}: "
                 f"return None, ({name!r}, {vec(a)}), mf"]
 
@@ -414,10 +406,9 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
     t_next = t_end*(k+1)/n, t_next - t is exact (Sterbenz), so the end
     stage time t + h is t_next itself.  Each block of steps is one call of
     the compiled ``_runner`` on one float row per step, and its rows are
-    stored together.  A block that raises, or that holds a stage width
-    <= 0, is stepped again from its start by the ``checked`` runner, which
-    stops at the stage it rejects; ``control_input`` runs only on that
-    stage, to raise the violation that becomes the failure record.
+    stored together.  The runner stops at the first stage it rejects;
+    ``control_input`` runs only on that stage, to raise the violation that
+    becomes the failure record.
     Returns (rows filled, min input floor, failure); failure is None when
     the run completes, else (failure time, reason, failure record).
     """
@@ -430,10 +421,9 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
     n_task = len(frames.task_dims)
     flat_states = states.reshape(-1)
     flat_inputs = inputs.reshape(-1)
-    key = (n, n_task, clamped, getattr(rate_fn, "source_lines", _call_rate),
-           getattr(floor_fn, "source_lines", _call_floor))
-    consts = (rate_fn, floor_fn, scale, lim, frame.sums[n_task:], frame.ws[n_task:])
-    run = _runner(*key, False)(*consts)
+    run = _runner(n, n_task, clamped, getattr(rate_fn, "source_lines", _call_rate),
+                  getattr(floor_fn, "source_lines", _call_floor))(
+        rate_fn, floor_fn, scale, lim, frame.sums[n_task:], frame.ws[n_task:])
     ts = grid_ts.tolist()
     n_steps = len(ts) - 1
     t0, t1 = grid_ts[:-1], grid_ts[1:]
@@ -451,7 +441,6 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
         stop = min(first + _BLOCK, n_steps + 1)     # rows first..stop-1
         last = min(stop, n_steps)                   # steps first..last-1
         rows = []
-        empty = False
         if last > first:
             m = last - first
             lo, hi, sums, ws = frames.block(stage_ts[2 * first:2 * last])
@@ -459,21 +448,8 @@ def _step_loop(x, frame, grid_ts, frames, cfg, dynamics, dists, states, lowers, 
             uppers[first + 1:last + 1, :n_task] = hi[1::2]
             rows = np.hstack((dists[first:last], hs[first:last, None],
                               sums.reshape(m, 2 * n_task), ws.reshape(m, 2 * n_task))).tolist()
-            empty = bool((ws <= 0.0).any())
-        final = stop > last
-        out = None
-        if not empty:
-            xs, us = [], []
-            try:
-                out = run(x, u, min_floor, rows, xs, us, final)
-            except (ValueError, ZeroDivisionError):
-                pass
-        if out is None:
-            # the law raised where the checked runner rejects a stage, or a
-            # stage width is <= 0: the checked runner steps the block again
-            xs, us = [], []
-            out = _runner(*key, True)(*consts)(x, u, min_floor, rows, xs, us, final)
-        x, u, min_floor = out
+        xs, us = [], []
+        x, u, min_floor = run(x, u, min_floor, rows, xs, us, stop > last)
         filled = first + len(xs) // n
         failure = None
         if x is None:

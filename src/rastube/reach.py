@@ -82,9 +82,8 @@ class ReachMargin:
     end: np.ndarray
     deadline: float
     _span: np.ndarray = field(init=False, repr=False)
-    # (grid_steps, increments, columns filled) of the last grid
-    # ``increments`` was asked for
-    _nominal: tuple = field(init=False, repr=False, compare=False, default=(0, None, 0))
+    # (grid_steps, increments) of the last grid ``increments`` was asked for
+    _nominal: tuple = field(init=False, repr=False, compare=False, default=(0, None))
     # (grid_steps, {key: block}) of the last grid ``window_block`` was asked for
     _windows: tuple = field(init=False, repr=False, compare=False, default=(0, None))
 
@@ -146,25 +145,24 @@ class ReachMargin:
         k is the step from row k to row k + 1, as ``rk4_increment`` takes
         it with b = 0.
 
-        Kept for the last grid asked for, so every integration of this
-        margin on one grid shares them, and filled ``_BLOCK`` steps at a
-        time only as far as a call asks: a task that is only scheduled
-        never fills the steps past its candidates' last row.  Each column
-        depends on its own step alone, so the order of the calls does not
-        change a bit.
+        Filled for the whole grid on the first call for it, ``_BLOCK``
+        steps at a time to bound the scratch arrays, and kept for the last
+        grid asked for, so every integration of this margin on one grid
+        shares them.
         """
-        grid, out, filled = self._nominal
+        grid, out = self._nominal
         if grid != grid_steps:
-            out, filled = np.empty((self.n, grid_steps)), 0
-        t_c = self.deadline
-        for g0 in range(filled, steps, _BLOCK):
-            g1 = min(g0 + _BLOCK, steps)
-            m = g1 - g0
-            rows_t = t_c * np.arange(g0, g1 + 1) / grid_steps
-            h = rows_t[1:] - rows_t[:-1]
-            a = self.rates(np.concatenate((rows_t, rows_t[:-1] + 0.5 * h))).T
-            out[:, g0:g1] = rk4_increment(a[:, :m], a[:, m + 1:], a[:, 1:m + 1], 0.0, 0.0, h)
-        object.__setattr__(self, "_nominal", (grid_steps, out, max(filled, steps)))
+            out = np.empty((self.n, grid_steps))
+            t_c = self.deadline
+            for g0 in range(0, grid_steps, _BLOCK):
+                g1 = min(g0 + _BLOCK, grid_steps)
+                m = g1 - g0
+                rows_t = t_c * np.arange(g0, g1 + 1) / grid_steps
+                h = rows_t[1:] - rows_t[:-1]
+                a = self.rates(np.concatenate((rows_t, rows_t[:-1] + 0.5 * h))).T
+                out[:, g0:g1] = rk4_increment(a[:, :m], a[:, m + 1:], a[:, 1:m + 1],
+                                              0.0, 0.0, h)
+            object.__setattr__(self, "_nominal", (grid_steps, out))
         return out[:, :steps]
 
     def window_block(self, grid_steps: int, key, compute):

@@ -67,12 +67,9 @@ class Tube:
         t = np.asarray(times, dtype=float)
         t0, t1 = float(self.ts[0]), float(self.ts[-1])
         inner = (t > t0) & (t < t1)
-        if t.size and inner.all():
-            lo = self._between(t)
-        else:
-            lo = np.where((t <= t0)[:, None], self.lower[0], self.lower[-1])
-            if inner.any():
-                lo[inner] = self._between(t[inner])
+        lo = np.where((t <= t0)[:, None], self.lower[0], self.lower[-1])
+        if inner.any():
+            lo[inner] = self._between(t[inner])
         return lo, lo + self.width
 
     def _between(self, t: np.ndarray) -> np.ndarray:
@@ -88,11 +85,6 @@ class Tube:
         """``bounds_at`` at the one time t, as float lists."""
         lo, hi = self.bounds_at([t])
         return lo[0].tolist(), hi[0].tolist()
-
-    def rates(self) -> np.ndarray:
-        """Finite-difference derivative on the grid, shape (N, n)."""
-        dt = np.diff(self.ts)[:, None]
-        return np.diff(self.lower, axis=0) / dt
 
     def to_csv(self, path) -> None:
         header = ["t"]
@@ -517,10 +509,10 @@ def smoothness_check(tube: Tube) -> SmoothnessReport:
     rate magnitudes; a smooth corridor never reaches it, a step-like one
     does at every ramp.
     """
-    rates = tube.rates()
-    mags = np.abs(rates)
+    d = np.diff(tube.lower, axis=0)
+    mags = np.abs(d / np.diff(tube.ts)[:, None])
     max_rate = float(mags.max()) if mags.size else 0.0
-    max_jump = float(np.abs(np.diff(tube.lower, axis=0)).max()) if tube.ts.shape[0] > 1 else 0.0
+    max_jump = float(np.abs(d).max()) if d.size else 0.0
     threshold = 10.0 * float(np.percentile(mags, 99.0)) if mags.size else 0.0
     rows, dims = np.nonzero(mags > threshold)
     flagged = tuple((float(tube.ts[r + 1]), int(d)) for r, d in zip(rows, dims))

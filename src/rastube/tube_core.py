@@ -27,10 +27,10 @@ the scalar RK4 sums it.
 
 Nominal increments.  Where the weights are exactly (1, 0, 0), P == 1.0
 and Q is the margin rate's own RK4 increment, which depends on the grid
-alone.  ``ReachMargin.increments`` computes those once per grid, as far as
-the integrations so far have reached, and keeps them, and
-``RasTask.lower_margin`` hands out one margin per task, so every
-candidate check and the corridor of a task share one set.
+alone.  ``ReachMargin.increments`` computes those for the whole grid on
+the first call for it and keeps them, and ``RasTask.lower_margin`` hands
+out one margin per task, so every candidate check and the corridor of a
+task share one set.
 
 Window blocks.  The margin keeps the window kernel's blocks as well
 (``ReachMargin.window_block``), for the last grid only.  A block, the P,

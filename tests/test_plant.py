@@ -392,8 +392,8 @@ def cube_task(n):
 
 @pytest.fixture
 def runner_calls(monkeypatch):
-    """The block runs of the closed loop in order, as (checked, start state)
-    per call of a compiled runner."""
+    """The block runs of the closed loop in order, as the start state of
+    each call of a compiled runner."""
     calls = []
     runner = plant_mod._runner
 
@@ -404,7 +404,7 @@ def runner_calls(monkeypatch):
             run = make(*consts)
 
             def spied_run(x, *args):
-                calls.append((key[-1], list(x)))
+                calls.append(list(x))
                 return run(x, *args)
             return spied_run
         return spied_make
@@ -414,11 +414,10 @@ def runner_calls(monkeypatch):
 
 
 def block_runs(calls, states):
-    """``calls`` (see ``runner_calls``) as (block, "fast" or "checked"):
-    the block of ``_BLOCK`` rows of ``states`` from whose first row each
-    run started."""
+    """``calls`` (see ``runner_calls``) as the block of ``_BLOCK`` rows of
+    ``states`` from whose first row each run started."""
     starts = states[::plant_mod._BLOCK].tolist()
-    return [(starts.index(x), "checked" if checked else "fast") for checked, x in calls]
+    return [starts.index(x) for x in calls]
 
 
 def cube_setup(plant, n_steps):
@@ -525,24 +524,21 @@ class TestCompiledStep:
     @pytest.mark.parametrize("step, stage", [(0.015, "mid"), (0.008, "end"), (0.01, "next")])
     def test_leaving_runs(self, monkeypatch, runner_calls, step, stage):
         # blocks of 2 steps: every block up to the failed step's is stepped
-        # once by the fast runner, and the failed one again, from its
-        # start, by the checked runner
+        # once, the failed one up to the stage it rejects
         monkeypatch.setattr(plant_mod, "_BLOCK", 2)
         trace = assert_matches_reference(leaving(step=step))
         assert failed_stage(trace) == stage
         failed = (trace.ts.shape[0] - 1) // 2
-        assert block_runs(runner_calls, trace.states) == \
-            [(b, "fast") for b in range(failed + 1)] + [(failed, "checked")]
+        assert block_runs(runner_calls, trace.states) == list(range(failed + 1))
 
     @staticmethod
     def check_non_finite(monkeypatch, runner_calls, run):
-        # the fast runner reports a non-finite state itself, as the checked
-        # one would, so no block is stepped again
+        # the runner reports a non-finite state itself, in the block's one run
         monkeypatch.setattr(plant_mod, "_BLOCK", 2)
         trace = assert_matches_reference(run)
         assert trace.failure_reason == "non-finite state"
         failed = (trace.ts.shape[0] - 1) // 2
-        assert block_runs(runner_calls, trace.states) == [(b, "fast") for b in range(failed + 1)]
+        assert block_runs(runner_calls, trace.states) == list(range(failed + 1))
 
     def test_non_finite_state(self, monkeypatch, runner_calls):
         task, frames, options, dist = integrator_setup()
@@ -559,10 +555,9 @@ class TestCompiledStep:
 
     @pytest.mark.parametrize("collapse, runs", [
         # the corridor closes at the midpoint (0.015) or the end (0.02) of
-        # the second step, before the state leaves it: a block holding a
-        # width <= 0 is stepped by the checked runner alone
-        (0.015, [(0, "checked")]), (0.02, [(0, "checked")]),
-        (0.03, [(0, "fast"), (1, "checked")])], ids=["0.015", "0.02", "0.03"])
+        # the second step, before the state leaves it, or in the second
+        # block (0.03): each block up to the collapse is stepped once
+        (0.015, [0]), (0.02, [0]), (0.03, [0, 1])], ids=["0.015", "0.02", "0.03"])
     def test_width_collapse(self, monkeypatch, runner_calls, collapse, runs):
         monkeypatch.setattr(plant_mod, "_BLOCK", 2)
         with pytest.raises(ConfigurationError) as got:
@@ -587,9 +582,9 @@ class TestCompiledStep:
         assert trace.ts.shape[0] == n_steps + 1
         if limit is not None:
             assert 0 < np.count_nonzero(np.abs(trace.inputs) == limit) < trace.inputs.size
-        # one fast run per block of 512 rows, none checked
+        # one run per block of 512 rows
         assert block_runs(runner_calls, trace.states) == \
-            [(b, "fast") for b in range(math.ceil((n_steps + 1) / 512))]
+            list(range(math.ceil((n_steps + 1) / 512)))
 
 
 def omni_rate(x, u, w):
@@ -951,9 +946,9 @@ class TestSimulate:
         # start frame, then each step's midpoint and end in blocks, one
         # FrameProvider.block call each, the end bounds serving the next
         # row as well; control_input only runs to report a stage outside
-        # the corridor.  A run that leaves the corridor at the end stage
-        # of step r reads its last block once, though the block is stepped
-        # twice and the derivative is called twice on its steps
+        # the corridor.  The derivative runs four times per step taken; a
+        # run that leaves the corridor at the end stage of step r calls it
+        # three times more, at the stages before that one
         received = []
         calls = {"frame": 0, "block": 0, "control": 0, "dynamics": 0}
 
@@ -1001,7 +996,7 @@ class TestSimulate:
             n_steps = round(task.deadline / options.step)
             ts = (task.deadline * np.arange(n_steps + 1) / n_steps)[:first + 8]
             assert calls == {"frame": 1, "block": r // 7 + 1, "control": 1,
-                             "dynamics": 4 * first + 2 * (4 * (r - first) + 3)}
+                             "dynamics": 4 * r + 3}
         else:
             assert trace.completed
             assert calls == {"frame": 1, "block": math.ceil((ts.shape[0] - 1) / 7),
@@ -1048,13 +1043,12 @@ class TestSimulate:
 
     def test_width_collapse_after_leaving_keeps_failure(self, runner_calls):
         # the state leaves at t = 0.03; the corridor closes at t = 0.1,
-        # within the same block of stage bounds, which only the checked
-        # runner steps
+        # within the same block of stage bounds, which is stepped once
         plain = self.leaving_run()
         del runner_calls[:]
         collapsed = assert_matches_reference(
             lambda: self.leaving_run(collapse=0.1))
-        assert block_runs(runner_calls, collapsed.states) == [(0, "checked")]
+        assert block_runs(runner_calls, collapsed.states) == [0]
         assert plain.failure is not None
         assert collapsed.failure == plain.failure
         assert collapsed.states.tobytes() == plain.states.tobytes()
@@ -1080,12 +1074,11 @@ class TestSimulate:
                                  "lower": None, "upper": None}
 
     def test_wrong_length_derivative_rejected(self, runner_calls):
-        # the stepper must not cut the 2n entries back to n; the checked
-        # runner raises the unpacking's error again, as the reference does
+        # the stepper must not cut the 2n entries back to n; the runner
+        # raises the unpacking's error, as the reference does
         run = leaving(plant=ArrayStylePlant(2))
         assert raised(run) == ("ValueError", "too many values to unpack (expected 2)")
-        assert block_runs(list(runner_calls), leaving()().states) == \
-            [(0, "fast"), (0, "checked")]
+        assert block_runs(list(runner_calls), leaving()().states) == [0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(plant_mod, "_step_loop", reference_step_loop)
             assert raised(run)[0] == "ValueError"

@@ -735,14 +735,15 @@ class TestSharedIncrements:
         assert second.task.lower_margin() is not first.task.lower_margin()
         assert late_reads(second) == 1
 
-    def test_increments_filled_only_as_far_as_asked(self, monkeypatch):
-        # each call fills the steps it needs past those already filled, with
-        # the bits of one fill of the whole grid
+    def test_increments_filled_once_per_grid(self, monkeypatch):
+        # the first call on a grid fills all of it, 64 steps at a time;
+        # later calls on that grid return a prefix of the same bits
         from rastube import reach
         from rastube.reach import ReachMargin
         monkeypatch.setattr(reach, "_BLOCK", 64)
         start, end = np.array([0.0, 1.0]), np.array([11.0, -2.0])
         full = ReachMargin(start, end, 80.0).increments(1000, 1000)
+        half = ReachMargin(start, end, 80.0).increments(500, 500)
         margin = ReachMargin(start, end, 80.0)
         evaluated = []
         rates = ReachMargin.rates
@@ -752,16 +753,19 @@ class TestSharedIncrements:
             return rates(self, ts)
 
         monkeypatch.setattr(ReachMargin, "rates", counting)
-        for steps, blocks in ((100, 2), (37, 0), (700, 10), (1000, 5)):
+        for steps, blocks in ((100, 16), (37, 0), (700, 0), (1000, 0)):
             before = len(evaluated)
             got = margin.increments(1000, steps)
             assert got.shape == (2, steps)
             assert_same_bits(got, full[:, :steps])
             assert len(evaluated) - before == blocks
-            if steps == 100:
-                assert max(ts.max() for ts in evaluated) <= 80.0 * 100 / 1000
         # every step's start and midpoint once, and one end node per block
-        assert sum(ts.size for ts in evaluated) == 2 * 1000 + 17
+        assert sum(ts.size for ts in evaluated) == 2 * 1000 + 16
+        # another grid is filled afresh, and replaces the kept one
+        assert_same_bits(margin.increments(500, 500), half)
+        assert len(evaluated) == 16 + 8
+        margin.increments(1000, 10)
+        assert len(evaluated) == 16 + 8 + 16
 
 
 def fresh_task(task):
